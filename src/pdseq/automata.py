@@ -14,7 +14,17 @@ import json
 
 import numpy as np
 
-__all__ = ["Dfao", "Dfa", "eval_word", "evaluate", "product", "minimize", "count_length_n"]
+__all__ = [
+    "Dfao",
+    "Dfa",
+    "evaluate",
+    "evaluate_range",
+    "genealogical_words",
+    "product",
+    "union",
+    "minimize",
+    "count_length_n",
+]
 
 LSD_FIRST = "lsd"
 MSD_FIRST = "msd"
@@ -200,11 +210,6 @@ def _freeze(x):
     return tuple(x) if isinstance(x, list) else x
 
 
-def eval_word(m, word):
-    """Feed word to m exactly as given (caller handles digit order)."""
-    return m.output(word)
-
-
 def evaluate(m, n, numeration):
     """Value of the automatic sequence generated by m at index n.
 
@@ -217,49 +222,99 @@ def evaluate(m, n, numeration):
     return m.output(word)
 
 
-def evaluate_range(m, count, numeration=None):
-    """Outputs of m at indices 0..count-1, vectorized for base-2 input.
+def genealogical_words(language, count, m=None):
+    """The first count words of a language in genealogical order, as arrays.
 
-    With no numeration system the indices are read in binary (an LSD-first
-    automaton consumes bits upward from the least significant one).
+    language is an MSD-first DFA; its words are taken length by length and,
+    within a length, lexicographically by the alphabet order (the order of
+    an abstract numeration system, so the n-th word represents n).  Returns
+    two int64 arrays: the base-k value of each word, where k is the alphabet
+    size and a letter's digit is its index in the alphabet, and the state
+    that m (an MSD-first DFAO over the same alphabet; default the language
+    DFA itself) reaches on it.  Raises ValueError when the language has
+    fewer than count words or one longer than int64 values allow.
     """
-    if numeration is not None:
-        return [evaluate(m, n, numeration) for n in range(count)]
-    if m.alphabet != (0, 1):
-        raise ValueError("vectorized evaluation needs alphabet (0, 1)")
+    if m is None:
+        m = language
+    if (language.read_order, m.read_order) != (MSD_FIRST, MSD_FIRST):
+        raise ValueError("genealogical enumeration reads words MSD-first")
+    if m.alphabet != language.alphabet:
+        raise ValueError("alphabet mismatch between the language and the automaton")
+    k, nm = len(language.alphabet), m.num_states
+    # pair state s = (language state) * nm + (m state): one gather per length
+    table = (language.transition_table()[:, None, :] * nm + m.transition_table()[None, :, :]).reshape(-1, k)
+    accepting = np.repeat(np.array(language.outputs, dtype=bool), nm)
+    live = np.repeat(_coaccessible(language), nm)
+    states = np.array([language.initial * nm + m.initial], dtype=np.int64)
+    values = np.zeros(1, dtype=np.int64)
+    found_values, found_states = [], []
+    found = length = 0
+    while True:
+        acc = accepting[states]
+        found_values.append(values[acc])
+        found_states.append(states[acc])
+        found += len(found_states[-1])
+        if found >= count:
+            break
+        length += 1
+        if k**length > 1 << 63:
+            raise ValueError(f"words of length {length} overflow int64 values")
+        # every live word extended by each letter, still in lexicographic order
+        states = table[states].ravel()
+        values = (values[:, None] * k + np.arange(k)).ravel()
+        keep = live[states]
+        states, values = states[keep], values[keep]
+        if not len(states):
+            raise ValueError(f"the language has only {found} words, fewer than {count}")
+    return np.concatenate(found_values)[:count], np.concatenate(found_states)[:count] % nm
+
+
+def _coaccessible(dfa):
+    """Boolean mask of the states from which some accepting state is reachable."""
+    table = dfa.transition_table()
+    live = np.array(dfa.outputs, dtype=bool)
+    while True:
+        grown = live | live[table].any(axis=1)
+        if np.array_equal(grown, live):
+            return live
+        live = grown
+
+
+def _base_k_language(k):
+    """MSD-first acceptor of the base-k representations: empty or no leading zero."""
+    trans = {(s, d): 2 if s == 2 or (s, d) == (0, 0) else 1 for s in range(3) for d in range(k)}
+    return Dfa(("start", "digits", "dead"), 0, range(k), trans, (True, True, False), MSD_FIRST)
+
+
+def evaluate_range(m, count, language=None):
+    """Outputs of m at indices 0..count-1, as an int64 array.
+
+    Index n is represented by the n-th word of language in genealogical
+    order (see genealogical_words).  With no language, n is written in base
+    k = len(m.alphabet) over digits 0..k-1, without leading zeros, and fed
+    in m's own read order.
+    """
+    outputs = np.array(m.outputs)
+    if outputs.ndim != 1 or outputs.dtype.kind not in "biu":
+        raise ValueError("vectorized evaluation needs integer outputs")
+    outputs = outputs.astype(np.int64)
+    if language is not None:
+        return outputs[genealogical_words(language, count, m)[1]]
+    k = len(m.alphabet)
+    if m.alphabet != tuple(range(k)):
+        raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
+    if m.read_order == MSD_FIRST:
+        return outputs[genealogical_words(_base_k_language(k), count, m)[1]]
     table = m.transition_table()
-    out = np.empty(count, dtype=np.int64)
-    out[0] = m.initial
-    maxbits = max(1, int(count - 1).bit_length())
-    ns = np.arange(count, dtype=np.int64)
-    lengths = np.zeros(count, dtype=np.int64)
-    for b in range(maxbits):
-        lengths[ns >= (1 << b)] = b + 1
-    states = np.full(count, m.initial, dtype=np.int64)
-    if m.read_order == LSD_FIRST:
-        for b in range(maxbits):
-            active = lengths > b
-            bits = (ns[active] >> b) & 1
-            states[active] = table[states[active], bits]
-    else:
-        # group by representation length so leading zeros are never fed
-        for length in range(1, maxbits + 1):
-            sel = lengths == length
-            if not sel.any():
-                continue
-            st = np.full(int(sel.sum()), m.initial, dtype=np.int64)
-            nn = ns[sel]
-            for b in range(length - 1, -1, -1):
-                st = table[st, (nn >> b) & 1]
-            states[sel] = st
-    outputs = np.array([_as_int(o) for o in m.outputs], dtype=np.int64)
-    return outputs[states]
-
-
-def _as_int(o):
-    if isinstance(o, (bool, int, np.integer)):
-        return int(o)
-    raise ValueError("vectorized evaluation needs integer outputs")
+    # states[v] is the state after reading the length-L digit string v
+    # LSD-first; a new leading digit d is read last and gives v' = d*k^L + v
+    states = np.array([m.initial], dtype=np.int64)
+    pieces = [states]
+    while k ** (len(pieces) - 1) < count:
+        lower = len(states)
+        states = table[states].T.ravel()
+        pieces.append(states[lower:])  # the strings without a leading zero
+    return outputs[np.concatenate(pieces)[:count]]
 
 
 def product(a, b):
@@ -336,20 +391,8 @@ def minimize(m):
         labels[b] = m.labels[s]
         for c in m.alphabet:
             trans[(b, c)] = block[m.step(s, c)]
-    reduced = type(m)._rebuild(labels, block[m.initial], m.alphabet, trans, outputs, m.read_order)
+    reduced = type(m)(labels, block[m.initial], m.alphabet, trans, outputs, m.read_order)
     return reduced.canonical()
-
-
-def _rebuild_dfao(labels, initial, alphabet, trans, outputs, read_order):
-    return Dfao(labels, initial, alphabet, trans, outputs, read_order)
-
-
-def _rebuild_dfa(labels, initial, alphabet, trans, outputs, read_order):
-    return Dfa(labels, initial, alphabet, trans, outputs, read_order)
-
-
-Dfao._rebuild = staticmethod(_rebuild_dfao)
-Dfa._rebuild = staticmethod(_rebuild_dfa)
 
 
 def count_length_n(d, n):

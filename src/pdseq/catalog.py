@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import automata, numeration, series
+from . import automata, series
 from .automata import Dfa, Dfao
 from .morphisms import Morphism, fixed_point_prefix, morphic_word_prefix
 
@@ -498,9 +498,7 @@ def _x_build(count):
 
 
 def _x_via_zeckendorf(count):
-    zeck = numeration.Zeckendorf()
-    m = fibonacci_indicator_dfao()
-    return np.array([numeration.automatic_eval(zeck, m, n) for n in range(count)], dtype=np.int64)
+    return automata.evaluate_range(fibonacci_indicator_dfao(), count, zeckendorf_language_dfa())
 
 
 def _x_via_golden_morphism(count):
@@ -521,7 +519,7 @@ def _d_via_morphism(count):
 
 
 def _d_via_dfao(count):
-    return np.asarray(automata.evaluate_range(period_doubling_dfao(), count), dtype=np.int64)
+    return automata.evaluate_range(period_doubling_dfao(), count)
 
 
 def _d_via_coded_runs(count):
@@ -535,7 +533,7 @@ def _u_via_reversion(count):
 
 
 def _u_via_dfao(count):
-    return np.asarray(automata.evaluate_range(inverse_pd_dfao(), count), dtype=np.int64)
+    return automata.evaluate_range(inverse_pd_dfao(), count)
 
 
 def _t_via_morphism(count):
@@ -565,13 +563,8 @@ def _z_via_tm_alternations(count):
         need *= 2
 
 
-def _a_via_ans(count):
-    ans = numeration.Ans(ones_positions_language_dfa())
-    vals = []
-    for n in range(count):
-        word = ans.rep(n)
-        vals.append(int("".join(map(str, word)), 2))
-    return np.array(vals, dtype=np.int64)
+def _a_via_enumeration(count):
+    return automata.genealogical_words(ones_positions_language_dfa(), count)[0]
 
 
 def _delta_via_x(count):
@@ -661,7 +654,7 @@ def _build_registry():
             period_doubling_prefix,
             alternates={
                 "uniform-morphism": _d_via_morphism,
-                "lsd-automaton": _d_via_dfao,
+                "msd-automaton": _d_via_dfao,
                 "coded-run-length-morphism": _d_via_coded_runs,
             },
             identities={"tm-first-difference": _d_complement_is_tm_difference},
@@ -722,7 +715,7 @@ def _build_registry():
             "positions of ones in the formal-inverse coefficient sequence",
             _a_build,
             value_kind="integer",
-            alternates={"genealogical-unrank": _a_via_ans},
+            alternates={"genealogical-enumeration": _a_via_enumeration},
             identities={"mod3-fibonacci-runs": _a_mod3_run_identity},
         )
     )

@@ -191,29 +191,6 @@ def check_complexity(n_max=15):
     return _fail(parts) + (f"lengths to {2 * n_max + 1}",)
 
 
-def _accepts_many(dfa, values):
-    """Vectorized acceptance of the binary expansions of positive ints."""
-    values = np.asarray(values, dtype=np.int64)
-    table = dfa.transition_table()
-    out = np.zeros(len(values), dtype=bool)
-    lengths = np.zeros(len(values), dtype=np.int64)
-    v = values.copy()
-    while v.any():
-        lengths[v > 0] += 1
-        v >>= 1
-    for length in range(1, int(lengths.max(initial=0)) + 1):
-        sel = lengths == length
-        if not sel.any():
-            continue
-        vv = values[sel]
-        st = np.full(len(vv), dfa.initial, dtype=np.int64)
-        for b in range(length - 1, -1, -1):
-            st = table[st, (vv >> b) & 1]
-        acc = np.array([bool(o) for o in dfa.outputs])
-        out[sel] = acc[st]
-    return out
-
-
 def check_mod3_structure(limit=1 << 27):
     parts = []
     fib = catalog.fibonacci_numbers(count=90)
@@ -228,13 +205,9 @@ def check_mod3_structure(limit=1 << 27):
     # residue classification of the one-positions below 2^20
     a20 = catalog.inverse_pd_ones_below(1 << 20)
     mod3 = a20 % 3
-    in_la1 = _accepts_many(catalog.odd_ones_language_dfa(), a20)
-    in_la2 = _accepts_many(catalog.marked_block_language_dfa(), a20)
-    bitlen = np.zeros(len(a20), dtype=np.int64)
-    v = a20.copy()
-    while v.any():
-        bitlen[v > 0] += 1
-        v >>= 1
+    in_la1 = automata.evaluate_range(catalog.odd_ones_language_dfa(), 1 << 20)[a20] == 1
+    in_la2 = automata.evaluate_range(catalog.marked_block_language_dfa(), 1 << 20)[a20] == 1
+    bitlen = np.frexp(a20.astype(np.float64))[1]  # exact: a20 < 2^20
     parts.append((bool(np.all(in_la1 ^ in_la2)), "positions not split between the two languages"))
     parts.append((bool(np.all((mod3 == 1) | (mod3 == 2))), "a position is divisible by 3"))
     want = np.where(in_la1 | ((bitlen & 1) == 0), 1, 2)
@@ -264,11 +237,7 @@ def check_delta_fibonacci(n=100_000):
     parts = [
         (bool(np.array_equal(delta, x_members[2:])), "delta differs from the shifted indicator"),
     ]
-    zeck = numeration.Zeckendorf()
-    dfao = catalog.fibonacci_indicator_dfao()
-    x_automatic = np.array(
-        [numeration.automatic_eval(zeck, dfao, i) for i in range(n + 2)], dtype=np.int64
-    )
+    x_automatic = automata.evaluate_range(catalog.fibonacci_indicator_dfao(), n + 2, catalog.zeckendorf_language_dfa())
     parts.append(
         (bool(np.array_equal(x_automatic, x_members[: n + 2])), "automaton and membership definitions of x differ")
     )
@@ -355,38 +324,26 @@ def check_rank_profiles(horizon=512):
     return ok, msg, f"H={horizon} and {2 * horizon}, depths 0..8"
 
 
-def _trailing_ones_parity(values):
-    values = np.asarray(values, dtype=np.int64)
-    count = np.zeros(len(values), dtype=np.int64)
-    v = values.copy()
-    while True:
-        odd = (v & 1) == 1
-        if not odd.any():
-            break
-        count[odd] += 1
-        v = v >> 1
-        v[~odd] = 0
-    return count % 2
-
-
 def check_numeration(n=100_000):
     parts = []
-    ans = numeration.Ans(catalog.zeckendorf_language_dfa())
-    zeck = numeration.Zeckendorf()
-    bad = next((i for i in range(n) if ans.rep(i) != zeck.rep(i)), None)
+    # the i-th word of L_F has Zeckendorf value i exactly when it is the
+    # greedy representation of i (Zeckendorf's theorem)
+    words = automata.genealogical_words(catalog.zeckendorf_language_dfa(), n)[0]
+    weights = catalog.fibonacci_numbers(count=int(words.max(initial=0)).bit_length() + 1)[1:]
+    values = sum(((words >> j) & 1) * w for j, w in enumerate(weights))
+    bad = next(iter(np.flatnonzero(values != np.arange(n))), None)
     parts.append((bad is None, f"unrank and greedy differ first at {bad}"))
     la = numeration.Ans(catalog.ones_positions_language_dfa())
     first = [la.rep(i) for i in range(4)]
     want = [(1,), (1, 0, 1), (1, 1, 1), (1, 1, 0, 1)]
     parts.append((first == want, f"first unranked words {first} != {want}"))
     d_vals = catalog.period_doubling_prefix(n)
-    o_pos = np.nonzero(d_vals == 1)[0]
-    z_pos = np.nonzero(d_vals == 0)[0]
+    trailing_ones_parity = automata.evaluate_range(catalog.period_doubling_dfao(), n)
     parts.append(
-        (bool(np.all(_trailing_ones_parity(o_pos) == 1)), "an odd-position value ends in evenly many ones")
+        (bool(np.all(trailing_ones_parity[d_vals == 1] == 1)), "an odd-position value ends in evenly many ones")
     )
     parts.append(
-        (bool(np.all(_trailing_ones_parity(z_pos) == 0)), "a zero-position value ends in oddly many ones")
+        (bool(np.all(trailing_ones_parity[d_vals == 0] == 0)), "a zero-position value ends in oddly many ones")
     )
     return _fail(parts) + (f"n<{n}",)
 

@@ -63,14 +63,12 @@ class KernelAnalysis:
         return len(self.classes)
 
 
-def compute_kernel(seq, k, max_depth=10, horizon=512, executor=None):
+def compute_kernel(seq, k, max_depth=10, horizon=512):
     """Breadth-first closure of the k-kernel under fingerprint merging.
 
     Fingerprints are the first `horizon` subsequence terms; a merge is
     accepted only if the two subsequences also agree on 4*horizon terms
-    (HorizonError otherwise).  Fingerprint evaluation within a scale level
-    can run on an executor; merges are applied in ascending residue order,
-    so results are deterministic regardless of completion order.
+    (HorizonError otherwise).  Merges are applied in ascending residue order.
     """
     prefix = _prefix_provider(seq)
     if k < 2:
@@ -101,20 +99,9 @@ def compute_kernel(seq, k, max_depth=10, horizon=512, executor=None):
             return KernelAnalysis(k, H, classes, transitions, False, None)
         data, step = level_arrays(scale + 1)
 
-        children = []
-        for _, residue, idx in level:
-            for digit in range(k):
-                children.append((idx, digit, residue + digit * k**scale))
-
-        def fingerprint(child):
-            _, _, r = child
-            sub = data[r :: step][: 4 * H]
-            return sub
-
-        mapped = executor.map(fingerprint, children) if executor else map(fingerprint, children)
-        for (idx, digit, r), sub in sorted(
-            zip(children, mapped), key=lambda t: (t[0][2],)
-        ):
+        children = sorted((residue + digit * k**scale, idx, digit) for _, residue, idx in level for digit in range(k))
+        for r, idx, digit in children:
+            sub = data[r::step][: 4 * H]
             fp = sub[:H]
             key = fp.tobytes()
             if key in class_by_key:
@@ -193,29 +180,6 @@ class RankProfile:
                 for d in self.depths
             ],
         }
-
-
-def _rank_mod_p(rows_matrix, p=_CERT_PRIME):
-    m = rows_matrix % p
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = np.nonzero(m[r:, c])[0]
-        if len(piv) == 0:
-            continue
-        i = r + int(piv[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        below = np.nonzero(m[r + 1 :, c])[0]
-        if len(below):
-            idx = below + r + 1
-            m[idx] = (m[idx] - m[idx, c][:, None] * m[r][None, :]) % p
-        r += 1
-    return r
 
 
 class _ExactRank:

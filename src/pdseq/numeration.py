@@ -9,13 +9,7 @@ rank/unrank by counting accepted words, with exact big-integer counts.
 
 from __future__ import annotations
 
-__all__ = [
-    "BaseK",
-    "Zeckendorf",
-    "Ans",
-    "fibonacci_weights",
-    "automatic_eval",
-]
+__all__ = ["BaseK", "Zeckendorf", "Ans", "fibonacci_weights"]
 
 
 def fibonacci_weights(limit):
@@ -183,19 +177,3 @@ class Ans:
                 rank += self._count_from(rest, d.step(state, letter))
             state = d.step(state, c)
         return rank
-
-
-def automatic_eval(system, m, n):
-    """Value at n of the automatic sequence defined by DFAO m over the system.
-
-    The representation is produced MSD-first and reversed when the automaton
-    declares LSD-first reading.
-    """
-    word = system.rep(n)
-    if m.read_order == "lsd":
-        word = tuple(reversed(word))
-    return m.output(word)
-
-
-def word_to_string(word):
-    return "".join(str(c) for c in word) if word else "ε"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pdseq import catalog, numeration
 from pdseq.automata import (
@@ -11,6 +12,7 @@ from pdseq.automata import (
     count_up_to,
     evaluate,
     evaluate_range,
+    genealogical_words,
     minimize,
     product,
     union,
@@ -24,6 +26,16 @@ def all_words(length):
 
 def brute_count(dfa, length):
     return sum(1 for w in all_words(length) if dfa.accepts(w))
+
+
+@st.composite
+def automata_over(draw, cls, k, read_order):
+    """A random automaton with 1-6 states over the alphabet 0..k-1."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    trans = {(s, c): draw(state) for s in range(n) for c in range(k)}
+    outputs = draw(st.lists(st.booleans() if cls is Dfa else st.integers(0, 3), min_size=n, max_size=n))
+    return cls([f"q{i}" for i in range(n)], draw(state), range(k), trans, outputs, read_order)
 
 
 class TestEvaluation:
@@ -56,6 +68,54 @@ class TestEvaluation:
             got = evaluate_range(m, 300)
             want = [evaluate(m, n, base2) for n in range(300)]
             assert list(got) == want
+
+    def test_empty_range(self):
+        for m in (catalog.period_doubling_dfao(), catalog.inverse_pd_dfao()):
+            assert len(evaluate_range(m, 0)) == 0
+        assert len(evaluate_range(catalog.fibonacci_indicator_dfao(), 0, catalog.zeckendorf_language_dfa())) == 0
+
+    @given(st.sampled_from([2, 3]), st.sampled_from(["lsd", "msd"]), st.integers(0, 700), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vectorized_matches_scalar_on_random_automata(self, k, read_order, count, data):
+        m = data.draw(automata_over(Dfao, k, read_order))
+        base = numeration.BaseK(k)
+        assert evaluate_range(m, count).tolist() == [evaluate(m, n, base) for n in range(count)]
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 700), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_enumeration_matches_unranking(self, k, count, data):
+        language = data.draw(automata_over(Dfa, k, "msd"))
+        m = data.draw(automata_over(Dfao, k, "msd"))
+        try:
+            ans = numeration.Ans(language)
+        except ValueError:
+            assume(False)  # unranking is defined on infinite languages only
+        words = [ans.rep(n) for n in range(count)]
+        if words and k ** len(words[-1]) > 1 << 63:
+            with pytest.raises(ValueError, match="overflow"):
+                genealogical_words(language, count, m)
+            return
+        values, states = genealogical_words(language, count, m)
+        assert values.tolist() == [sum(d * k**i for i, d in enumerate(reversed(w))) for w in words]
+        assert states.tolist() == [m.final_state(w) for w in words]
+        assert evaluate_range(m, count, language).tolist() == [evaluate(m, n, ans) for n in range(count)]
+
+    def test_non_integer_outputs_refused(self):
+        pairs = product(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
+        with pytest.raises(ValueError, match="integer outputs"):
+            evaluate_range(pairs, 10)
+
+    def test_enumeration_refusals(self):
+        finite = Dfa(("a", "dead"), 0, (0, 1), {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, (True, False), "msd")
+        assert genealogical_words(finite, 1)[0].tolist() == [0]
+        with pytest.raises(ValueError, match="fewer than 2"):
+            genealogical_words(finite, 2)
+        # 0*1 has one word per length; the 64th is too long for int64 values
+        trans = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 2, (2, 1): 2}
+        sparse = Dfa(("zeros", "one", "dead"), 0, (0, 1), trans, (False, True, False), "msd")
+        assert genealogical_words(sparse, 63)[0].tolist() == [1] * 63
+        with pytest.raises(ValueError, match="overflow"):
+            genealogical_words(sparse, 64)
 
     def test_pd_output_is_trailing_ones_parity(self):
         # the two-state machine computes nu_2(n+1) mod 2 for every index

@@ -1,7 +1,5 @@
 """Kernel closure, DFAO synthesis, and rank profiles."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -41,15 +39,6 @@ class TestComputeKernel:
                 (c.scale, c.residue) for c in b.classes
             ]
             assert a.transitions == b.transitions
-
-    def test_executor_results_deterministic(self):
-        serial = compute_kernel(catalog.sequence("u").prefix, 2, horizon=256)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = compute_kernel(catalog.sequence("u").prefix, 2, horizon=256, executor=pool)
-        assert [(c.scale, c.residue) for c in serial.classes] == [
-            (c.scale, c.residue) for c in threaded.classes
-        ]
-        assert serial.transitions == threaded.transitions
 
     def test_fingerprint_collision_raises(self):
         # the even subsequence agrees with the whole sequence on the first

@@ -3,7 +3,8 @@
 import pytest
 
 from pdseq import catalog
-from pdseq.numeration import Ans, BaseK, Zeckendorf, automatic_eval, fibonacci_weights
+from pdseq.automata import evaluate
+from pdseq.numeration import Ans, BaseK, Zeckendorf, fibonacci_weights
 
 
 def genealogical_words(dfa, count):
@@ -118,12 +119,12 @@ class TestAutomaticEval:
     def test_fibonacci_indicator(self):
         z = Zeckendorf()
         m = catalog.fibonacci_indicator_dfao()
-        got = [automatic_eval(z, m, n) for n in (4, 5, 6)]
+        got = [evaluate(m, n, z) for n in (4, 5, 6)]
         assert got == [0, 1, 0]
-        assert automatic_eval(z, m, 0) == 0
+        assert evaluate(m, 0, z) == 0
 
     def test_base2_period_doubling(self):
         b2 = BaseK(2)
         m = catalog.period_doubling_dfao()
         want = catalog.sequence("d").prefix(21)
-        assert [automatic_eval(b2, m, n) for n in range(21)] == [int(v) for v in want]
+        assert [evaluate(m, n, b2) for n in range(21)] == [int(v) for v in want]
