@@ -5,8 +5,9 @@ Every sequence is registered under the short name used throughout the
 package (d, t, p, u, o, z, a, b, delta, x, F, tp2, tp3, ...).  The primary
 definition is the cheapest exact one; alternates are independent
 constructions (morphic, automaton, series) that cross_check compares
-termwise.  Position sequences (o, z, a, b) are filters over their base
-sequences; nothing assumes a closed form for them.
+termwise.  Position sequences o, z and b are filters over their base
+sequences; a is enumerated from the language of its binary expansions and
+checked against the filter over u.  Nothing assumes a closed form for them.
 """
 
 from __future__ import annotations
@@ -34,27 +35,21 @@ __all__ = [
 
 def period_doubling_prefix(n):
     """d(m) = (exponent of 2 in m+1) mod 2, for m < n."""
-    if n <= 0:
-        return np.zeros(0, dtype=np.int64)
     m = np.arange(1, n + 1, dtype=np.int64)
-    low = m & -m
-    # parity of the exponent: popcount of low-1 has as many ones as the exponent
-    e = np.zeros(n, dtype=np.int64)
-    x = low - 1
-    while x.any():
-        e ^= x & 1
-        x >>= 1
-    return e
+    # m & -m = 2^e is exact in float64, and frexp returns its exponent e+1
+    return ((np.frexp((m & -m).astype(np.float64))[1] - 1) & 1).astype(np.int64)
 
 
 def digit_sum_mod_prefix(n, p):
-    """s_p(m) mod p for m < n (generalized Thue-Morse values)."""
-    m = np.arange(n, dtype=np.int64)
-    s = np.zeros(n, dtype=np.int64)
-    while m.any():
-        s += m % p
-        m //= p
-    return s % p
+    """s_p(m) mod p for m < n (generalized Thue-Morse values).
+
+    Built by p-fold doubling: the block for m = j*p^k + r, r < p^k, is
+    (j + s[r]) mod p, one broadcast per power of p.
+    """
+    s = np.zeros(1, dtype=np.int64)
+    while len(s) < n:
+        s = ((np.arange(p, dtype=np.int64)[:, None] + s) % p).ravel()
+    return s[:n]
 
 
 def inverse_pd_odd_indicator(n):
@@ -62,19 +57,23 @@ def inverse_pd_odd_indicator(n):
 
     The even-index values of u vanish, so this halves the memory of every
     large-horizon scan.  Recurrences: v[0]=1, v[2m]=v[m-1], v[4m+1]=0,
-    v[4m+3]=v[m]; filled by doubling so every step is a vectorized gather.
+    v[4m+3]=v[m].  Filled by doubling: each step fills [lo, hi) with
+    hi <= 2*lo by two strided slice copies, v[lo:hi:2] from v[m-1] and
+    v[lo3:hi:4] from v[m] (lo3 the first index = 3 mod 4), both reading only
+    the prefix below lo; the indices = 1 mod 4 keep their initial zero.
     """
     v = np.zeros(max(n, 1), dtype=np.uint8)
     v[0] = 1
-    filled = 1
-    while filled < n:
-        hi = min(2 * filled, n)
-        j = np.arange(filled, hi, dtype=np.int64)
-        even = j[(j & 1) == 0]
-        v[even] = v[(even >> 1) - 1]
-        j3 = j[(j & 3) == 3]
-        v[j3] = v[(j3 - 3) >> 2]
-        filled = hi
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        even = lo + (lo & 1)
+        dst = v[even:hi:2]
+        dst[:] = v[even // 2 - 1 :][: len(dst)]
+        three = lo + (3 - lo) % 4
+        dst = v[three:hi:4]
+        dst[:] = v[three // 4 :][: len(dst)]
+        lo = hi
     return v[:n]
 
 
@@ -435,7 +434,6 @@ class NamedSequence:
     name: str
     description: str
     build: callable
-    value_kind: str = "residue"
     alternates: dict = field(default_factory=dict)
     identities: dict = field(default_factory=dict)
     _cache: np.ndarray = field(default=None, repr=False)
@@ -449,18 +447,6 @@ class NamedSequence:
 
     def term(self, n):
         return int(self.prefix(n + 1)[n])
-
-    def stream(self):
-        n = 0
-        chunk = 1024
-        while True:
-            data = self.prefix(n + chunk)
-            if len(data) < n + chunk:
-                yield from (int(x) for x in data[n:])
-                return
-            yield from (int(x) for x in data[n : n + chunk])
-            n += chunk
-            chunk *= 2
 
 
 def _positions(indicator_prefix, value):
@@ -477,6 +463,11 @@ def _positions(indicator_prefix, value):
 
 
 def _a_build(count):
+    """The first count positions of ones in u: its MSD-first language L_a, enumerated."""
+    return automata.genealogical_words(ones_positions_language_dfa(), count)[0]
+
+
+def _a_via_indicator(count):
     limit = 64
     while True:
         hits = inverse_pd_ones_below(limit)
@@ -561,10 +552,6 @@ def _z_via_tm_alternations(count):
         if len(hits) >= count:
             return hits[:count]
         need *= 2
-
-
-def _a_via_enumeration(count):
-    return automata.genealogical_words(ones_positions_language_dfa(), count)[0]
 
 
 def _delta_via_x(count):
@@ -695,7 +682,6 @@ def _build_registry():
             "z",
             "positions of zeros in the period-doubling sequence",
             _positions(period_doubling_prefix, 0),
-            value_kind="integer",
             alternates={"tm-alternation-positions": _z_via_tm_alternations},
             identities={"run-length-gaps": _z_run_length_identity},
         )
@@ -705,7 +691,6 @@ def _build_registry():
             "o",
             "positions of ones in the period-doubling sequence",
             _positions(period_doubling_prefix, 1),
-            value_kind="integer",
             identities={"run-length-gaps": _o_run_length_identity},
         )
     )
@@ -714,8 +699,7 @@ def _build_registry():
             "a",
             "positions of ones in the formal-inverse coefficient sequence",
             _a_build,
-            value_kind="integer",
-            alternates={"genealogical-enumeration": _a_via_enumeration},
+            alternates={"odd-indicator-filter": _a_via_indicator},
             identities={"mod3-fibonacci-runs": _a_mod3_run_identity},
         )
     )
@@ -724,7 +708,6 @@ def _build_registry():
             "b",
             "positions of zeros in the formal-inverse coefficient sequence",
             _positions(inverse_pd_prefix, 0),
-            value_kind="integer",
         )
     )
     _register(
@@ -751,7 +734,6 @@ def _build_registry():
             "F",
             "Fibonacci numbers with F(0)=F(1)=1",
             _fib_build,
-            value_kind="integer",
         )
     )
     for p in (2, 3, 5, 7):

@@ -7,12 +7,21 @@ window before it is trusted, because fingerprint collisions would silently
 corrupt a synthesized automaton.  Rank profiles report, per scale, the
 number of distinct fingerprints and the exact rank of the fingerprint
 matrix over the rationals.
+
+That rank is multi-modular.  Each scale's new fingerprints are reduced as
+one block against a row-echelon basis per prime q, in float64 matmuls kept
+exact by H*(q-1)^2 < 2^53.  Rank mod q never exceeds the rank over Q, so
+R = max_q rank mod q is a lower bound.  It is certified exact when it
+equals the row or column count, or when the product of the primes exceeds
+the Hadamard bound (sqrt(R+1) X)^(R+1) on every (R+1)-minor, X = max
+|entry|, since a nonzero minor cannot be divisible by a larger product.  A
+further prime is taken only when none of these holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import isqrt
 
 import numpy as np
 
@@ -27,9 +36,6 @@ __all__ = [
     "synthesize_dfao",
     "rank_profile",
 ]
-
-_CERT_PRIME = 2_147_483_647  # products of two residues fit in int64
-
 
 class HorizonError(ValueError):
     """Fingerprints collided at H but diverged on the verification window."""
@@ -182,78 +188,122 @@ class RankProfile:
         }
 
 
-class _ExactRank:
+def _mod(x, q):
+    """x mod q in [0, q) for integer-valued float64 |x| < 2^53.
+
+    Taken in int64, because the cost of np.fmod grows with the quotient.
+    """
+    return (x.astype(np.int64) % q).astype(np.float64)
+
+
+class _PrimeEchelon:
+    """Reduced row-echelon basis modulo one prime q, held in float64.
+
+    Entries stay in [0, q).  A product against the basis sums at most ncols
+    terms below (q-1)^2, which the caller keeps under 2^53, so every matmul
+    here is exact.
+    """
+
+    _CHUNK = 32  # rows eliminated one pivot at a time between basis updates
+
+    def __init__(self, q, ncols):
+        self.q = q
+        self.basis = np.zeros((0, ncols))
+        self.pivots = []
+
+    def add_block(self, rows):
+        """Add integer rows (int64, any sign) and return the new rank mod q."""
+        q = self.q
+        b = np.mod(rows, q).astype(np.float64)
+        if self.pivots:
+            b = _mod(b - b[:, self.pivots] @ self.basis, q)
+        while True:
+            b = b[b.any(axis=1)]
+            if not len(b):
+                return len(self.pivots)
+            new, pivots = self._eliminate(b[: self._CHUNK])
+            # the new rows vanish at the old pivots; clear the new pivots in
+            # the old rows and in the rows still waiting
+            self.basis = np.vstack([_mod(self.basis - self.basis[:, pivots] @ new, q), new])
+            self.pivots += pivots
+            b = _mod(b[self._CHUNK :] - b[self._CHUNK :, pivots] @ new, q)
+
+    def _eliminate(self, b):
+        """Reduced row-echelon rows and pivot columns of a few rows mod q."""
+        q = self.q
+        b = b.astype(np.int64)
+        found, pivots = [], []
+        for i in range(len(b)):
+            nz = np.flatnonzero(b[i])
+            if not len(nz):
+                continue
+            c = int(nz[0])
+            b[i] = b[i] * pow(int(b[i, c]), q - 2, q) % q
+            col = b[:, c].copy()
+            col[i] = 0
+            b = (b - np.outer(col, b[i])) % q
+            found.append(i)
+            pivots.append(c)
+        return b[found].astype(np.float64), pivots
+
+
+def _prime_sequence(ncols):
+    """The primes q, largest first, with ncols * (q-1)^2 < 2^53 (and q^2 < 2^53).
+
+    Under that bound a float64 product of a row block against an echelon
+    basis of at most ncols rows is exact.
+    """
+    q = isqrt((2**53 - 1) // max(ncols, 1))
+    while q >= 2:
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            yield q
+        q -= 1
+    raise ValueError(f"too few primes to certify a rank with {ncols} columns")
+
+
+class _ModularRank:
     """Exact rational rank of a growing set of integer rows.
 
-    Fast path: an incremental row-echelon basis modulo a large prime.  As
-    long as every new row is independent mod p the rank equals the row
-    count over Q as well (a nonzero minor mod p is nonzero over Q).  The
-    first time a row becomes dependent mod p the tracker switches to an
-    exact integer echelon (fraction-free with gcd normalization), which is
-    cheap precisely when the true rank is small.
+    Each prime q keeps its own echelon basis; R = max_q rank mod q is a
+    lower bound for the rank over Q.  It is the rank once R equals the row
+    or the column count, or once the product of the primes exceeds the
+    Hadamard bound (sqrt(R+1) X)^(R+1), X = max |entry|: a nonzero
+    (R+1)-minor would be divisible by every prime, hence larger than that
+    bound.  Primes are added only while none holds, so a full-rank matrix
+    needs one.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
-        self.mode = "certificate"
-        self.mod_basis = []  # rows reduced mod p, leading entry first nonzero
-        self.mod_pivots = []
-        self.exact_basis = []  # (pivot col, list[int])
+        self.primes = _prime_sequence(ncols)
+        self.blocks = []
+        self.nrows = 0
+        self.max_abs = 0
+        self.echelons = []
+        self.modulus = 1
+        self.rank = 0
 
-    def add(self, row):
-        self.rows.append(np.asarray(row, dtype=np.int64))
-        if self.mode == "certificate":
-            if self._mod_add(self.rows[-1]):
-                return
-            # dependency appeared: recompute exactly from scratch, once
-            self.mode = "exact"
-            self.exact_basis = []
-            for r in self.rows:
-                self._exact_add(r)
-        else:
-            self._exact_add(self.rows[-1])
+    def add_block(self, rows):
+        if not len(rows):
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        self.blocks.append(rows)
+        self.nrows += len(rows)
+        self.max_abs = max(self.max_abs, int(rows.max(initial=0)), -int(rows.min(initial=0)))
+        for ech in self.echelons:
+            self.rank = max(self.rank, ech.add_block(rows))
+        while not self._certified():
+            ech = _PrimeEchelon(next(self.primes), self.ncols)
+            self.echelons.append(ech)
+            self.modulus *= ech.q
+            self.rank = max(self.rank, ech.add_block(np.concatenate(self.blocks)))
 
-    def rank(self):
-        if self.mode == "certificate":
-            return len(self.mod_basis)
-        return len(self.exact_basis)
-
-    def _mod_add(self, row):
-        p = _CERT_PRIME
-        r = row % p
-        for vec, piv in zip(self.mod_basis, self.mod_pivots):
-            if r[piv]:
-                r = (r - r[piv] * vec) % p
-        nz = np.nonzero(r)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        r = r * pow(int(r[piv]), p - 2, p) % p
-        self.mod_basis.append(r)
-        self.mod_pivots.append(piv)
-        return True
-
-    def _exact_add(self, row):
-        # rows are reduced in insertion order: each basis row is zero at the
-        # pivots of everything inserted before it, so one pass is complete
-        r = [int(x) for x in row]
-        for piv, vec in self.exact_basis:
-            if r[piv]:
-                a, b = vec[piv], r[piv]
-                r = [x * a - y * b for x, y in zip(r, vec)]
-                g = 0
-                for x in r:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    r = [x // g for x in r]
-        for j, x in enumerate(r):
-            if x:
-                self.exact_basis.append((j, r))
-                return True
-        return False
+    def _certified(self):
+        if self.echelons and self.rank == min(self.nrows, self.ncols):
+            return True
+        r1 = self.rank + 1
+        # modulus > (sqrt(r1) X)^r1, squared to stay in integers
+        return self.modulus**2 > r1**r1 * self.max_abs ** (2 * r1)
 
 
 def rank_profile(seq, k, max_depth=8, horizon=512):
@@ -267,25 +317,26 @@ def rank_profile(seq, k, max_depth=8, horizon=512):
     prefix = _prefix_provider(seq)
     H = int(horizon)
     seen = set()
-    tracker = _ExactRank(H)
+    tracker = _ModularRank(H)
     depths = []
     for depth in range(max_depth + 1):
         step = k**depth
-        data = np.asarray(prefix(step * H), dtype=np.int64)
-        new_reps = []
-        for r in range(step):
-            fp = data[r::step][:H]
+        # row r of the reshaped prefix is the fingerprint s(step*j + r), j < H
+        rows = np.asarray(prefix(step * H), dtype=np.int64).reshape(H, step).T
+        new_rows, new_reps = [], []
+        for r, fp in enumerate(rows):
             key = fp.tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            tracker.add(fp)
+            new_rows.append(fp)
             new_reps.append((depth, r, [int(x) for x in fp[:32]]))
+        tracker.add_block(new_rows)
         depths.append(
             {
                 "depth": depth,
                 "class_count": len(seen),
-                "rank": tracker.rank(),
+                "rank": tracker.rank,
                 "new_representatives": new_reps,
             }
         )

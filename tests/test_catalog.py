@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdseq import catalog, morphisms
+from pdseq.automata import evaluate_range
 
 # frozen leading terms of the named sequences
 D_PREFIX = [0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
@@ -54,6 +56,64 @@ class TestListings:
         u = catalog.sequence("u").prefix(10)
         assert d[:9].tolist() == u[:9].tolist()
         assert d[9] == 1 and u[9] == 0
+
+
+def odd_indicator_oracle(n):
+    """v[m] = u(2m+1) by the recurrences, one index at a time."""
+    v = []
+    for m in range(n):
+        if m == 0:
+            v.append(1)
+        elif m % 2 == 0:
+            v.append(v[m // 2 - 1])
+        elif m % 4 == 1:
+            v.append(0)
+        else:
+            v.append(v[(m - 3) // 4])
+    return v
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("n", sorted({0, 1, 2, 3} | {2**k + d for k in range(2, 14) for d in (-1, 0, 1)}))
+    def test_odd_indicator_at_doubling_boundaries(self, n):
+        v = catalog.inverse_pd_odd_indicator(n)
+        assert v.tolist() == odd_indicator_oracle(n)
+        assert np.array_equal(v, evaluate_range(catalog.inverse_pd_dfao(), 2 * n)[1::2])
+
+    @given(st.integers(0, 5000))
+    @settings(max_examples=50, deadline=None)
+    def test_odd_indicator_against_recurrence_and_automaton(self, n):
+        v = catalog.inverse_pd_odd_indicator(n)
+        assert v.tolist() == odd_indicator_oracle(n)
+        assert np.array_equal(v, evaluate_range(catalog.inverse_pd_dfao(), 2 * n)[1::2])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 4097])
+    def test_period_doubling_and_thue_morse_per_index(self, n):
+        def nu2(m):
+            return (m & -m).bit_length() - 1
+
+        assert catalog.period_doubling_prefix(n).tolist() == [nu2(m + 1) % 2 for m in range(n)]
+        assert catalog.thue_morse_prefix(n).tolist() == [bin(m).count("1") % 2 for m in range(n)]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 48, 49, 50, 343, 1000])
+    def test_digit_sum_mod_per_index(self, p, n):
+        def digit_sum(m):
+            s = 0
+            while m:
+                m, r = divmod(m, p)
+                s += r
+            return s
+
+        assert catalog.digit_sum_mod_prefix(n, p).tolist() == [digit_sum(m) % p for m in range(n)]
+
+    @pytest.mark.parametrize("n", [f + d for f in catalog.fibonacci_numbers(count=22)[6:] for d in (-1, 0, 1)])
+    def test_a_definitions_agree_at_fibonacci_boundaries(self, n):
+        # the ones of u below 2^k number a Fibonacci number (k odd) or one
+        # less (k even); there the indicator filter doubles its search limit
+        assert len(catalog.sequence("a").build(n)) == n
+        report = catalog.cross_check("a", n)
+        assert report.passed, str(report)
 
 
 class TestCrossChecks:

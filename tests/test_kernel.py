@@ -1,11 +1,25 @@
 """Kernel closure, DFAO synthesis, and rank profiles."""
 
+from fractions import Fraction
+from itertools import islice
+from math import isqrt, lcm
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdseq import catalog
 from pdseq.automata import evaluate_range, minimize
-from pdseq.kernel import HorizonError, compute_kernel, rank_profile, synthesize_dfao
+from pdseq.kernel import (
+    HorizonError,
+    _ModularRank,
+    _PrimeEchelon,
+    _prime_sequence,
+    compute_kernel,
+    rank_profile,
+    synthesize_dfao,
+)
 
 
 class TestComputeKernel:
@@ -117,3 +131,123 @@ class TestRankProfile:
             small = rank_profile(seq, 2, max_depth=6, horizon=128).class_counts()
             large = rank_profile(seq, 2, max_depth=6, horizon=256).class_counts()
             assert all(s <= l for s, l in zip(small, large))
+
+
+def rational_rank(rows):
+    """Oracle: the rank over Q, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[int(x) for x in row] for row in rows]).rank() if rows else 0
+
+
+def feed(ncols, blocks, chunk=_PrimeEchelon._CHUNK):
+    """Rank after each block, next to the oracle's rank of all rows so far.
+
+    A small chunk makes a few rows take the path of large blocks: several
+    elimination rounds per block, each clearing the rows still waiting.
+    """
+    with mock.patch.object(_PrimeEchelon, "_CHUNK", chunk):
+        tracker = _ModularRank(ncols)
+        seen = []
+        for block in blocks:
+            tracker.add_block(np.array(block, dtype=np.int64).reshape(len(block), ncols))
+            seen += block
+            yield tracker, rational_rank(seen)
+
+
+entries = st.one_of(st.integers(-(2**40), 2**40), st.integers(-2, 2))
+
+
+class TestModularRank:
+    @pytest.mark.parametrize("chunk", [1, 2, _PrimeEchelon._CHUNK])
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_blocks_depth_by_depth(self, chunk, ncols, data):
+        row = st.lists(entries, min_size=ncols, max_size=ncols)
+        blocks = data.draw(st.lists(st.lists(row, max_size=5), min_size=1, max_size=5))
+        for tracker, want in feed(ncols, blocks, chunk):
+            assert tracker.rank == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, _PrimeEchelon._CHUNK])
+    @given(st.integers(2, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_planted_rational_dependencies(self, chunk, ncols, r, data):
+        base = data.draw(
+            st.lists(st.lists(st.integers(-(2**20), 2**20), min_size=ncols, max_size=ncols), min_size=r, max_size=r)
+        )
+        planted = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            coeffs = [Fraction(data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 50))) for _ in base]
+            scale = lcm(*(c.denominator for c in coeffs))
+            planted.append([int(sum(c * b[j] for c, b in zip(coeffs, base)) * scale) for j in range(ncols)])
+        rows = data.draw(st.permutations(base + planted))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+        blocks = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+        for tracker, want in feed(ncols, blocks, chunk):
+            assert tracker.rank == want
+        assert tracker.rank <= r
+
+    def test_diagonal_singular_mod_first_prime(self):
+        q0, q1 = islice(_prime_sequence(2), 2)
+        tracker = _ModularRank(2)
+        tracker.add_block(np.array([[1, 0], [0, q0]]))
+        assert tracker.rank == 2
+        assert [e.q for e in tracker.echelons] == [q0, q1]
+        assert [len(e.pivots) for e in tracker.echelons] == [1, 2]
+
+    @pytest.mark.parametrize("nprimes", [1, 2])
+    def test_determinant_a_product_of_first_primes(self, nprimes):
+        # entries near sqrt(det): the rank over Q is 2, the rank modulo
+        # each of the first primes is 1, and the product of those primes
+        # alone is below the Hadamard bound 2 X^2
+        primes = list(islice(_prime_sequence(2), nprimes + 1))
+        det = int(np.prod(primes[:nprimes], dtype=object))
+        a = isqrt(det)
+        matrix = np.array([[a, 1], [a * (a + 1) - det, a + 1]])
+        tracker = _ModularRank(2)
+        tracker.add_block(matrix)
+        assert tracker.rank == rational_rank(matrix.tolist()) == 2
+        assert [len(e.pivots) for e in tracker.echelons] == [1] * nprimes + [2]
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_differing_by_prime_multiples(self, ncols, data):
+        # w - v is a multiple of q0*q1 (or of q0 alone): the rows are
+        # dependent modulo the first prime(s) but independent over Q
+        q0, q1 = islice(_prime_sequence(ncols), 2)
+        v = data.draw(st.lists(st.integers(-1000, 1000), min_size=ncols, max_size=ncols))
+        j = data.draw(st.integers(0, ncols - 1))
+        multiple = data.draw(st.sampled_from([q0, q0 * q1]))
+        w = list(v)
+        w[j] += data.draw(st.sampled_from([-1, 1])) * multiple
+        together = data.draw(st.booleans())
+        blocks = [[v, w]] if together else [[v], [w]]
+        for tracker, want in feed(ncols, blocks):
+            assert tracker.rank == want
+        independent = any(x for i, x in enumerate(v) if i != j)
+        assert tracker.rank == (2 if independent else 1)
+        assert len(tracker.echelons) >= (3 if multiple == q0 * q1 and independent else 1)
+
+    def test_full_column_rank_needs_one_prime(self):
+        tracker = _ModularRank(2)
+        tracker.add_block(np.array([[1, 0], [0, 2**40], [5, 7]]))
+        assert tracker.rank == 2 and len(tracker.echelons) == 1
+
+    def test_zero_rows_and_empty_blocks(self):
+        tracker = _ModularRank(3)
+        tracker.add_block(np.zeros((0, 3), dtype=np.int64))
+        tracker.add_block(np.zeros((2, 3), dtype=np.int64))
+        assert tracker.rank == 0
+        tracker.add_block(np.array([[0, 0, 5], [0, 0, -10]]))
+        assert tracker.rank == 1
+
+    def test_prime_sequence_bound(self):
+        sympy = pytest.importorskip("sympy")
+        for ncols in (1, 2, 512, 1024, 3000):
+            primes = list(islice(_prime_sequence(ncols), 3))
+            want = [sympy.prevprime(isqrt((2**53 - 1) // ncols) + 1)]
+            while len(want) < 3:
+                want.append(sympy.prevprime(want[-1]))
+            assert primes == want
+            assert all(ncols * (q - 1) ** 2 < 2**53 for q in primes)
+        with pytest.raises(ValueError, match="too few primes"):
+            next(_prime_sequence(2**52))
