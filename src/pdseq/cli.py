@@ -2,13 +2,14 @@
 automaton synthesis, language counting, relation search, and the check suite.
 
 Exit codes: 0 all requested work succeeded, 1 at least one check failed,
-2 usage or input errors.
+2 usage or input errors, and requests that would exhaust memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,8 +45,26 @@ def cmd_invert(args):
         with open(args.file) as fh:
             text = fh.read()
     s = series.TruncatedSeries.from_json(text)
+    n = s.precision
+    if not series.uses_bernstein(s.p, n):
+        # Brent-Kung holds the powers b^0 .. b^m, m = isqrt(n-1)+1, of length
+        # n twice: in int64 and as float64 for the block matrix product
+        need = 16 * (math.isqrt(n) + 1) * n
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            raise MemoryError(
+                f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB, "
+                f"more than the {memory >> 20} MB of physical memory"
+            )
     sys.stdout.write(series.reversion(s).to_json() + "\n")
     return 0
+
+
+def _physical_memory():
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def cmd_kernel(args):
@@ -194,6 +213,9 @@ def main(argv=None):
         return args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return USAGE_ERROR
 
 

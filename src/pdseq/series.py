@@ -2,8 +2,25 @@
 
 Coefficients live in [0, p) and every series carries an explicit precision
 horizon N: a series is its first N coefficients, index n holding the
-coefficient of X^n.  All operations are exact; floating point only appears
-inside FFT convolution whose intermediate values are provably below 2**52.
+coefficient of X^n.  All operations are exact, for every prime p with
+(p - 1)^2 < 2^63; larger moduli are refused.
+
+Products run through `_Multiplier`: a direct int64 convolution for short
+operands and a `numpy.fft` convolution otherwise.  The direct path is used
+only while no sum of products can leave int64.  The FFT path is used only
+while Percival's bound on its rounding error (Math. Comp. 72, 2003),
+||a||_2 ||b||_2 ((1+e)^3k (1+e*sqrt5)^(3k+1) (1+e)^3k - 1) < 1/2 with
+e = 2^-53 and k = log2(transform length) + 1, guarantees that rounding
+recovers every integer.  Operands enter both as signed residues in
+[-p//2, p//2].  Where they fail either test, one operand and then, if need
+be, both are split into two balanced base-2^s limbs, and the limb products
+are recombined mod p; where the limbs fail too, the product raises
+`ValueError`.  Float64 matrix
+products (`_matmul_mod`) are guarded the same way by 2^53.
+
+`compose` uses Bernstein's characteristic-p recursion (J. Symbolic Comput.
+26, 1998) when a cost model in p and N favours it, and Brent-Kung's blockwise
+method otherwise, which in practice means for large p.
 """
 
 from __future__ import annotations
@@ -13,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "TruncatedSeries",
@@ -23,9 +39,13 @@ __all__ = [
     "reversion",
     "relation_residual",
     "power_relation_search",
+    "uses_bernstein",
 ]
 
-_FFT_THRESHOLD = 2048
+_EPS = 2.0**-53
+# compose's Bernstein recursion stops at this length and composes by one
+# matrix product with a table of powers of b
+_BERNSTEIN_BASE = 64
 
 
 def _is_prime(p):
@@ -37,26 +57,150 @@ def _is_prime(p):
     return True
 
 
+def _check_modulus(p):
+    # the size test comes first: trial division of a huge p would not finish
+    if p >= 2 and (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {p} is too large: (p-1)^2 must be below 2^63")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
+def _fft_error(nfft):
+    """Percival's bound on the rounding error of an FFT convolution of length
+    nfft, per unit of ||a||_2 ||b||_2, with twiddle factors within e of exact.
+
+    One level more than log2(nfft) is counted, as a margin for the half-length
+    complex transform and the extra twiddle pass inside numpy's real FFT.
+    """
+    k = nfft.bit_length()
+    return math.expm1(
+        6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(math.sqrt(5) * _EPS)
+    )
+
+
+def _limb_split(p, exact):
+    """(s, both) for products of residues in [-p//2, p//2] that pass the test
+    `exact`: s = 0 for whole residues, else the width of the balanced split
+    x = lo + 2^s hi, |lo|, |hi| <= 2^(s-1), applied to the second operand
+    only or, when `both`, to both.  Raises `ValueError` when none passes.
+
+    `exact(c)` says whether a product is exact when every term-by-term
+    product is at most c in magnitude; with both operands split, the middle
+    limb product sums two such products.
+    """
+    h = p // 2
+    if exact(h * h):
+        return 0, False
+    s = (h.bit_length() + 2) // 2
+    half = 1 << (s - 1)
+    if exact(h * half):
+        return s, False
+    if exact(2 * half * half):
+        return s, True
+    raise ValueError(f"no exact product path for p = {p} at this size")
+
+
+def _limbs(x, p, s):
+    """The residues x in [0, p) as signed residues in [-p//2, p//2], split into
+    balanced base-2^s limbs when s > 0."""
+    x = x - p * (x > p // 2)
+    if not s:
+        return (x,)
+    half = 1 << (s - 1)
+    lo = ((x + half) & ((1 << s) - 1)) - half
+    return (lo, (x - lo) >> s)
+
+
+def _limb_products(xs, ys, product):
+    """The products P_t = sum_{i+j=t} x_i y_j of limb lists xs, ys, so that
+    x*y = sum_t 2^(s t) P_t."""
+    out = []
+    for t in range(len(xs) + len(ys) - 1):
+        terms = [product(xs[i], ys[t - i]) for i in range(len(xs)) if 0 <= t - i < len(ys)]
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
+def _recombine(products, p, s):
+    """sum_t 2^(s t) P_t mod p for exact int64 arrays P_t."""
+    out = products[0] % p
+    w = pow(2, s, p)
+    scale = 1
+    for prod in products[1:]:
+        scale = scale * w % p
+        out = (out + prod % p * scale) % p
+    return out
+
+
+def _plan(la, lb, p, batched=False):
+    """(nfft, s, both) for a product of operands of la and lb coefficients:
+    nfft is the FFT length, 0 for the direct path, and (s, both) the limb
+    split of `_limb_split`.
+
+    The FFT runs when it is cheaper than la*lb direct multiplications, or for
+    a batch of rows.  Raises `ValueError` when no exact path exists.
+    """
+    if batched or la * lb > 64 * (la + lb):
+        nfft = 1 << (la + lb - 2).bit_length()
+        bound = math.sqrt(la * lb) * _fft_error(nfft)
+        return (nfft,) + _limb_split(p, lambda c: c * bound < 0.5)
+    return (0,) + _limb_split(p, lambda c: min(la, lb) * c < 1 << 63)
+
+
+class _Multiplier:
+    """Multiplication by one fixed reduced series b, truncated to out_len,
+    of operands of at most `la` coefficients.
+
+    The path is fixed here by `_plan`.  b is the operand split first, and the
+    transforms of its limbs are computed once, so repeated products with the
+    same b share them.  With `batched` the operands are 2-D, one series per
+    row.
+    """
+
+    def __init__(self, b, p, out_len, la=None, batched=False):
+        b = np.asarray(b[:out_len], dtype=np.int64)
+        la = out_len if la is None else min(la, out_len)
+        self.p, self.out_len = p, out_len
+        self.nfft, self.s, self.both = _plan(la, len(b), p, batched)
+        self.b = _limbs(b, p, self.s)
+        if self.nfft:
+            self.b = [np.fft.rfft(x, self.nfft) for x in self.b]
+
+    def __call__(self, a):
+        a = np.asarray(a, dtype=np.int64)[..., : self.out_len]
+        out = np.zeros(a.shape[:-1] + (self.out_len,), dtype=np.int64)
+        if a.shape[-1] == 0 or len(self.b[0]) == 0:
+            return out
+        xs = _limbs(a, self.p, self.s if self.both else 0)
+        if self.nfft:
+            spectra = [np.fft.rfft(x, self.nfft) for x in xs]
+            products = [
+                np.rint(np.fft.irfft(c, self.nfft)[..., : self.out_len]).astype(np.int64)
+                for c in _limb_products(spectra, self.b, np.multiply)
+            ]
+        else:
+            products = _limb_products(
+                xs, self.b, lambda x, y: np.convolve(x, y)[: self.out_len]
+            )
+        c = _recombine(products, self.p, self.s)
+        out[..., : c.shape[-1]] = c
+        return out
+
+
 def _conv_mod(a, b, p, out_len):
     """Exact convolution of two reduced-mod-p int arrays, truncated to out_len."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return np.zeros(out_len, dtype=np.int64)
-    if la + lb <= _FFT_THRESHOLD:
-        c = np.convolve(a, b)
-    else:
-        # Exactness: every convolution value is at most min(la, lb)*(p-1)^2,
-        # far below 2**52, so rounding the FFT result recovers the integer.
-        bound = min(la, lb) * (p - 1) ** 2
-        if bound >= (1 << 52):
-            c = np.convolve(a, b)
-        else:
-            c = np.rint(fftconvolve(a.astype(np.float64), b.astype(np.float64)))
-            c = c.astype(np.int64)
-    c = c[:out_len] % p
-    if len(c) < out_len:
-        c = np.concatenate([c, np.zeros(out_len - len(c), dtype=np.int64)])
-    return c
+    return _Multiplier(b, p, out_len, la=len(a))(a)
+
+
+def _matmul_mod(x, y, p):
+    """x @ y mod p for reduced int arrays, by float64 products exact below 2^53."""
+    s, both = _limb_split(p, lambda c: x.shape[-1] * c < 1 << 53)
+    products = _limb_products(
+        [v.astype(np.float64) for v in _limbs(x, p, s if both else 0)],
+        [v.astype(np.float64) for v in _limbs(y, p, s)],
+        np.matmul,
+    )
+    return _recombine([np.rint(c).astype(np.int64) for c in products], p, s)
 
 
 class TruncatedSeries:
@@ -65,8 +209,7 @@ class TruncatedSeries:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus(p)
         c = np.asarray(coeffs, dtype=np.int64) % p
         if c.ndim != 1 or len(c) < 1:
             raise ValueError("a series needs at least one coefficient")
@@ -124,12 +267,6 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.coeffs.any()
-
-    def agrees_with(self, other):
-        """Equality of coefficients up to the smaller precision."""
-        self._check_same_field(other)
-        n = min(self.precision, other.precision)
-        return bool(np.array_equal(self.coeffs[:n], other.coeffs[:n]))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -223,12 +360,21 @@ def mul(a, b):
     return TruncatedSeries(a.p, _conv_mod(a.coeffs[:n], b.coeffs[:n], a.p, n))
 
 
+def uses_bernstein(p, n):
+    """Whether `compose` at precision n over F_p takes Bernstein's recursion.
+
+    Bernstein costs about (p-1) log_p n products of length n, Brent-Kung
+    about 2 sqrt(n): m powers of b and n/m Horner steps, m = sqrt(n).  Up to
+    the recursion's base length Brent-Kung's few short products win.
+    """
+    return n > _BERNSTEIN_BASE and (p - 1) * math.log(n, p) < 2 * math.sqrt(n)
+
+
 def compose(a, b):
     """a(b(X)) truncated to the smaller precision; b must have no constant term.
 
-    Implemented blockwise (Brent-Kung): split a into sqrt(N)-sized blocks,
-    evaluate each block at b with one matrix product, then combine the blocks
-    with a Horner recursion in b^sqrt(N).
+    Bernstein's recursion or Brent-Kung's blockwise method, whichever
+    `uses_bernstein` picks; both are exact and give the same series.
     """
     a._check_same_field(b)
     if int(b.coeffs[0]) != 0:
@@ -239,31 +385,72 @@ def compose(a, b):
     bc = b.coeffs[:n]
     if n == 1:
         return TruncatedSeries(p, ac[:1])
+    if uses_bernstein(p, n):
+        return TruncatedSeries(p, _compose_bernstein(ac, bc, p, n))
+    return TruncatedSeries(p, _compose_brent_kung(ac, bc, p, n))
 
-    m = max(1, math.isqrt(n - 1) + 1)  # block size, m*m >= n
+
+def _powers(bc, p, count, n):
+    """The rows b^0 .. b^(count-1) mod X^n."""
+    table = np.zeros((count, n), dtype=np.int64)
+    table[0, 0] = 1
+    by_b = _Multiplier(bc, p, n)
+    for j in range(1, count):
+        table[j] = by_b(table[j - 1])
+    return table
+
+
+def _compose_bernstein(ac, bc, p, n):
+    """a(b) mod X^n over F_p from b(X)^p = b(X^p) (Bernstein, JSC 26, 1998).
+
+    With a = sum_{r<p} X^r A_r(X^p), a(b) = sum_r b^r (A_r(b))(X^p), and
+    A_r(b) is needed only mod X^ceil(n/p).  Splitting d times gives p^d
+    subproblems of length ceil(n/p^d), row j composing a[j::p^d] with the
+    same b.  They are solved together: the bottom level by one matrix product
+    with the powers of b, and each level above by p - 1 Horner steps, each a
+    product of all rows with b.
+    """
+    sizes = [n]
+    while sizes[-1] > _BERNSTEIN_BASE:
+        sizes.append(-(-sizes[-1] // p))
+    depth = len(sizes) - 1
+    m = sizes[-1]
+    flat = np.zeros(p**depth * m, dtype=np.int64)
+    flat[:n] = ac
+    out = _matmul_mod(flat.reshape(m, p**depth).T, _powers(bc, p, m, m), p)
+    for d in range(depth - 1, -1, -1):
+        size = sizes[d]
+        by_b = _Multiplier(bc, p, size, batched=True)
+        # children[r, j] is row j + p^d r, the part A_r of parent row j
+        children = out.reshape(p, p**d, sizes[d + 1])
+        acc = np.zeros((p**d, size), dtype=np.int64)
+        acc[:, ::p] = children[p - 1]
+        for r in range(p - 2, -1, -1):
+            acc = by_b(acc)
+            acc[:, ::p] = (acc[:, ::p] + children[r]) % p
+        out = acc
+    return out[0]
+
+
+def _compose_brent_kung(ac, bc, p, n):
+    """a(b) mod X^n blockwise (Brent-Kung): split a into sqrt(n)-sized blocks,
+    evaluate every block at b with one matrix product against the dense
+    powers b^0 .. b^m, then combine the blocks by Horner's rule in b^m.
+    """
+    m = math.isqrt(n - 1) + 1  # block size, m*m >= n
     nblocks = (n + m - 1) // m
 
-    # powers b^0 .. b^m
-    bpow = np.zeros((m + 1, n), dtype=np.int64)
-    bpow[0, 0] = 1
-    for j in range(1, m + 1):
-        bpow[j] = _conv_mod(bpow[j - 1], bc, p, n)
+    bpow = _powers(bc, p, m + 1, n)
 
-    # evaluate every block A_i(b) = sum_j a[i*m+j] b^j in one float matmul;
-    # dot products are sums of m terms < p^2, exact in float64
-    coeff = np.zeros((nblocks, m), dtype=np.float64)
-    for i in range(nblocks):
-        blk = ac[i * m : (i + 1) * m]
-        coeff[i, : len(blk)] = blk
-    blocks = coeff @ bpow[:m].astype(np.float64)
-    blocks = np.rint(blocks).astype(np.int64) % p
+    coeff = np.zeros(nblocks * m, dtype=np.int64)
+    coeff[:n] = ac
+    blocks = _matmul_mod(coeff.reshape(nblocks, m), bpow[:m], p)
 
-    bm = bpow[m]
+    by_bm = _Multiplier(bpow[m], p, n)
     out = blocks[nblocks - 1]
     for i in range(nblocks - 2, -1, -1):
-        out = _conv_mod(out, bm, p, n)
-        out = (out + blocks[i]) % p
-    return TruncatedSeries(p, out)
+        out = (by_bm(out) + blocks[i]) % p
+    return out
 
 
 def reversion(a):
@@ -324,8 +511,7 @@ class PolyRelation:
     terms: tuple
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _check_modulus(self.p)
         cleaned = []
         seen = set()
         for coeffs, pattern in self.terms:
@@ -394,6 +580,8 @@ def relation_residual(rel, a):
 
 def _rref_mod_p(mat, p):
     """Row-reduce mat over F_p in place; returns the list of pivot columns."""
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {p} is too large for int64 row reduction")
     rows, cols = mat.shape
     pivots = []
     r = 0
@@ -480,11 +668,11 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
     # verification at full precision: keep only nullspace combinations that
     # also annihilate the second half of the coefficients
     full = columns.T % p
-    reduced = (full @ np.column_stack(basis)) % p
+    reduced = _matmul_mod(full, np.column_stack(basis), p)
     basis2 = _nullspace_mod_p(reduced, p)
     if not basis2:
         return None
-    survivors = [(np.column_stack(basis) @ v2) % p for v2 in basis2]
+    survivors = list(_matmul_mod(np.column_stack(basis2).T, np.stack(basis), p))
 
     def selection_key(v):
         # prefer the structurally smallest relation: fewest nonzero

@@ -38,6 +38,41 @@ class TestInvertCommand:
         assert data["p"] == 2
         assert data["coeffs"][:8] == [0, 1, 0, 0, 0, 1, 0, 1]
 
+    @pytest.mark.parametrize("p, n", [(2**31 - 1, 8), (1000003, 4096)])
+    def test_large_prime_inverted_or_refused(self, capsys, tmp_path, p, n):
+        # -X/(1-X) is its own inverse; a refusal must be exit code 2, never 1
+        coeffs = [0] + [p - 1] * (n - 1)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": p, "coeffs": coeffs}))
+        code, out, err = run_cli(capsys, "invert", str(path))
+        assert code in (0, 2), err
+        if code == 0:
+            assert json.loads(out) == {"p": p, "coeffs": coeffs}
+
+    def test_refused_beyond_physical_memory(self, capsys, tmp_path, monkeypatch):
+        from pdseq import cli, series
+
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": 65521, "coeffs": [0, 1, 5] + [0] * 1021}))
+        assert not series.uses_bernstein(65521, 1024)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
+        code, out, err = run_cli(capsys, "invert", str(path))
+        assert code == 2 and out == ""
+        assert "physical memory" in err
+
+    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        from pdseq import catalog, series
+
+        def exhausted(_):
+            raise MemoryError
+
+        path = tmp_path / "series.json"
+        path.write_text(catalog.generating_function("d", 64).to_json())
+        monkeypatch.setattr(series, "reversion", exhausted)
+        code, _, err = run_cli(capsys, "invert", str(path))
+        assert code == 2
+        assert err == "error: out of memory\n"
+
 
 class TestKernelCommand:
     def test_json_report(self, capsys):

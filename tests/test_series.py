@@ -1,9 +1,10 @@
 """Power-series arithmetic over F_p: examples, oracles, and properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdseq import catalog
+from pdseq import catalog, series
 from pdseq.series import (
     PolyRelation,
     TruncatedSeries,
@@ -12,6 +13,7 @@ from pdseq.series import (
     power_relation_search,
     relation_residual,
     reversion,
+    uses_bernstein,
 )
 
 D_LISTING = [0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1]
@@ -33,6 +35,134 @@ def brute_compose(a, b):
         total = total + int(a.coeffs[m]) * power
         power = mul(power, b.truncate(n))
     return total
+
+
+def int_conv(a, b, p, out_len):
+    """Reference product of two coefficient lists mod p, truncated to out_len:
+    Kronecker substitution on Python integers, one byte-aligned slot per
+    coefficient wide enough for the exact sum."""
+    a, b = [int(x) for x in a], [int(x) for x in b]
+    if not a or not b:
+        return [0] * out_len
+    slot = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 8) // 8
+
+    def pack(xs):
+        return int.from_bytes(b"".join(x.to_bytes(slot, "little") for x in xs), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(slot * (len(a) + len(b)), "little")
+    c = [int.from_bytes(raw[i * slot : (i + 1) * slot], "little") % p for i in range(len(a) + len(b) - 1)]
+    return (c + [0] * out_len)[:out_len]
+
+
+def int_horner_compose(a, b, p):
+    """Reference a(b) mod (p, X^n) by Horner's rule on int_conv."""
+    n = min(len(a), len(b))
+    acc = [0] * n
+    for c in reversed([int(x) for x in a[:n]]):
+        acc = int_conv(acc, b[:n], p, n)
+        acc[0] = (acc[0] + c) % p
+    return acc
+
+
+ADVERSARIAL_PRIMES = [2, 3, 65521, 1000003, 2**31 - 1]
+
+
+def switch_lengths(p, limit=5000):
+    """Lengths L where the plan for two operands of L coefficients changes
+    (direct/FFT, limb split, refusal), with their neighbours."""
+
+    def plan(n):
+        try:
+            nfft, s, both = series._plan(n, n, p)
+        except ValueError:
+            return "refused"
+        return (nfft > 0, s, both)
+
+    points = {1, 2, 3}
+    for n in range(2, limit):
+        if plan(n) != plan(n - 1):
+            points |= {n - 1, n, n + 1}
+    return sorted(points)
+
+
+def adversarial(p, n, kind, rng):
+    """n residues mod p: all p-1, the largest signed residues, or random."""
+    if kind == "p-1":
+        return np.full(n, p - 1, dtype=np.int64)
+    if kind == "half":
+        return np.full(n, p // 2, dtype=np.int64)
+    if kind == "-half":
+        return np.full(n, (p + 1) // 2 % p, dtype=np.int64)
+    return rng.integers(0, p, n, dtype=np.int64)
+
+
+class TestConvolution:
+    @given(st.sampled_from(ADVERSARIAL_PRIMES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_conv_mod_against_integers(self, p, data):
+        la = data.draw(st.sampled_from(switch_lengths(p)))
+        lb = data.draw(st.sampled_from([la, 1, 3, max(1, la // 2), la + 7]))
+        out_len = data.draw(st.sampled_from([la + lb - 1, la, min(la, lb), la + lb + 5]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kinds = ("p-1", "half", "-half", "random")
+        a = adversarial(p, la, data.draw(st.sampled_from(kinds)), rng)
+        b = adversarial(p, lb, data.draw(st.sampled_from(kinds)), rng)
+        try:
+            got = series._conv_mod(a, b, p, out_len)
+        except ValueError:
+            with pytest.raises(ValueError):
+                series._plan(min(la, out_len), min(lb, out_len), p)
+            return
+        assert got.dtype == np.int64 and len(got) == out_len
+        assert [int(x) for x in got] == int_conv(a[:out_len], b[:out_len], p, out_len)
+
+    @pytest.mark.parametrize("p", ADVERSARIAL_PRIMES)
+    def test_mul_all_p_minus_one(self, p):
+        for n in switch_lengths(p):
+            a = TruncatedSeries(p, [p - 1] * n)
+            try:
+                got = mul(a, a)
+            except ValueError:
+                assert p == 2**31 - 1 and n > 4096
+                continue
+            assert [int(x) for x in got.coeffs] == int_conv([p - 1] * n, [p - 1] * n, p, n)
+
+    def test_plans_cover_the_switches(self):
+        # both sides of the direct/FFT switch, and of the limb splits for
+        # 65521 (whole residues up to about 2^14 terms, then one operand
+        # split) and 2^31-1 (one operand, then both, then refusal)
+        assert series._plan(128, 128, 3) == (0, 0, False)
+        assert series._plan(129, 129, 3) == (512, 0, False)
+        assert series._plan(1 << 14, 1 << 14, 65521) == (1 << 15, 0, False)
+        assert series._plan(1 << 15, 1 << 15, 65521) == (1 << 16, 8, False)
+        assert series._plan(8, 8, 2**31 - 1) == (0, 0, False)
+        assert series._plan(64, 64, 2**31 - 1) == (0, 16, False)
+        assert series._plan(256, 256, 2**31 - 1) == (512, 16, True)
+        with pytest.raises(ValueError, match="no exact product path"):
+            series._plan(1 << 16, 1 << 16, 2**31 - 1)
+
+    @given(
+        st.sampled_from(ADVERSARIAL_PRIMES),
+        st.integers(1, 5),
+        # inner lengths around 2^53 / ((p//2) * 2^15), where 2^31-1 moves
+        # from splitting one operand to splitting both
+        st.sampled_from([1, 2, 3, 40, 255, 256, 257, 300]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_mod_against_integers(self, p, rows, inner, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(("p-1", "half", "random")))
+        x = adversarial(p, rows * inner, kind, rng).reshape(rows, inner)
+        y = adversarial(p, inner * 3, kind, rng).reshape(inner, 3)
+        want = [[sum(int(x[i, k]) * int(y[k, j]) for k in range(inner)) % p for j in range(3)] for i in range(rows)]
+        assert series._matmul_mod(x, y, p).tolist() == want
+
+    def test_huge_modulus_refused(self):
+        with pytest.raises(ValueError, match="too large"):
+            TruncatedSeries(2**61 - 1, [0, 1])
+        with pytest.raises(ValueError, match="too large"):
+            series._rref_mod_p(np.zeros((2, 2), dtype=np.int64), 2**61 - 1)
 
 
 class TestMul:
@@ -98,6 +228,50 @@ class TestCompose:
         bc[0] = 0
         a, b = series_of(p, ac), series_of(p, bc)
         assert compose(a, b) == brute_compose(a, b)
+
+
+class TestBernstein:
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_against_brent_kung_and_references(self, p, data):
+        base = series._BERNSTEIN_BASE
+        # both sides of the base case (where the cost model also switches for
+        # these p) and of one and two levels of recursion
+        n = data.draw(st.sampled_from([2, 3, base - 1, base, base + 1, p * base, p * base + 1, 300]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ac = rng.integers(0, p, n, dtype=np.int64)
+        bc = rng.integers(0, p, n, dtype=np.int64)
+        bc[0] = 0
+        want = int_horner_compose(ac, bc, p)
+        assert series._compose_bernstein(ac, bc, p, n).tolist() == want
+        assert series._compose_brent_kung(ac, bc, p, n).tolist() == want
+        a, b = TruncatedSeries(p, ac), TruncatedSeries(p, bc)
+        assert compose(a, b) == brute_compose(a, b)
+        assert compose(a, b).coeffs.tolist() == want
+
+    def test_cost_model(self):
+        base = series._BERNSTEIN_BASE
+        for p in (2, 3, 5, 7):
+            assert not uses_bernstein(p, base)
+            assert uses_bernstein(p, base + 1)
+            assert uses_bernstein(p, 1 << 18)
+        assert not uses_bernstein(65521, 1 << 14)
+        assert not uses_bernstein(1000003, 4096)
+
+    @pytest.mark.parametrize("p, n", [(3, 3**7), (5, 5**5)])
+    def test_generalized_thue_morse_inverse(self, p, n):
+        a = catalog.generating_function(f"tp{p}", n)
+        v = catalog.inverse_gtm_series(p, n)
+        x = TruncatedSeries.identity(p, n)
+        assert uses_bernstein(p, n)
+        assert compose(a, v) == x
+        assert compose(v, a) == x
+
+    def test_large_prime_self_inverse(self):
+        # -X/(1-X) is its own compositional inverse
+        for p, n in ((2**31 - 1, 8), (1000003, 4096)):
+            a = TruncatedSeries(p, [0] + [p - 1] * (n - 1))
+            assert reversion(a) == a
 
 
 class TestReversion:
