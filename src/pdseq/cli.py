@@ -47,8 +47,8 @@ def cmd_invert(args):
     s = series.TruncatedSeries.from_json(text)
     n = s.precision
     if not series.uses_bernstein(s.p, n):
-        # Brent-Kung holds the powers b^0 .. b^m, m = isqrt(n-1)+1, of length
-        # n twice: in int64 and as float64 for the block matrix product
+        # Brent-Kung holds the powers b^0 .. b^m, m = isqrt(n-1)+1, and about
+        # m block values, each n int64 coefficients
         need = 16 * (math.isqrt(n) + 1) * n
         memory = _physical_memory()
         if memory is not None and need > memory:

@@ -46,6 +46,8 @@ _EPS = 2.0**-53
 # compose's Bernstein recursion stops at this length and composes by one
 # matrix product with a table of powers of b
 _BERNSTEIN_BASE = 64
+# Brent-Kung evaluates its blocks on this many columns of the power table at once
+_COLUMNS = 4096
 
 
 def _is_prime(p):
@@ -434,17 +436,21 @@ def _compose_bernstein(ac, bc, p, n):
 
 def _compose_brent_kung(ac, bc, p, n):
     """a(b) mod X^n blockwise (Brent-Kung): split a into sqrt(n)-sized blocks,
-    evaluate every block at b with one matrix product against the dense
-    powers b^0 .. b^m, then combine the blocks by Horner's rule in b^m.
+    evaluate every block at b by matrix products against the dense powers
+    b^0 .. b^m, then combine the blocks by Horner's rule in b^m.
     """
     m = math.isqrt(n - 1) + 1  # block size, m*m >= n
     nblocks = (n + m - 1) // m
 
     bpow = _powers(bc, p, m + 1, n)
 
-    coeff = np.zeros(nblocks * m, dtype=np.int64)
-    coeff[:n] = ac
-    blocks = _matmul_mod(coeff.reshape(nblocks, m), bpow[:m], p)
+    coeff = np.zeros(nblocks * m, dtype=np.int64).reshape(nblocks, m)
+    coeff.flat[:n] = ac
+    # a range of columns at a time, so that no signed or float64 copy of the
+    # whole table is held beside it
+    blocks = np.empty((nblocks, n), dtype=np.int64)
+    for lo in range(0, n, _COLUMNS):
+        blocks[:, lo : lo + _COLUMNS] = _matmul_mod(coeff, bpow[:m, lo : lo + _COLUMNS], p)
 
     by_bm = _Multiplier(bpow[m], p, n)
     out = blocks[nblocks - 1]

@@ -1,5 +1,7 @@
 """Power-series arithmetic over F_p: examples, oracles, and properties."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,8 @@ class TestBernstein:
         want = int_horner_compose(ac, bc, p)
         assert series._compose_bernstein(ac, bc, p, n).tolist() == want
         assert series._compose_brent_kung(ac, bc, p, n).tolist() == want
+        with mock.patch.object(series, "_COLUMNS", 7):  # block values in column ranges
+            assert series._compose_brent_kung(ac, bc, p, n).tolist() == want
         a, b = TruncatedSeries(p, ac), TruncatedSeries(p, bc)
         assert compose(a, b) == brute_compose(a, b)
         assert compose(a, b).coeffs.tolist() == want
