@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -46,16 +45,13 @@ def cmd_invert(args):
             text = fh.read()
     s = series.TruncatedSeries.from_json(text)
     n = s.precision
-    if not series.uses_bernstein(s.p, n):
-        # Brent-Kung holds the powers b^0 .. b^m, m = isqrt(n-1)+1, and about
-        # m block values, each n int64 coefficients
-        need = 16 * (math.isqrt(n) + 1) * n
-        memory = _physical_memory()
-        if memory is not None and need > memory:
-            raise MemoryError(
-                f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB, "
-                f"more than the {memory >> 20} MB of physical memory"
-            )
+    need = series.compose_bytes(s.p, n)
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB, "
+            f"more than the {memory >> 20} MB of physical memory"
+        )
     sys.stdout.write(series.reversion(s).to_json() + "\n")
     return 0
 

@@ -3,20 +3,22 @@
 Coefficients live in [0, p) and every series carries an explicit precision
 horizon N: a series is its first N coefficients, index n holding the
 coefficient of X^n.  All operations are exact, for every prime p with
-(p - 1)^2 < 2^63; larger moduli are refused.
+(p - 1)^2 < 2^63, the FFT products under the assumption stated below; larger
+moduli are refused.
 
 Products run through `_Multiplier`: a direct int64 convolution for short
 operands and a `numpy.fft` convolution otherwise.  The direct path is used
 only while no sum of products can leave int64.  The FFT path is used only
-while Percival's bound on its rounding error (Math. Comp. 72, 2003),
-||a||_2 ||b||_2 ((1+e)^3k (1+e*sqrt5)^(3k+1) (1+e)^3k - 1) < 1/2 with
-e = 2^-53 and k = log2(transform length) + 1, guarantees that rounding
-recovers every integer.  Operands enter both as signed residues in
-[-p//2, p//2].  Where they fail either test, one operand and then, if need
-be, both are split into two balanced base-2^s limbs, and the limb products
-are recombined mod p; where the limbs fail too, the product raises
-`ValueError`.  Float64 matrix
-products (`_matmul_mod`) are guarded the same way by 2^53.
+while Percival's bound on the rounding error of a radix-2 complex FFT
+(Math. Comp. 72, 2003), ||a||_2 ||b||_2 ((1+e)^3k (1+e*sqrt5)^(3k+1)
+(1+e)^3k - 1) < 1/2 with e = 2^-53, holds for k = log2(transform length) + 1.
+Percival proves it for k = log2(length) and a radix-2 complex transform; that
+one level more covers numpy's real-data transform is an assumption, checked
+by the tests on all-(p-1) operands but not proven.  Operands enter as signed
+residues in [-p//2, p//2].  Where they fail either test, both are split into
+two balanced base-2^s limbs, and the three limb products are recombined mod
+p; where the limbs fail too, the product raises `ValueError`.  Float64
+matrix products (`_matmul_mod`) are guarded the same way by 2^53.
 
 `compose` uses Bernstein's characteristic-p recursion (J. Symbolic Comput.
 26, 1998) when a cost model in p and N favours it, and Brent-Kung's blockwise
@@ -39,7 +41,7 @@ __all__ = [
     "reversion",
     "relation_residual",
     "power_relation_search",
-    "uses_bernstein",
+    "compose_bytes",
 ]
 
 _EPS = 2.0**-53
@@ -68,11 +70,12 @@ def _check_modulus(p):
 
 
 def _fft_error(nfft):
-    """Percival's bound on the rounding error of an FFT convolution of length
-    nfft, per unit of ||a||_2 ||b||_2, with twiddle factors within e of exact.
+    """Percival's bound on the rounding error of a radix-2 complex FFT
+    convolution, per unit of ||a||_2 ||b||_2, with twiddle factors within e
+    of exact, counted for one level more than log2(nfft).
 
-    One level more than log2(nfft) is counted, as a margin for the half-length
-    complex transform and the extra twiddle pass inside numpy's real FFT.
+    The extra level is a margin for numpy's real-data transform, which is not
+    the transform Percival analyses; that it suffices is assumed, not proven.
     """
     k = nfft.bit_length()
     return math.expm1(
@@ -81,24 +84,22 @@ def _fft_error(nfft):
 
 
 def _limb_split(p, exact):
-    """(s, both) for products of residues in [-p//2, p//2] that pass the test
-    `exact`: s = 0 for whole residues, else the width of the balanced split
-    x = lo + 2^s hi, |lo|, |hi| <= 2^(s-1), applied to the second operand
-    only or, when `both`, to both.  Raises `ValueError` when none passes.
+    """The limb width s for products of residues in [-p//2, p//2] that pass
+    the test `exact`: 0 for whole residues, else the width of the balanced
+    split x = lo + 2^s hi, |lo|, |hi| <= 2^(s-1), applied to both operands.
+    Raises `ValueError` when neither passes.
 
     `exact(c)` says whether a product is exact when every term-by-term
-    product is at most c in magnitude; with both operands split, the middle
-    limb product sums two such products.
+    product is at most c in magnitude; the middle limb product sums two
+    such products.
     """
     h = p // 2
     if exact(h * h):
-        return 0, False
+        return 0
     s = (h.bit_length() + 2) // 2
     half = 1 << (s - 1)
-    if exact(h * half):
-        return s, False
     if exact(2 * half * half):
-        return s, True
+        return s
     raise ValueError(f"no exact product path for p = {p} at this size")
 
 
@@ -135,9 +136,9 @@ def _recombine(products, p, s):
 
 
 def _plan(la, lb, p, batched=False):
-    """(nfft, s, both) for a product of operands of la and lb coefficients:
-    nfft is the FFT length, 0 for the direct path, and (s, both) the limb
-    split of `_limb_split`.
+    """(nfft, s) for a product of operands of la and lb coefficients: nfft is
+    the FFT length, 0 for the direct path, and s the limb width of
+    `_limb_split`.
 
     The FFT runs when it is cheaper than la*lb direct multiplications, or for
     a batch of rows.  Raises `ValueError` when no exact path exists.
@@ -145,17 +146,16 @@ def _plan(la, lb, p, batched=False):
     if batched or la * lb > 64 * (la + lb):
         nfft = 1 << (la + lb - 2).bit_length()
         bound = math.sqrt(la * lb) * _fft_error(nfft)
-        return (nfft,) + _limb_split(p, lambda c: c * bound < 0.5)
-    return (0,) + _limb_split(p, lambda c: min(la, lb) * c < 1 << 63)
+        return nfft, _limb_split(p, lambda c: c * bound < 0.5)
+    return 0, _limb_split(p, lambda c: min(la, lb) * c < 1 << 63)
 
 
 class _Multiplier:
     """Multiplication by one fixed reduced series b, truncated to out_len,
     of operands of at most `la` coefficients.
 
-    The path is fixed here by `_plan`.  b is the operand split first, and the
-    transforms of its limbs are computed once, so repeated products with the
-    same b share them.  With `batched` the operands are 2-D, one series per
+    The path is fixed here by `_plan`.  The transforms of b's limbs are
+    computed once, so repeated products with the same b share them.  With `batched` the operands are 2-D, one series per
     row.
     """
 
@@ -163,7 +163,7 @@ class _Multiplier:
         b = np.asarray(b[:out_len], dtype=np.int64)
         la = out_len if la is None else min(la, out_len)
         self.p, self.out_len = p, out_len
-        self.nfft, self.s, self.both = _plan(la, len(b), p, batched)
+        self.nfft, self.s = _plan(la, len(b), p, batched)
         self.b = _limbs(b, p, self.s)
         if self.nfft:
             self.b = [np.fft.rfft(x, self.nfft) for x in self.b]
@@ -173,7 +173,7 @@ class _Multiplier:
         out = np.zeros(a.shape[:-1] + (self.out_len,), dtype=np.int64)
         if a.shape[-1] == 0 or len(self.b[0]) == 0:
             return out
-        xs = _limbs(a, self.p, self.s if self.both else 0)
+        xs = _limbs(a, self.p, self.s)
         if self.nfft:
             spectra = [np.fft.rfft(x, self.nfft) for x in xs]
             products = [
@@ -196,9 +196,9 @@ def _conv_mod(a, b, p, out_len):
 
 def _matmul_mod(x, y, p):
     """x @ y mod p for reduced int arrays, by float64 products exact below 2^53."""
-    s, both = _limb_split(p, lambda c: x.shape[-1] * c < 1 << 53)
+    s = _limb_split(p, lambda c: x.shape[-1] * c < 1 << 53)
     products = _limb_products(
-        [v.astype(np.float64) for v in _limbs(x, p, s if both else 0)],
+        [v.astype(np.float64) for v in _limbs(x, p, s)],
         [v.astype(np.float64) for v in _limbs(y, p, s)],
         np.matmul,
     )
@@ -362,7 +362,7 @@ def mul(a, b):
     return TruncatedSeries(a.p, _conv_mod(a.coeffs[:n], b.coeffs[:n], a.p, n))
 
 
-def uses_bernstein(p, n):
+def _uses_bernstein(p, n):
     """Whether `compose` at precision n over F_p takes Bernstein's recursion.
 
     Bernstein costs about (p-1) log_p n products of length n, Brent-Kung
@@ -372,11 +372,27 @@ def uses_bernstein(p, n):
     return n > _BERNSTEIN_BASE and (p - 1) * math.log(n, p) < 2 * math.sqrt(n)
 
 
+def compose_bytes(p, n):
+    """About the peak bytes that `compose`, and so `reversion`, allocates at
+    precision n over F_p.
+
+    Brent-Kung holds the m + 1 powers b^0 .. b^m, m = isqrt(n-1) + 1, and
+    ceil(n/m) block values, each n int64 coefficients: O(n^1.5).  Bernstein's
+    rows, transforms and limbs take O(n); 256 bytes per coefficient bounds
+    what numpy allocated for compose and reversion at p <= 31 and
+    n = 2^12..2^17, counted by tracemalloc.
+    """
+    if _uses_bernstein(p, n):
+        return 256 * n
+    m = math.isqrt(n - 1) + 1
+    return 8 * n * (m + 1 + -(-n // m))
+
+
 def compose(a, b):
     """a(b(X)) truncated to the smaller precision; b must have no constant term.
 
     Bernstein's recursion or Brent-Kung's blockwise method, whichever
-    `uses_bernstein` picks; both are exact and give the same series.
+    `_uses_bernstein` picks; both are exact and give the same series.
     """
     a._check_same_field(b)
     if int(b.coeffs[0]) != 0:
@@ -387,7 +403,7 @@ def compose(a, b):
     bc = b.coeffs[:n]
     if n == 1:
         return TruncatedSeries(p, ac[:1])
-    if uses_bernstein(p, n):
+    if _uses_bernstein(p, n):
         return TruncatedSeries(p, _compose_bernstein(ac, bc, p, n))
     return TruncatedSeries(p, _compose_brent_kung(ac, bc, p, n))
 
@@ -439,7 +455,7 @@ def _compose_brent_kung(ac, bc, p, n):
     evaluate every block at b by matrix products against the dense powers
     b^0 .. b^m, then combine the blocks by Horner's rule in b^m.
     """
-    m = math.isqrt(n - 1) + 1  # block size, m*m >= n
+    m = math.isqrt(n - 1) + 1  # block size, m*m >= n; compose_bytes counts the tables
     nblocks = (n + m - 1) // m
 
     bpow = _powers(bc, p, m + 1, n)

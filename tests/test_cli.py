@@ -54,7 +54,7 @@ class TestInvertCommand:
 
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"p": 65521, "coeffs": [0, 1, 5] + [0] * 1021}))
-        assert not series.uses_bernstein(65521, 1024)
+        assert series.compose_bytes(65521, 1024) > 1 << 16
         monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
         code, out, err = run_cli(capsys, "invert", str(path))
         assert code == 2 and out == ""

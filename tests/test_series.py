@@ -15,8 +15,8 @@ from pdseq.series import (
     power_relation_search,
     relation_residual,
     reversion,
-    uses_bernstein,
 )
+from pdseq.series import _uses_bernstein as uses_bernstein
 
 D_LISTING = [0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1]
 
@@ -69,16 +69,16 @@ def int_horner_compose(a, b, p):
 ADVERSARIAL_PRIMES = [2, 3, 65521, 1000003, 2**31 - 1]
 
 
-def switch_lengths(p, limit=5000):
+def switch_lengths(p, limit=10300):
     """Lengths L where the plan for two operands of L coefficients changes
     (direct/FFT, limb split, refusal), with their neighbours."""
 
     def plan(n):
         try:
-            nfft, s, both = series._plan(n, n, p)
+            nfft, s = series._plan(n, n, p)
         except ValueError:
             return "refused"
-        return (nfft > 0, s, both)
+        return (nfft > 0, s)
 
     points = {1, 2, 3}
     for n in range(2, limit):
@@ -125,29 +125,49 @@ class TestConvolution:
             try:
                 got = mul(a, a)
             except ValueError:
-                assert p == 2**31 - 1 and n > 4096
+                assert p == 2**31 - 1 and n > 10201
                 continue
             assert [int(x) for x in got.coeffs] == int_conv([p - 1] * n, [p - 1] * n, p, n)
 
     def test_plans_cover_the_switches(self):
-        # both sides of the direct/FFT switch, and of the limb splits for
-        # 65521 (whole residues up to about 2^14 terms, then one operand
-        # split) and 2^31-1 (one operand, then both, then refusal)
-        assert series._plan(128, 128, 3) == (0, 0, False)
-        assert series._plan(129, 129, 3) == (512, 0, False)
-        assert series._plan(1 << 14, 1 << 14, 65521) == (1 << 15, 0, False)
-        assert series._plan(1 << 15, 1 << 15, 65521) == (1 << 16, 8, False)
-        assert series._plan(8, 8, 2**31 - 1) == (0, 0, False)
-        assert series._plan(64, 64, 2**31 - 1) == (0, 16, False)
-        assert series._plan(256, 256, 2**31 - 1) == (512, 16, True)
+        # both sides of the direct/FFT switch, and of the limb split for
+        # 65521 (whole residues up to about 2^14 terms) and 2^31-1 (whole
+        # residues for a few terms, then limbs, then refusal)
+        assert series._plan(128, 128, 3) == (0, 0)
+        assert series._plan(129, 129, 3) == (512, 0)
+        assert series._plan(1 << 14, 1 << 14, 65521) == (1 << 15, 0)
+        assert series._plan(1 << 15, 1 << 15, 65521) == (1 << 16, 8)
+        assert series._plan(8, 8, 2**31 - 1) == (0, 0)
+        assert series._plan(9, 9, 2**31 - 1) == (0, 16)
+        assert series._plan(256, 256, 2**31 - 1) == (512, 16)
+        assert series._plan(10201, 10201, 2**31 - 1) == (32768, 16)
         with pytest.raises(ValueError, match="no exact product path"):
-            series._plan(1 << 16, 1 << 16, 2**31 - 1)
+            series._plan(10202, 10202, 2**31 - 1)
+
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_both_operands_split(self, n):
+        # the bound of a limb plan holds only if both operands are split
+        # into limbs of at most 2^(s-1), on the direct and the FFT path
+        p = 2**31 - 1
+        s = series._plan(n, n, p)[1]
+        seen = []
+
+        def limbs(x, p, s):
+            out = real_limbs(x, p, s)
+            seen.append(max(int(np.abs(v).max()) for v in out))
+            return out
+
+        real_limbs = series._limbs
+        a = np.full(n, p // 2, dtype=np.int64)
+        with mock.patch.object(series, "_limbs", limbs):
+            got = series._conv_mod(a, a, p, n)
+        assert len(seen) == 2 and max(seen) <= 1 << (s - 1)
+        assert [int(x) for x in got] == int_conv(a, a, p, n)
 
     @given(
         st.sampled_from(ADVERSARIAL_PRIMES),
         st.integers(1, 5),
-        # inner lengths around 2^53 / ((p//2) * 2^15), where 2^31-1 moves
-        # from splitting one operand to splitting both
+        # at these inner lengths 2^31-1 always takes limbs, the others never
         st.sampled_from([1, 2, 3, 40, 255, 256, 257, 300]),
         st.data(),
     )
@@ -158,6 +178,19 @@ class TestConvolution:
         x = adversarial(p, rows * inner, kind, rng).reshape(rows, inner)
         y = adversarial(p, inner * 3, kind, rng).reshape(inner, 3)
         want = [[sum(int(x[i, k]) * int(y[k, j]) for k in range(inner)) % p for j in range(3)] for i in range(rows)]
+        assert series._matmul_mod(x, y, p).tolist() == want
+
+    @pytest.mark.parametrize("inner", [36028, 36029])
+    def test_matmul_mod_limb_switch(self, inner):
+        # 1000003 keeps whole residues while inner * 500001^2 < 2^53, that
+        # is up to 36028 terms, and takes limbs from 36029 on
+        p = 1000003
+        assert series._limb_split(p, lambda c: inner * c < 1 << 53) == (0 if inner == 36028 else 10)
+        rng = np.random.default_rng(inner)
+        x = np.full((2, inner), p // 2, dtype=np.int64)
+        x[1] = rng.integers(0, p, inner)
+        y = np.stack([x[0], x[1], np.full(inner, (p + 1) // 2)], axis=1)
+        want = [[sum(int(u) * int(v) for u, v in zip(x[i], y[:, j])) % p for j in range(3)] for i in range(2)]
         assert series._matmul_mod(x, y, p).tolist() == want
 
     def test_huge_modulus_refused(self):
@@ -261,6 +294,22 @@ class TestBernstein:
             assert uses_bernstein(p, 1 << 18)
         assert not uses_bernstein(65521, 1 << 14)
         assert not uses_bernstein(1000003, 4096)
+
+    def test_compose_bytes_bounds_bernstein(self):
+        import tracemalloc
+
+        for p, n in ((2, 1 << 13), (3, 3**8), (7, 5000)):
+            a = TruncatedSeries(p, np.arange(n) % p)
+            b = TruncatedSeries(p, np.arange(n) * 5 % p)
+            tracemalloc.start()
+            try:
+                compose(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert uses_bernstein(p, n) and peak <= series.compose_bytes(p, n)
+        m = 128  # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients
+        assert series.compose_bytes(65521, 1 << 14) == 8 * (1 << 14) * (2 * m + 1)
 
     @pytest.mark.parametrize("p, n", [(3, 3**7), (5, 5**5)])
     def test_generalized_thue_morse_inverse(self, p, n):
