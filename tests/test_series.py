@@ -16,7 +16,6 @@ from pdseq.series import (
     relation_residual,
     reversion,
 )
-from pdseq.series import _uses_bernstein as uses_bernstein
 
 D_LISTING = [0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1]
 
@@ -289,11 +288,11 @@ class TestBernstein:
     def test_cost_model(self):
         base = series._BERNSTEIN_BASE
         for p in (2, 3, 5, 7):
-            assert not uses_bernstein(p, base)
-            assert uses_bernstein(p, base + 1)
-            assert uses_bernstein(p, 1 << 18)
-        assert not uses_bernstein(65521, 1 << 14)
-        assert not uses_bernstein(1000003, 4096)
+            assert not series._uses_bernstein(p, base)
+            assert series._uses_bernstein(p, base + 1)
+            assert series._uses_bernstein(p, 1 << 18)
+        assert not series._uses_bernstein(65521, 1 << 14)
+        assert not series._uses_bernstein(1000003, 4096)
 
     def test_compose_bytes_bounds_bernstein(self):
         import tracemalloc
@@ -307,7 +306,7 @@ class TestBernstein:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert uses_bernstein(p, n) and peak <= series.compose_bytes(p, n)
+            assert series._uses_bernstein(p, n) and peak <= series.compose_bytes(p, n)
         m = 128  # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients
         assert series.compose_bytes(65521, 1 << 14) == 8 * (1 << 14) * (2 * m + 1)
 
@@ -316,7 +315,7 @@ class TestBernstein:
         a = catalog.generating_function(f"tp{p}", n)
         v = catalog.inverse_gtm_series(p, n)
         x = TruncatedSeries.identity(p, n)
-        assert uses_bernstein(p, n)
+        assert series._uses_bernstein(p, n)
         assert compose(a, v) == x
         assert compose(v, a) == x
 
