@@ -809,8 +809,15 @@ def cross_check(name, n, extra_definitions=None):
     return CrossCheckReport(name, n, not failures, failures)
 
 
+_BFILE_SLICE = 4096
+
+
 def bfile_lines(name, count, offset=0):
     """OEIS-style b-file lines: '<index> <value>' per term."""
-    seq = sequence(name)
-    values = seq.prefix(count)
-    return [f"{offset + i} {int(v)}" for i, v in enumerate(values)]
+    values = sequence(name).prefix(count)
+    lines = []
+    # Python ints a slice at a time: a list of all of them would add about
+    # 36 bytes per term to the peak memory
+    for lo in range(0, len(values), _BFILE_SLICE):
+        lines += [f"{i} {v}" for i, v in enumerate(values[lo : lo + _BFILE_SLICE].tolist(), offset + lo)]
+    return lines

@@ -33,7 +33,10 @@ def _parse_horizon_overrides(pairs, env=None):
 
 def cmd_seq(args):
     lines = catalog.bfile_lines(args.name, args.count, offset=args.offset)
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
+    lines.append("")  # a newline after the last line, if any
+    text = "\n".join(lines)
+    del lines  # before writing copies the text
+    sys.stdout.write(text)
     return 0
 
 
@@ -45,7 +48,7 @@ def cmd_invert(args):
             text = fh.read()
     s = series.TruncatedSeries.from_json(text)
     n = s.precision
-    need = series.compose_bytes(s.p, n)
+    need = series.compose_bytes(s.p, n, s.length)
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise MemoryError(

@@ -56,10 +56,6 @@ class Morphism:
     def is_uniform(self, k):
         return all(len(w) == k for w in self.rules.values())
 
-    @property
-    def is_coding(self):
-        return self.is_uniform(1)
-
     def __call__(self, word):
         out = []
         for a in word:
@@ -75,13 +71,6 @@ class Morphism:
     def __repr__(self):
         body = ", ".join(f"{a}->{''.join(map(str, w))}" for a, w in self.rules.items())
         return f"Morphism({body})"
-
-    def restricted(self, letters):
-        letters = set(letters)
-        missing = letters - set(self.rules)
-        if missing:
-            raise ValueError(f"letters {sorted(missing)} not in the domain")
-        return Morphism({a: w for a, w in self.rules.items() if a in letters})
 
     def incidence_matrix(self):
         return IncidenceMatrix.of(self)
@@ -130,16 +119,6 @@ class IncidenceMatrix:
         for a in letters:
             rows.append(tuple(morphism.rules[b].count(a) for b in letters))
         return cls(letters, tuple(rows))
-
-    @classmethod
-    def from_array(cls, array, alphabet=None):
-        arr = np.asarray(array, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("incidence matrix must be square")
-        if (arr < 0).any():
-            raise ValueError("incidence entries must be nonnegative")
-        letters = tuple(alphabet) if alphabet else tuple(str(i) for i in range(arr.shape[0]))
-        return cls(letters, tuple(tuple(int(x) for x in row) for row in arr))
 
     @property
     def size(self):
@@ -244,8 +223,7 @@ def trim_to_prolongable(f, g, seed):
     new_seed = tail[0]
     rest = [a for a in f.alphabet if a != seed]
     for a in rest:
-        body = f.rules[a] if a != new_seed else f.rules[a]
-        if seed in body:
+        if seed in f.rules[a]:
             raise ValueError("construction inapplicable: seed occurs in another image")
         if new_seed in f.rules[a]:
             raise ValueError("construction inapplicable: new seed occurs in an image")

@@ -20,13 +20,16 @@ two balanced base-2^s limbs, and the three limb products are recombined mod
 p; where the limbs fail too, the product raises `ValueError`.  Float64
 matrix products (`_matmul_mod`) are guarded the same way by 2^53.
 
-`compose` uses Bernstein's characteristic-p recursion (J. Symbolic Comput.
-26, 1998) when a cost model in p and N favours it, and Brent-Kung's blockwise
-method otherwise, which in practice means for large p.
+`compose(a, b)` uses Bernstein's characteristic-p recursion (J. Symbolic
+Comput. 26, 1998) when a cost model in p, N and the length of a (up to its
+last nonzero coefficient) favours it, and Brent-Kung's blockwise method
+otherwise: for large p, and for a of low degree, whose blocks Brent-Kung
+sizes by the square root of that length rather than of N.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,8 +53,11 @@ _EPS = 2.0**-53
 _BERNSTEIN_BASE = 64
 # Brent-Kung evaluates its blocks on this many columns of the power table at once
 _COLUMNS = 4096
+# bytes per coefficient of compose's products and of reversion's series
+_FFT_BYTES = 256
 
 
+@functools.cache
 def _is_prime(p):
     if p < 2:
         return False
@@ -223,6 +229,11 @@ class TruncatedSeries:
     def precision(self):
         return len(self.coeffs)
 
+    @property
+    def length(self):
+        """The number of coefficients up to the last nonzero one, at least 1."""
+        return _length(self.coeffs)
+
     @classmethod
     def zero(cls, p, precision):
         return cls(p, np.zeros(precision, dtype=np.int64))
@@ -347,7 +358,7 @@ class TruncatedSeries:
         return TruncatedSeries(p, r)
 
     def to_json(self):
-        return json.dumps({"p": self.p, "coeffs": [int(c) for c in self.coeffs]})
+        return json.dumps({"p": self.p, "coeffs": self.coeffs.tolist()})
 
     @classmethod
     def from_json(cls, text):
@@ -362,37 +373,55 @@ def mul(a, b):
     return TruncatedSeries(a.p, _conv_mod(a.coeffs[:n], b.coeffs[:n], a.p, n))
 
 
-def _uses_bernstein(p, n):
-    """Whether `compose` at precision n over F_p takes Bernstein's recursion.
+def _uses_bernstein(p, n, length=None):
+    """Whether `compose` at precision n over F_p, of a series a with `length`
+    coefficients up to its last nonzero one (default n), takes Bernstein's
+    recursion.
 
-    Bernstein costs about (p-1) log_p n products of length n, Brent-Kung
-    about 2 sqrt(n): m powers of b and n/m Horner steps, m = sqrt(n).  Up to
-    the recursion's base length Brent-Kung's few short products win.
+    Bernstein costs about (p-1) log_p n products of length n, whatever a's
+    length; Brent-Kung about 2 sqrt(length): m powers of b and length/m
+    Horner steps, m = sqrt(length).  Up to the recursion's base length
+    Brent-Kung's few short products win.
     """
-    return n > _BERNSTEIN_BASE and (p - 1) * math.log(n, p) < 2 * math.sqrt(n)
+    length = n if length is None else length
+    return n > _BERNSTEIN_BASE and (p - 1) * math.log(n, p) < 2 * math.sqrt(length)
 
 
-def compose_bytes(p, n):
+def compose_bytes(p, n, length=None):
     """About the peak bytes that `compose`, and so `reversion`, allocates at
-    precision n over F_p.
+    precision n over F_p for a series a with `length` coefficients up to its
+    last nonzero one (default n).  Truncating a never lengthens it, so the
+    input's length bounds every Newton step of `reversion`.
 
-    Brent-Kung holds the m + 1 powers b^0 .. b^m, m = isqrt(n-1) + 1, and
-    ceil(n/m) block values, each n int64 coefficients: O(n^1.5).  Bernstein's
-    rows, transforms and limbs take O(n); 256 bytes per coefficient bounds
-    what numpy allocated for compose and reversion at p <= 31 and
-    n = 2^12..2^17, counted by tracemalloc.
+    The products' transforms, limbs and rows, and reversion's own series,
+    take _FFT_BYTES per coefficient: that bounds what numpy allocated for
+    Bernstein at p <= 31 and n = 2^12..2^17, and for Brent-Kung beyond its
+    tables at p = 65521 and 1000003, n = 2^10..2^16 and length <= 65,
+    counted by tracemalloc.  Brent-Kung also holds the m + 1 powers
+    b^0 .. b^m, m = isqrt(length-1) + 1, and ceil(length/m) block values,
+    each n int64 coefficients: O(n sqrt(length)).
     """
-    if _uses_bernstein(p, n):
-        return 256 * n
-    m = math.isqrt(n - 1) + 1
-    return 8 * n * (m + 1 + -(-n // m))
+    length = n if length is None else length
+    if _uses_bernstein(p, n, length):
+        return _FFT_BYTES * n
+    m = math.isqrt(length - 1) + 1
+    return 8 * n * (m + 1 + -(-length // m)) + _FFT_BYTES * n
+
+
+def _length(ac):
+    """The index of the last nonzero coefficient plus one, at least 1."""
+    nonzero = np.flatnonzero(ac)
+    return int(nonzero[-1]) + 1 if len(nonzero) else 1
 
 
 def compose(a, b):
     """a(b(X)) truncated to the smaller precision; b must have no constant term.
 
     Bernstein's recursion or Brent-Kung's blockwise method, whichever
-    `_uses_bernstein` picks; both are exact and give the same series.
+    `_uses_bernstein` picks from p, the precision and the length of a up to
+    its last nonzero coefficient; both are exact and give the same series.
+    Brent-Kung's cost follows that length, so a polynomial a of low degree
+    costs a few products of b's length.
     """
     a._check_same_field(b)
     if int(b.coeffs[0]) != 0:
@@ -403,17 +432,20 @@ def compose(a, b):
     bc = b.coeffs[:n]
     if n == 1:
         return TruncatedSeries(p, ac[:1])
-    if _uses_bernstein(p, n):
+    length = _length(ac)
+    if _uses_bernstein(p, n, length):
         return TruncatedSeries(p, _compose_bernstein(ac, bc, p, n))
-    return TruncatedSeries(p, _compose_brent_kung(ac, bc, p, n))
+    return TruncatedSeries(p, _compose_brent_kung(ac[:length], bc, p, n))
 
 
 def _powers(bc, p, count, n):
     """The rows b^0 .. b^(count-1) mod X^n."""
     table = np.zeros((count, n), dtype=np.int64)
     table[0, 0] = 1
+    if count > 1:
+        table[1] = bc[:n]
     by_b = _Multiplier(bc, p, n)
-    for j in range(1, count):
+    for j in range(2, count):
         table[j] = by_b(table[j - 1])
     return table
 
@@ -451,17 +483,20 @@ def _compose_bernstein(ac, bc, p, n):
 
 
 def _compose_brent_kung(ac, bc, p, n):
-    """a(b) mod X^n blockwise (Brent-Kung): split a into sqrt(n)-sized blocks,
-    evaluate every block at b by matrix products against the dense powers
-    b^0 .. b^m, then combine the blocks by Horner's rule in b^m.
+    """a(b) mod X^n blockwise (Brent-Kung) for the len(ac) <= n coefficients
+    ac of a: split them into sqrt(len(ac))-sized blocks, evaluate every block
+    at b by matrix products against the dense powers b^0 .. b^m, then
+    combine the blocks by Horner's rule in b^m.
     """
-    m = math.isqrt(n - 1) + 1  # block size, m*m >= n; compose_bytes counts the tables
-    nblocks = (n + m - 1) // m
+    length = len(ac)
+    # block size, m*m >= length; compose_bytes counts the tables
+    m = math.isqrt(length - 1) + 1
+    nblocks = -(-length // m)
 
     bpow = _powers(bc, p, m + 1, n)
 
     coeff = np.zeros(nblocks * m, dtype=np.int64).reshape(nblocks, m)
-    coeff.flat[:n] = ac
+    coeff.flat[:length] = ac
     # a range of columns at a time, so that no signed or float64 copy of the
     # whole table is held beside it
     blocks = np.empty((nblocks, n), dtype=np.int64)

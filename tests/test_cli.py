@@ -53,12 +53,29 @@ class TestInvertCommand:
         from pdseq import cli, series
 
         path = tmp_path / "series.json"
-        path.write_text(json.dumps({"p": 65521, "coeffs": [0, 1, 5] + [0] * 1021}))
+        path.write_text(json.dumps({"p": 65521, "coeffs": [0, 1] + [5] * 1022}))
         assert series.compose_bytes(65521, 1024) > 1 << 16
         monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
         code, out, err = run_cli(capsys, "invert", str(path))
         assert code == 2 and out == ""
         assert "physical memory" in err
+
+    def test_memory_estimate_follows_the_degree(self, capsys, tmp_path, monkeypatch):
+        # a degree-2 polynomial needs 3 powers of each Newton iterate, where
+        # a dense series of the same length needs 33
+        from pdseq import cli, series
+
+        memory = 1 << 19
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        polynomial = [0, 1, 5] + [0] * 1021
+        assert series.compose_bytes(65521, 1024, 3) < memory < series.compose_bytes(65521, 1024)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"p": 65521, "coeffs": polynomial}))
+        code, out, err = run_cli(capsys, "invert", str(path))
+        assert code == 0, err
+        a = series.TruncatedSeries(65521, polynomial)
+        v = series.TruncatedSeries.from_json(out)
+        assert series.compose(a, v) == series.TruncatedSeries.identity(65521, 1024)
 
     def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch):
         from pdseq import catalog, series

@@ -1,5 +1,6 @@
 """Power-series arithmetic over F_p: examples, oracles, and properties."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -307,8 +308,10 @@ class TestBernstein:
             finally:
                 tracemalloc.stop()
             assert series._uses_bernstein(p, n) and peak <= series.compose_bytes(p, n)
-        m = 128  # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients
-        assert series.compose_bytes(65521, 1 << 14) == 8 * (1 << 14) * (2 * m + 1)
+        # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients, and
+        # 256 bytes per coefficient for the products
+        m = 128
+        assert series.compose_bytes(65521, 1 << 14) == 8 * (1 << 14) * (2 * m + 1) + 256 * (1 << 14)
 
     @pytest.mark.parametrize("p, n", [(3, 3**7), (5, 5**5)])
     def test_generalized_thue_morse_inverse(self, p, n):
@@ -324,6 +327,79 @@ class TestBernstein:
         for p, n in ((2**31 - 1, 8), (1000003, 4096)):
             a = TruncatedSeries(p, [0] + [p - 1] * (n - 1))
             assert reversion(a) == a
+
+
+class TestLowDegree:
+    """compose at the cost of a's length up to its last nonzero coefficient."""
+
+    @given(st.sampled_from([2, 3, 5, 7, 65521]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_against_references(self, p, data):
+        n = data.draw(st.sampled_from([2, 3, 40, 63, 64, 65, 100, 200]))
+        length = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ac = np.zeros(n, dtype=np.int64)
+        ac[:length] = rng.integers(0, p, length, dtype=np.int64)
+        ac[length - 1] = rng.integers(1, p)
+        bc = rng.integers(0, p, n, dtype=np.int64)
+        bc[0] = 0
+        want = int_horner_compose(ac, bc, p)
+        assert TruncatedSeries(p, ac).length == length
+        assert compose(TruncatedSeries(p, ac), TruncatedSeries(p, bc)).coeffs.tolist() == want
+        assert series._compose_brent_kung(ac[:length], bc, p, n).tolist() == want
+        with mock.patch.object(series, "_COLUMNS", 7):
+            assert series._compose_brent_kung(ac[:length], bc, p, n).tolist() == want
+
+    def test_zero_series(self):
+        a = TruncatedSeries.zero(5, 100)
+        b = series_of(5, [0, 1, 2], 100)
+        assert a.length == 1
+        assert compose(a, b) == a
+
+    def test_cost_model_switches_at_the_length(self):
+        # Bernstein's (p-1) log_p n products against Brent-Kung's 2 sqrt(length)
+        for p, n, last in ((2, 4096, 36), (3, 6561, 64), (5, 5**5, 100), (7, 7**4, 144), (3, 1 << 13, 67)):
+            assert not series._uses_bernstein(p, n, last)
+            assert series._uses_bernstein(p, n, last + 1)
+            assert series._uses_bernstein(p, n) == series._uses_bernstein(p, n, n)
+        # up to the recursion's base length Brent-Kung, whatever the length
+        assert not series._uses_bernstein(2, series._BERNSTEIN_BASE, series._BERNSTEIN_BASE)
+        assert not series._uses_bernstein(65521, 1 << 16, 1 << 16)
+
+    def test_compose_bytes_bounds_low_degree_brent_kung(self):
+        import tracemalloc
+
+        p = 65521
+        rng = np.random.default_rng(7)
+        for n in (1 << 10, 1 << 12, 1 << 15):
+            for length in (3, 7, 16, 65):
+                ac = np.zeros(n, dtype=np.int64)
+                ac[1] = 1
+                ac[2:length] = rng.integers(1, p, length - 2)
+                a = TruncatedSeries(p, ac)
+                b = TruncatedSeries(p, np.concatenate([[0], rng.integers(0, p, n - 1)]))
+                assert not series._uses_bernstein(p, n, length)
+                for run in (lambda: compose(a, b), lambda: reversion(a)):
+                    tracemalloc.start()
+                    try:
+                        run()
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= series.compose_bytes(p, n, length)
+        # 3 powers and 2 blocks where the dense series needs 33 and 32
+        assert series.compose_bytes(p, 1024, 3) == 8 * 1024 * 5 + 256 * 1024
+        assert series.compose_bytes(p, 1024) == 8 * 1024 * 65 + 256 * 1024
+
+    def test_reversion_of_polynomials(self):
+        # X + X^2 inverts to the signed Catalan numbers, here on the
+        # Brent-Kung path for every p
+        n = 300
+        for p in (2, 3, 65521):
+            assert not series._uses_bernstein(p, n, 3)
+            v = reversion(series_of(p, [0, 1, 1], n))
+            catalan = [0] + [(-1) ** k * math.comb(2 * k, k) // (k + 1) % p for k in range(n - 1)]
+            assert v.coeffs.tolist() == catalan
 
 
 class TestReversion:
