@@ -183,11 +183,6 @@ class Dfao:
             and all(a.transitions[k] == b.transitions[k] for k in a.transitions)
         )
 
-    def relabelled(self, labels=None):
-        """Copy with fresh labels (default q0..qn-1)."""
-        if labels is None:
-            labels = [f"q{i}" for i in range(self.num_states)]
-        return type(self)(labels, self.initial, self.alphabet, self.transitions, self.outputs, self.read_order)
 
 
 class Dfa(Dfao):
@@ -196,11 +191,6 @@ class Dfa(Dfao):
     def __init__(self, labels, initial, alphabet, transitions, accepting, read_order):
         outputs = tuple(bool(x) for x in accepting)
         super().__init__(labels, initial, alphabet, transitions, outputs, read_order)
-
-    @classmethod
-    def from_accepting_set(cls, labels, initial, alphabet, transitions, accepting_states, read_order):
-        acc = [i in accepting_states for i in range(len(tuple(labels)))]
-        return cls(labels, initial, alphabet, transitions, acc, read_order)
 
     def accepts(self, word):
         return bool(self.output(word))
@@ -412,18 +402,3 @@ def count_length_n(d, n):
         counts = nxt
     return sum(c for s, c in enumerate(counts) if d.outputs[s])
 
-
-def count_up_to(d, n):
-    """Number of accepted words of length at most n."""
-    counts = [0] * d.num_states
-    counts[d.initial] = 1
-    total = counts_accepted = sum(c for s, c in enumerate(counts) if d.outputs[s])
-    for _ in range(n):
-        nxt = [0] * d.num_states
-        for s, c in enumerate(counts):
-            if c:
-                for letter in d.alphabet:
-                    nxt[d.step(s, letter)] += c
-        counts = nxt
-        total += sum(c for s, c in enumerate(counts) if d.outputs[s])
-    return total

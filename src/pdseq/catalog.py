@@ -129,14 +129,6 @@ def period_doubling_morphism():
     return Morphism({"0": ("0", "1"), "1": ("0", "0")})
 
 
-def complement_pd_morphism():
-    return Morphism({"1": ("1", "0"), "0": ("1", "1")})
-
-
-def exchange_morphism():
-    return Morphism({"0": ("1",), "1": ("0",)})
-
-
 def thue_morse_morphism():
     return Morphism({"0": ("0", "1"), "1": ("1", "0")})
 
@@ -205,27 +197,6 @@ def golden_morphism():
 
 def golden_coding():
     return Morphism({"a": ("0",), "b": ("1",), "c": ("1",), "d": ("0",), "e": ("0",)})
-
-
-def morphism_of_product(aut, seed="z"):
-    """Morphism + erasing coding generating the S-automatic word of aut.
-
-    aut must be the product of a language DFA and a DFAO over alphabet
-    (0, 1), MSD reading, outputs (accept, letter).  Letter i stands for
-    state i; the seed letter bootstraps the genealogical enumeration.  The
-    coding erases states whose language component rejects and otherwise
-    emits the DFAO output.
-    """
-    if aut.alphabet != (0, 1):
-        raise ValueError("construction is stated for alphabet (0, 1)")
-    letters = [f"s{i}" for i in range(aut.num_states)]
-    rules = {seed: (seed, letters[aut.initial])}
-    coding = {seed: ()}
-    for i in range(aut.num_states):
-        rules[letters[i]] = tuple(letters[aut.step(i, c)] for c in aut.alphabet)
-        accept, out = aut.outputs[i]
-        coding[letters[i]] = (str(out),) if accept else ()
-    return Morphism(rules), Morphism(coding), seed
 
 
 # -- automata of the catalog -------------------------------------------------

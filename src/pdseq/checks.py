@@ -16,7 +16,7 @@ import numpy as np
 
 from . import automata, catalog, kernel, morphisms, numeration, series
 
-__all__ = ["CheckResult", "CHECKS", "run_paper_checks", "check_ids"]
+__all__ = ["CheckResult", "CHECKS", "run_paper_checks"]
 
 
 @dataclass
@@ -364,10 +364,6 @@ CHECKS = {
     "non-regularity-rank-evidence": ("kernel rank growth evidence at two horizons", check_rank_profiles),
     "ans-numeration": ("abstract numeration agrees with greedy Zeckendorf; parity of trailing ones", check_numeration),
 }
-
-
-def check_ids():
-    return list(CHECKS)
 
 
 def run_paper_checks(selection=None, horizons=None):

@@ -33,7 +33,6 @@ __all__ = [
     "multiplicatively_independent",
     "run_lengths",
     "equivalent_up_to_renaming",
-    "find_small_period",
 ]
 
 
@@ -52,9 +51,6 @@ class Morphism:
     @property
     def non_erasing(self):
         return all(len(w) > 0 for w in self.rules.values())
-
-    def is_uniform(self, k):
-        return all(len(w) == k for w in self.rules.values())
 
     def __call__(self, word):
         out = []
@@ -75,34 +71,6 @@ class Morphism:
     def incidence_matrix(self):
         return IncidenceMatrix.of(self)
 
-    def to_text(self, seed=None):
-        lines = []
-        if seed is not None:
-            lines.append(f"seed {seed}")
-        for a, w in self.rules.items():
-            lines.append(f"{a} -> {' '.join(map(str, w))}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse the rule format; returns (morphism, seed_or_None)."""
-        rules = {}
-        seed = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("seed "):
-                seed = line.split(None, 1)[1].strip()
-                continue
-            if "->" not in line:
-                raise ValueError(f"unparseable rule: {raw!r}")
-            lhs, rhs = line.split("->", 1)
-            letter = lhs.strip()
-            if not letter or len(letter.split()) != 1:
-                raise ValueError(f"rule needs a single source letter: {raw!r}")
-            rules[letter] = tuple(rhs.split())
-        return cls(rules), seed
 
 
 @dataclass(frozen=True)
@@ -256,13 +224,6 @@ class ExactEigenvalue:
     def quadratic(cls, c, b):
         return cls("quadratic", (int(c), int(b)))
 
-    def minimal_polynomial(self):
-        """Coefficients lowest degree first, monic."""
-        if self.kind == "integer":
-            return (-self.data[0], 1)
-        c, b = self.data
-        return (c, b, 1)
-
     def __str__(self):
         if self.kind == "integer":
             return str(self.data[0])
@@ -357,7 +318,7 @@ def largest_real_root(int_poly, width=Fraction(1, 10**14)):
     """Isolating interval (lo, hi] of the largest real root, exact endpoints.
 
     int_poly has integer coefficients, lowest degree first; it must have at
-    least one real root.  Returns (lo, hi, sturm_chain, squarefree_poly).
+    least one real root.  Returns (lo, hi).
     """
     p = _squarefree([Fraction(c) for c in int_poly])
     chain = _sturm_chain(p)
@@ -373,7 +334,7 @@ def largest_real_root(int_poly, width=Fraction(1, 10**14)):
             lo = mid
         else:
             hi = mid
-    return lo, hi, chain, p
+    return lo, hi
 
 
 def _char_poly(matrix):
@@ -401,30 +362,7 @@ def _char_poly(matrix):
     return [int(c) for c in out]
 
 
-def _sccs(adjacency):
-    """Strongly connected components by mutual reachability (tiny graphs)."""
-    n = len(adjacency)
-    reach = [[bool(adjacency[i][j]) or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    seen = set()
-    comps = []
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = [j for j in range(n) if reach[i][j] and reach[j][i]]
-        seen.update(comp)
-        comps.append(comp)
-    return comps
-
-
-def _exact_tag(int_poly, lo, hi, chain):
+def _exact_tag(int_poly, lo, hi):
     """Integer or monic-quadratic tag for the root isolated in (lo, hi]."""
     p = [Fraction(c) for c in int_poly]
     # integer candidates inside the interval
@@ -452,11 +390,13 @@ def _exact_tag(int_poly, lo, hi, chain):
 
 
 def pf_eigenvalue(matrix):
-    """Largest spectral radius over the strongly connected blocks.
+    """Spectral radius of a square nonnegative integer matrix.
 
-    Accepts an IncidenceMatrix or a square nonnegative integer array.  The
-    result carries a float accurate to 1e-9 and, when the dominant root is
-    an integer or a quadratic irrational, an exact tag.
+    Accepts an IncidenceMatrix or an array.  By Perron-Frobenius the spectral
+    radius of a nonnegative matrix is one of its eigenvalues, so it is the
+    largest real root of det(xI - M).  The result carries a float accurate
+    to 1e-9 and, when that root is an integer or a quadratic irrational, an
+    exact tag.
     """
     if isinstance(matrix, IncidenceMatrix):
         arr = matrix.as_array()
@@ -466,26 +406,11 @@ def pf_eigenvalue(matrix):
         raise ValueError("matrix must be square")
     if (arr < 0).any():
         raise ValueError("matrix must be nonnegative")
-    n = arr.shape[0]
-    if n == 0:
+    if arr.shape[0] == 0:
         return PerronFrobenius(0.0, ExactEigenvalue.integer(0))
-
-    best = None  # (lo, hi, poly, chain)
-    for comp in _sccs(arr.tolist()):
-        sub = arr[np.ix_(comp, comp)]
-        if not sub.any():
-            lo, hi = Fraction(-1, 10**15), Fraction(0)
-            poly = [0, 1]
-            chain = None
-        else:
-            poly = _char_poly(sub)
-            lo, hi, chain, _ = largest_real_root(poly)
-        if best is None or hi > best[1]:
-            best = (lo, hi, poly, chain)
-    lo, hi, poly, chain = best
-    if chain is None:
-        return PerronFrobenius(0.0, ExactEigenvalue.integer(0))
-    tag = _exact_tag(poly, lo, hi, chain)
+    poly = _char_poly(arr)
+    lo, hi = largest_real_root(poly)
+    tag = _exact_tag(poly, lo, hi)
     value = float((lo + hi) / 2)
     if tag is not None and tag.kind == "integer":
         value = float(tag.data[0])
@@ -661,29 +586,6 @@ def run_lengths(stream, n):
             current = letter
             count = 1
     raise ValueError(f"stream ended with only {len(out)} complete blocks")
-
-
-def find_small_period(prefix, max_period=2048, max_preperiod=2048):
-    """Smallest (preperiod, period) visible in the prefix, or None.
-
-    Bounded evidence only: the prefix must be at least 4*(max_period +
-    max_preperiod) long so a reported absence is meaningful; absence means
-    "no small period", never "aperiodic".
-    """
-    need = 4 * (max_period + max_preperiod)
-    if len(prefix) < need:
-        raise ValueError(f"prefix too short: need {need} letters")
-    for period in range(1, max_period + 1):
-        # largest preperiod needed: first index from which prefix is periodic
-        ok_from = len(prefix) - period
-        for i in range(len(prefix) - period - 1, -1, -1):
-            if prefix[i] == prefix[i + period]:
-                ok_from = i
-            else:
-                break
-        if ok_from <= max_preperiod:
-            return ok_from, period
-    return None
 
 
 def equivalent_up_to_renaming(f1, g1, seed1, f2, g2, seed2):

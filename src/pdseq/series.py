@@ -340,23 +340,6 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def inverse(self):
-        """Multiplicative inverse 1/self; requires an invertible constant term."""
-        p, n = self.p, self.precision
-        c0 = int(self.coeffs[0])
-        if c0 % p == 0:
-            raise ValueError("constant term not invertible")
-        r = np.array([pow(c0, p - 2, p)], dtype=np.int64)
-        while len(r) < n:
-            m2 = min(2 * len(r), n)
-            s = self.coeffs[:m2]
-            sr = _conv_mod(s, r, p, m2)
-            # r <- r*(2 - s*r) doubles the number of correct coefficients
-            e = (-sr) % p
-            e[0] = (e[0] + 2) % p
-            r = _conv_mod(r, e, p, m2)
-        return TruncatedSeries(p, r)
-
     def to_json(self):
         return json.dumps({"p": self.p, "coeffs": self.coeffs.tolist()})
 
@@ -399,13 +382,20 @@ def compose_bytes(p, n, length=None):
     tables at p = 65521 and 1000003, n = 2^10..2^16 and length <= 65,
     counted by tracemalloc.  Brent-Kung also holds the m + 1 powers
     b^0 .. b^m, m = isqrt(length-1) + 1, and ceil(length/m) block values,
-    each n int64 coefficients: O(n sqrt(length)).
+    each n int64 coefficients: O(n sqrt(length)).  Evaluating the blocks on
+    a range of min(n, _COLUMNS) columns adds `_matmul_mod`'s copies of that
+    range.  They peak while it recombines: 3 block rows per block (the
+    float64 product, its int64 copy and the sum), or 9 with a limb split
+    (3 products, their copies, and the sum with two temporaries).  The
+    signed, limb and float64 copies of the powers, made before, take less.
     """
     length = n if length is None else length
     if _uses_bernstein(p, n, length):
         return _FFT_BYTES * n
     m = math.isqrt(length - 1) + 1
-    return 8 * n * (m + 1 + -(-length // m)) + _FFT_BYTES * n
+    nblocks = -(-length // m)
+    copies = 9 if _limb_split(p, lambda c: m * c < 1 << 53) else 3
+    return 8 * n * (m + 1 + nblocks) + 8 * min(n, _COLUMNS) * nblocks * copies + _FFT_BYTES * n
 
 
 def _length(ac):
@@ -513,11 +503,17 @@ def _compose_brent_kung(ac, bc, p, n):
 def reversion(a):
     """Compositional inverse: the series V with a(V(X)) = X = V(a(X)).
 
-    Newton iteration; each step doubles the number of correct coefficients.
+    Newton iteration; each step doubles the number of correct coefficients,
+    from m to 2m, by one composition and one product.
     The update V <- V - (a(V) - X)/a'(V) is valid in characteristic p because
     the error term of the Hasse-Taylor expansion is divisible by the square
-    of the current error.  a'(V) is recovered from the chain rule as
-    (a(V))'/V', which saves a second composition per step.
+    of the current error.  With e = a(V) - X of order at least m, the chain
+    rule a'(V) V' = 1 + e' and m >= 2 give
+
+        1/a'(V) = V'/(1 + e') = V' (1 - m e_m X^(m-1))  mod X^m,
+
+    so no series is inverted: V has degree below m, V' mod X^m ends in 0, and
+    the correction only sets its coefficient of X^(m-1) to -m e_m v_1.
     """
     p, n = a.p, a.precision
     if int(a.coeffs[0]) != 0:
@@ -536,19 +532,13 @@ def reversion(a):
         vpad = np.zeros(m2, dtype=np.int64)
         vpad[:m] = v
         vs = TruncatedSeries(p, vpad)
-        av = compose(TruncatedSeries(p, a.coeffs[:m2]), vs)
-        e = av.coeffs.copy()
+        e = compose(TruncatedSeries(p, a.coeffs[:m2]), vs).coeffs.copy()
         e[1] = (e[1] - 1) % p
-        if not e[m:].any() and not e[:m].any():
-            v = vpad
-            continue
         if e[:m].any():
             raise AssertionError("Newton invariant broken: low-order residual")
-        # a'(V) mod X^m = (1 + e')/V'
-        num = av.derivative().truncate(m)
-        den = vs.derivative().truncate(m)
-        aprime_v = mul(num, den.inverse())
-        h = _conv_mod(e, aprime_v.inverse().coeffs, p, m2)
+        w = vs.derivative().coeffs[:m].copy()
+        w[m - 1] = -m * int(e[m]) * int(v[1]) % p
+        h = _conv_mod(e, w, p, m2)
         v = (vpad - h) % p
     return TruncatedSeries(p, v)
 

@@ -160,11 +160,11 @@ class TestComplementForms:
     def test_complement_is_fixed_point_of_swapped_morphism(self):
         n = 4096
         d = catalog.sequence("d").prefix(n)
-        via_morphism = morphisms.fixed_point_prefix(catalog.complement_pd_morphism(), "1", n)
+        via_morphism = morphisms.fixed_point_prefix(morphisms.Morphism({"1": ("1", "0"), "0": ("1", "1")}), "1", n)
         assert [int(c) for c in via_morphism] == (1 - d).tolist()
 
     def test_exchange_morphism(self):
-        e = catalog.exchange_morphism()
+        e = morphisms.Morphism({"0": ("1",), "1": ("0",)})
         d = catalog.sequence("d").prefix(64)
         swapped = e(tuple(str(int(v)) for v in d))
         assert [int(c) for c in swapped] == (1 - d).tolist()
@@ -234,24 +234,3 @@ class TestSeriesCatalog:
         assert lines == ["0 1", "1 5", "2 7", "3 13"]
         lines = catalog.bfile_lines("F", 3, offset=1)
         assert lines == ["1 1", "2 1", "3 2"]
-
-
-class TestDerivedMorphism:
-    def test_product_morphism_matches_hand_coded(self):
-        from pdseq.automata import product
-
-        prod = product(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
-        f, g, seed = catalog.morphism_of_product(prod)
-        bij = morphisms.equivalent_up_to_renaming(
-            f, g, seed, catalog.fib_indicator_product_morphism(), catalog.fib_indicator_erasing_coding(), "z"
-        )
-        assert bij is not None and bij[seed] == "z"
-
-    def test_product_morphism_generates_indicator(self):
-        from pdseq.automata import product
-
-        prod = product(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
-        f, g, seed = catalog.morphism_of_product(prod)
-        word = morphisms.morphic_word_prefix(f, g, seed, 5_000)
-        got = np.array([int(c) for c in word], dtype=np.int64)
-        assert np.array_equal(got, catalog.sequence("x").prefix(5_000))

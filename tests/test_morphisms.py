@@ -9,7 +9,6 @@ from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
     equivalent_up_to_renaming,
-    find_small_period,
     fixed_point_prefix,
     morphic_word_prefix,
     multiplicatively_independent,
@@ -176,21 +175,6 @@ class TestWordUtilities:
         with pytest.raises(ValueError, match="blocks"):
             run_lengths([7, 7, 7, 7], 1)
 
-    def test_small_period_detection(self):
-        word = [0, 1] * 10_000
-        assert find_small_period(word, 16, 16) == (0, 2)
-        word = [9, 9, 9] + [0, 1, 2] * 10_000
-        pre, per = find_small_period(word, 16, 16)
-        assert per == 3 and pre <= 4
-
-    def test_period_doubling_has_no_small_period(self):
-        d = catalog.sequence("d").prefix(1 << 14).tolist()
-        assert find_small_period(d, 1024, 1024) is None
-
-    def test_run_length_word_has_no_small_period(self):
-        p = catalog.sequence("p").prefix(1 << 14).tolist()
-        assert find_small_period(p, 1024, 1024) is None
-
 
 class TestRenaming:
     def test_identity_on_self(self):
@@ -214,20 +198,3 @@ class TestRenaming:
             fp, gp, seed, catalog.golden_morphism(), catalog.golden_coding(), "a"
         )
         assert bij == {"a0": "a", "a2": "b", "a3": "c", "a5": "d", "a6": "e"}
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        f = catalog.fib_indicator_product_morphism()
-        text = f.to_text(seed="z")
-        back, seed = Morphism.from_text(text)
-        assert back == f and seed == "z"
-
-    def test_erasing_rule(self):
-        g = catalog.fib_indicator_erasing_coding()
-        back, _ = Morphism.from_text(g.to_text())
-        assert back == g
-
-    def test_bad_rule_rejected(self):
-        with pytest.raises(ValueError, match="unparseable"):
-            Morphism.from_text("a = b c")

@@ -308,10 +308,13 @@ class TestBernstein:
             finally:
                 tracemalloc.stop()
             assert series._uses_bernstein(p, n) and peak <= series.compose_bytes(p, n)
-        # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients, and
-        # 256 bytes per coefficient for the products
+        # Brent-Kung: 129 powers and 128 blocks of 16384 coefficients, 3 copies
+        # of the blocks on 4096 columns, and 256 bytes per coefficient for the
+        # products
         m = 128
-        assert series.compose_bytes(65521, 1 << 14) == 8 * (1 << 14) * (2 * m + 1) + 256 * (1 << 14)
+        assert series.compose_bytes(65521, 1 << 14) == (
+            8 * (1 << 14) * (2 * m + 1) + 8 * 4096 * m * 3 + 256 * (1 << 14)
+        )
 
     @pytest.mark.parametrize("p, n", [(3, 3**7), (5, 5**5)])
     def test_generalized_thue_morse_inverse(self, p, n):
@@ -369,27 +372,30 @@ class TestLowDegree:
     def test_compose_bytes_bounds_low_degree_brent_kung(self):
         import tracemalloc
 
-        p = 65521
         rng = np.random.default_rng(7)
-        for n in (1 << 10, 1 << 12, 1 << 15):
-            for length in (3, 7, 16, 65):
-                ac = np.zeros(n, dtype=np.int64)
-                ac[1] = 1
-                ac[2:length] = rng.integers(1, p, length - 2)
-                a = TruncatedSeries(p, ac)
-                b = TruncatedSeries(p, np.concatenate([[0], rng.integers(0, p, n - 1)]))
-                assert not series._uses_bernstein(p, n, length)
-                for run in (lambda: compose(a, b), lambda: reversion(a)):
-                    tracemalloc.start()
-                    try:
-                        run()
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert peak <= series.compose_bytes(p, n, length)
-        # 3 powers and 2 blocks where the dense series needs 33 and 32
-        assert series.compose_bytes(p, 1024, 3) == 8 * 1024 * 5 + 256 * 1024
-        assert series.compose_bytes(p, 1024) == 8 * 1024 * 65 + 256 * 1024
+        cases = [(65521, n, length) for n in (1 << 10, 1 << 12, 1 << 15) for length in (3, 7, 16, 65)]
+        # dense a, where the copies of the block evaluation's column ranges
+        # count, with and (at p = 2^31-1) without whole-residue products
+        cases += [(65521, 1 << 12, 1 << 12), (65521, 1 << 14, 1 << 14), (2**31 - 1, 1 << 12, 1 << 12)]
+        for p, n, length in cases:
+            ac = np.zeros(n, dtype=np.int64)
+            ac[1] = 1
+            ac[2:length] = rng.integers(1, p, length - 2)
+            a = TruncatedSeries(p, ac)
+            b = TruncatedSeries(p, np.concatenate([[0], rng.integers(0, p, n - 1)]))
+            assert not series._uses_bernstein(p, n, length)
+            for run in (lambda: compose(a, b), lambda: reversion(a)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= series.compose_bytes(p, n, length)
+        # 3 powers and 2 blocks where the dense series needs 33 and 32, and 3
+        # copies of the blocks on the 1024 columns
+        assert series.compose_bytes(65521, 1024, 3) == 8 * 1024 * 5 + 8 * 1024 * 2 * 3 + 256 * 1024
+        assert series.compose_bytes(65521, 1024) == 8 * 1024 * 65 + 8 * 1024 * 32 * 3 + 256 * 1024
 
     def test_reversion_of_polynomials(self):
         # X + X^2 inverts to the signed Catalan numbers, here on the
@@ -429,15 +435,19 @@ class TestReversion:
         with pytest.raises(ValueError, match="linear"):
             reversion(series_of(2, [0, 0, 1], 8))
 
-    @given(st.sampled_from([2, 3, 5]), st.data())
-    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 65521, 2**31 - 1]), st.data())
+    @settings(max_examples=40, deadline=None)
     def test_round_trip(self, p, data):
-        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=40, max_size=40))
+        # lengths on both sides of the Bernstein base, so both compose paths
+        # run; for odd p the Newton steps' X^(m-1) correction is nonzero
+        n = data.draw(st.integers(2, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        coeffs = rng.integers(0, p, n, dtype=np.int64)
         coeffs[0] = 0
-        coeffs[1] = data.draw(st.integers(1, p - 1))
-        a = series_of(p, coeffs)
+        coeffs[1] = rng.integers(1, p)
+        a = TruncatedSeries(p, coeffs)
         v = reversion(a)
-        x = TruncatedSeries.identity(p, 40)
+        x = TruncatedSeries.identity(p, n)
         assert compose(a, v) == x
         assert compose(v, a) == x
 
