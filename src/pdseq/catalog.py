@@ -420,17 +420,20 @@ class NamedSequence:
         return int(self.prefix(n + 1)[n])
 
 
-def _positions(indicator_prefix, value):
-    def build(count):
-        size = max(4 * count, 64)
-        while True:
-            data = indicator_prefix(size)
-            hits = np.nonzero(data == value)[0].astype(np.int64)
-            if len(hits) >= count:
-                return hits[:count]
-            size *= 2
+def _first_hits(prefix, hit, count, size):
+    """The first count indices where the mask hit(prefix(size)) holds.
 
-    return build
+    size doubles until there are count of them.
+    """
+    while True:
+        hits = np.flatnonzero(hit(prefix(size)))
+        if len(hits) >= count:
+            return hits[:count]
+        size *= 2
+
+
+def _positions(indicator_prefix, value):
+    return lambda count: _first_hits(indicator_prefix, lambda data: data == value, count, max(4 * count, 64))
 
 
 def _a_build(count):
@@ -439,12 +442,8 @@ def _a_build(count):
 
 
 def _a_via_indicator(count):
-    limit = 64
-    while True:
-        hits = inverse_pd_ones_below(limit)
-        if len(hits) >= count:
-            return hits[:count]
-        limit *= 2
+    # position 2m + 1 of u is 1 where the odd indicator is
+    return 2 * _first_hits(inverse_pd_odd_indicator, lambda v: v != 0, count, 32) + 1
 
 
 def _delta_build(count):
@@ -515,14 +514,7 @@ def _p_via_doubled_morphism(count):
 
 
 def _z_via_tm_alternations(count):
-    t = sequence("t")
-    need = max(4 * count, 64)
-    while True:
-        data = t.prefix(need)
-        hits = np.nonzero(np.diff(data) != 0)[0].astype(np.int64)
-        if len(hits) >= count:
-            return hits[:count]
-        need *= 2
+    return _first_hits(sequence("t").prefix, lambda data: np.diff(data) != 0, count, max(4 * count, 64))
 
 
 def _delta_via_x(count):

@@ -26,6 +26,7 @@ from math import isqrt
 import numpy as np
 
 from .automata import Dfao
+from .series import _is_prime, _rref_mod_p
 
 __all__ = [
     "KernelClass",
@@ -221,30 +222,13 @@ class _PrimeEchelon:
             b = b[b.any(axis=1)]
             if not len(b):
                 return len(self.pivots)
-            new, pivots = self._eliminate(b[: self._CHUNK])
+            new, pivots = _rref_mod_p(b[: self._CHUNK], q)
+            new = new.astype(np.float64)
             # the new rows vanish at the old pivots; clear the new pivots in
             # the old rows and in the rows still waiting
             self.basis = np.vstack([_mod(self.basis - self.basis[:, pivots] @ new, q), new])
             self.pivots += pivots
             b = _mod(b[self._CHUNK :] - b[self._CHUNK :, pivots] @ new, q)
-
-    def _eliminate(self, b):
-        """Reduced row-echelon rows and pivot columns of a few rows mod q."""
-        q = self.q
-        b = b.astype(np.int64)
-        found, pivots = [], []
-        for i in range(len(b)):
-            nz = np.flatnonzero(b[i])
-            if not len(nz):
-                continue
-            c = int(nz[0])
-            b[i] = b[i] * pow(int(b[i, c]), q - 2, q) % q
-            col = b[:, c].copy()
-            col[i] = 0
-            b = (b - np.outer(col, b[i])) % q
-            found.append(i)
-            pivots.append(c)
-        return b[found].astype(np.float64), pivots
 
 
 def _prime_sequence(ncols):
@@ -255,7 +239,7 @@ def _prime_sequence(ncols):
     """
     q = isqrt((2**53 - 1) // max(ncols, 1))
     while q >= 2:
-        if all(q % d for d in range(2, isqrt(q) + 1)):
+        if _is_prime(q):
             yield q
         q -= 1
     raise ValueError(f"too few primes to certify a rank with {ncols} columns")

@@ -5,8 +5,11 @@ by a lazy work-queue expansion so that prefix generation is O(1) amortized
 per letter and never materializes more than a bounded lookahead.  Spectral
 radii of incidence matrices are computed from exact integer characteristic
 polynomials with Sturm-sequence root isolation; no floating-point linear
-algebra is involved, so the results can feed exact multiplicative
-independence tests.
+algebra is involved.  An integer or quadratic spectral radius gets an exact
+tag, found without search: each candidate divisor is fixed by the isolated
+root.  Multiplicative independence is decided exactly, by integer division,
+for integers and for a quadratic against an integer; two quadratics are
+refused.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "Morphism",
-    "IncidenceMatrix",
     "fixed_point",
     "fixed_point_prefix",
     "morphic_word",
@@ -69,31 +71,9 @@ class Morphism:
         return f"Morphism({body})"
 
     def incidence_matrix(self):
-        return IncidenceMatrix.of(self)
-
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Square count matrix: entry (a, b) is the number of a's in image(b)."""
-
-    alphabet: tuple
-    counts: tuple  # row-major tuple of tuples
-
-    @classmethod
-    def of(cls, morphism):
-        letters = morphism.alphabet
-        rows = []
-        for a in letters:
-            rows.append(tuple(morphism.rules[b].count(a) for b in letters))
-        return cls(letters, tuple(rows))
-
-    @property
-    def size(self):
-        return len(self.alphabet)
-
-    def as_array(self):
-        return np.array(self.counts, dtype=np.int64)
+        """Square int64 count array: entry (a, b) is the number of a's in image(b)."""
+        letters = self.alphabet
+        return np.array([[self.rules[b].count(a) for b in letters] for a in letters], dtype=np.int64)
 
 
 # -- fixed points ---------------------------------------------------------
@@ -363,7 +343,13 @@ def _char_poly(matrix):
 
 
 def _exact_tag(int_poly, lo, hi):
-    """Integer or monic-quadratic tag for the root isolated in (lo, hi]."""
+    """Integer or monic-quadratic tag for the root isolated in (lo, hi].
+
+    A monic quadratic x^2 + b x + c with that root r has c = -r^2 - b r, so
+    for each b the only candidate c is the integer nearest -mid^2 - b mid,
+    mid the midpoint: the two differ by about |r - mid| |2 mid + b|, far
+    below 1/2 for every b in range.
+    """
     p = [Fraction(c) for c in int_poly]
     # integer candidates inside the interval
     k = int(hi) + 1
@@ -373,35 +359,33 @@ def _exact_tag(int_poly, lo, hi):
         k -= 1
     # monic quadratic divisors x^2 + b x + c with the isolated root inside
     bound = int(hi) + 1
+    mid = (lo + hi) / 2
     for b in range(-2 * bound - 2, 2 * bound + 3):
-        for c in range(-bound * bound - bound - 2, bound * bound + bound + 3):
-            disc = b * b - 4 * c
-            if disc <= 0 or isqrt(disc) ** 2 == disc:
-                continue  # want a quadratic irrational
-            q = [Fraction(c), Fraction(b), Fraction(1)]
-            _, rem = _poly_divmod(p, q)
-            if not (len(rem) == 1 and rem[0] == 0):
-                continue
-            vlo, vhi = _poly_eval(q, lo), _poly_eval(q, hi)
-            if vhi == 0 or (vlo < 0 < vhi) or (vhi < 0 < vlo):
-                # q has a root in (lo, hi], which is the isolated root
-                return ExactEigenvalue.quadratic(c, b)
+        c = round(-mid * mid - b * mid)
+        if abs(c) > bound * bound + bound + 2:
+            continue
+        disc = b * b - 4 * c
+        if disc <= 0 or isqrt(disc) ** 2 == disc:
+            continue  # want a quadratic irrational
+        q = [Fraction(c), Fraction(b), Fraction(1)]
+        vlo, vhi = _poly_eval(q, lo), _poly_eval(q, hi)
+        if not (vhi == 0 or (vlo < 0 < vhi) or (vhi < 0 < vlo)):
+            continue  # q has no root in (lo, hi]
+        _, rem = _poly_divmod(p, q)
+        if len(rem) == 1 and rem[0] == 0:
+            return ExactEigenvalue.quadratic(c, b)
     return None
 
 
 def pf_eigenvalue(matrix):
     """Spectral radius of a square nonnegative integer matrix.
 
-    Accepts an IncidenceMatrix or an array.  By Perron-Frobenius the spectral
-    radius of a nonnegative matrix is one of its eigenvalues, so it is the
-    largest real root of det(xI - M).  The result carries a float accurate
-    to 1e-9 and, when that root is an integer or a quadratic irrational, an
-    exact tag.
+    By Perron-Frobenius the spectral radius of a nonnegative matrix is one
+    of its eigenvalues, so it is the largest real root of det(xI - M).  The
+    result carries a float accurate to 1e-9 and, when that root is an
+    integer or a quadratic irrational, an exact tag.
     """
-    if isinstance(matrix, IncidenceMatrix):
-        arr = matrix.as_array()
-    else:
-        arr = np.asarray(matrix, dtype=np.int64)
+    arr = np.asarray(matrix, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     if (arr < 0).any():
@@ -420,91 +404,31 @@ def pf_eigenvalue(matrix):
 # -- multiplicative independence -------------------------------------------
 
 
-def _prime_signature(n):
-    sig = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            sig[d] = sig.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        sig[n] = sig.get(n, 0) + 1
-    return sig
-
-
 def _integers_dependent(a, b):
+    """a, b >= 1 are dependent exactly when both are powers of one integer.
+
+    If they are, the smaller divides the larger and the quotient is again
+    such a power, as in the subtractive Euclidean algorithm on exponents.
+    """
     if a == 1 or b == 1:
         return True
-    sa, sb = _prime_signature(a), _prime_signature(b)
-    if set(sa) != set(sb):
-        return False
-    items = sorted(sa)
-    e = [sa[q] for q in items]
-    f = [sb[q] for q in items]
-    return all(e[i] * f[j] == e[j] * f[i] for i in range(len(e)) for j in range(len(e)))
-
-
-class _QuadInt:
-    """Exact arithmetic in Q(sqrt(D)): a + b sqrt(D) with Fraction parts."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a, self.b, self.d = Fraction(a), Fraction(b), d
-
-    def __mul__(self, other):
-        return _QuadInt(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def power(self, n):
-        out = _QuadInt(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def to_float(self):
-        return float(self.a) + float(self.b) * self.d**0.5
-
-
-def _quad_root(tag):
-    """The larger root of x^2 + bx + c as a _QuadInt plus its field tag."""
-    c, b = tag.data
-    disc = b * b - 4 * c
-    sf = disc
-    # squarefree part of the discriminant identifies the field
-    f = 2
-    square = 1
-    while f * f <= sf:
-        while sf % (f * f) == 0:
-            sf //= f * f
-            square *= f
-        f += 1
-    # root = (-b + square*sqrt(sf)) / 2
-    return _QuadInt(Fraction(-b, 2), Fraction(square, 2), sf), sf
+    while a != b:
+        a, b = max(a, b), min(a, b)
+        if a % b:
+            return False
+        a //= b
+    return True
 
 
 def multiplicatively_independent(alpha, beta):
     """True when alpha^k = beta^l forces k = l = 0.
 
-    Descriptors are exact: positive ints, or ExactEigenvalue tags.  Integer
-    pairs reduce to prime-signature proportionality.  A quadratic irrational
-    with nonzero trace has no rational power, so it is independent from
-    every integer; a trace-zero quadratic sqrt(m) reduces to the integer
-    case via its square.  Two quadratics are compared inside their common
-    field (different fields raise ValueError), using the forced exponent
-    ratio log(beta)/log(alpha) and exact verification of candidate powers.
+    Descriptors are exact: positive ints, or ExactEigenvalue tags.  Two
+    integers are dependent exactly when both are powers of one integer,
+    which repeated division decides.  A quadratic irrational with nonzero
+    trace has no rational power, so it is independent from every integer
+    other than 1; a trace-zero quadratic sqrt(m) reduces to the integer m.
+    Two quadratic descriptors raise ValueError.
     """
     return not _dependent(_normalize(alpha), _normalize(beta))
 
@@ -524,38 +448,16 @@ def _dependent(x, y):
         return _integers_dependent(x.data[0], y.data[0])
     if x.kind == "integer":
         return _dependent(y, x)
-    if y.kind == "integer":
-        c, b = x.data
-        n = y.data[0]
-        if b != 0:
-            # nonzero trace: conjugation would force the root to equal
-            # its conjugate if any power were rational
-            return n == 1
-        m = -c  # root is sqrt(m)
-        if m <= 1:
-            return True
-        return _integers_dependent(m, n) if n > 1 else True
-    # quadratic vs quadratic
-    ra, da = _quad_root(x)
-    rb, db = _quad_root(y)
-    if da != db:
-        raise ValueError("quadratic descriptors from different fields are unsupported")
-    fa, fb = ra.to_float(), rb.to_float()
-    if fa <= 1 or fb <= 1:
-        raise ValueError("descriptors must exceed 1")
-    if x == y:
-        return True
-    # any dependency alpha^i = beta^j forces j/i = log alpha / log beta
-    import math as _math
-
-    t = _math.log(fa) / _math.log(fb)
-    # scan continued-fraction convergents and verify candidates exactly
-    frac = Fraction(t).limit_denominator(64)
-    for cand in {frac, Fraction(round(t * 64), 64)}:
-        i, j = cand.denominator, cand.numerator
-        if j > 0 and 0 < i <= 64 and j <= 256 and ra.power(i) == rb.power(j):
-            return True
-    return False
+    if y.kind != "integer":
+        raise ValueError("two quadratic descriptors are unsupported")
+    c, b = x.data
+    n = y.data[0]
+    if b != 0:
+        # nonzero trace: conjugation would force the root to equal
+        # its conjugate if any power were rational
+        return n == 1
+    m = -c  # root is sqrt(m)
+    return m <= 1 or _integers_dependent(m, n)
 
 
 # -- word utilities ---------------------------------------------------------

@@ -626,44 +626,41 @@ def relation_residual(rel, a):
 
 
 def _rref_mod_p(mat, p):
-    """Row-reduce mat over F_p in place; returns the list of pivot columns."""
+    """Reduced row-echelon form of mat over F_p, as (rows, pivots).
+
+    Row i of rows has its leading 1 in column pivots[i] and a 0 in every
+    other pivot column.  Rows come in the order mat yields them, so pivots
+    need not ascend.  Products stay below (p-1)^2, hence in int64.
+    """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for int64 row reduction")
-    rows, cols = mat.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = np.nonzero(mat[r:, c])[0]
-        if len(hit) == 0:
+    b = np.asarray(mat).astype(np.int64) % p
+    found, pivots = [], []
+    for i in range(len(b)):
+        nz = np.flatnonzero(b[i])
+        if not len(nz):
             continue
-        i = r + int(hit[0])
-        if i != r:
-            mat[[r, i]] = mat[[i, r]]
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r] = mat[r] * inv % p
-        other = np.nonzero(mat[:, c])[0]
-        other = other[other != r]
-        if len(other):
-            mat[other] = (mat[other] - np.outer(mat[other, c], mat[r])) % p
+        c = int(nz[0])
+        b[i] = b[i] * pow(int(b[i, c]), p - 2, p) % p
+        col = b[:, c].copy()
+        col[i] = 0
+        b = (b - np.outer(col, b[i])) % p
+        found.append(i)
         pivots.append(c)
-        r += 1
-    return pivots
+    return b[found], pivots
 
 
 def _nullspace_mod_p(mat, p):
     """Basis of the right nullspace of mat over F_p, one vector per row."""
-    m = mat.copy() % p
-    pivots = _rref_mod_p(m, p)
+    rows, pivots = _rref_mod_p(mat, p)
     cols = mat.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = np.zeros(cols, dtype=np.int64)
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-m[r, fc]) % p
+        for row, pc in zip(rows, pivots):
+            v[pc] = (-row[fc]) % p
         basis.append(v)
     return basis
 

@@ -1,5 +1,8 @@
 """Morphism algebra: fixed points, erasure removal, spectra, renamings."""
 
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from pdseq.morphisms import (
 )
 
 GOLDEN = (1 + 5**0.5) / 2
+PRIMES = (2, 3, 5, 7, 2**61 - 1)
 
 
 class TestFixedPoints:
@@ -107,6 +111,11 @@ class TestSpectra:
         assert abs(pf.value - GOLDEN) < 1e-9
         assert pf.tag == ExactEigenvalue.quadratic(-1, -1)
         assert str(pf.tag) == "x^2 - x - 1"
+        # the same shape with a root near 1000
+        pf = pf_eigenvalue([[0, 1], [1, 1000]])
+        assert abs(pf.value - (1000 + 1000004**0.5) / 2) < 1e-9
+        assert pf.tag == ExactEigenvalue.quadratic(-1, -1000)
+        assert str(pf.tag) == "x^2 - 1000x - 1"
 
     def test_uniform_morphisms_give_the_arity(self):
         assert pf_eigenvalue(catalog.period_doubling_morphism().incidence_matrix()).tag == ExactEigenvalue.integer(2)
@@ -130,6 +139,26 @@ class TestSpectra:
         assert abs(pf.value - 2**0.5) < 1e-9
         assert pf.tag == ExactEigenvalue.quadratic(-2, 0)
 
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tag_is_the_minimal_polynomial(self, n, data):
+        # oracle: sympy's minimal polynomial of the largest real eigenvalue
+        sympy = pytest.importorskip("sympy")
+        m = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+        x = sympy.Symbol("x")
+        root = sympy.Matrix(m).charpoly(x).real_roots()[-1]
+        coeffs = sympy.Poly(sympy.minimal_polynomial(root, x), x).all_coeffs()
+        assert coeffs[0] == 1
+        if len(coeffs) == 2:
+            want = ExactEigenvalue.integer(-coeffs[1])
+        elif len(coeffs) == 3:
+            want = ExactEigenvalue.quadratic(coeffs[2], coeffs[1])
+        else:
+            want = None
+        pf = pf_eigenvalue(m)
+        assert pf.tag == want
+        assert abs(pf.value - float(root)) < 1e-9
+
 
 class TestMultiplicativeIndependence:
     def test_integer_pairs(self):
@@ -138,6 +167,7 @@ class TestMultiplicativeIndependence:
         assert multiplicatively_independent(2, 3)
         assert multiplicatively_independent(6, 12)
         assert not multiplicatively_independent(6, 36)
+        assert multiplicatively_independent(2**61 - 1, 3)
 
     def test_golden_vs_integers(self):
         tag = ExactEigenvalue.quadratic(-1, -1)
@@ -150,16 +180,35 @@ class TestMultiplicativeIndependence:
         assert not multiplicatively_independent(sqrt2, 2)
         assert multiplicatively_independent(sqrt2, 3)
 
-    def test_same_field_quadratics(self):
+    def test_two_quadratics_refused(self):
         golden = ExactEigenvalue.quadratic(-1, -1)
         golden_sq = ExactEigenvalue.quadratic(1, -3)  # x^2-3x+1: larger root phi^2
-        assert not multiplicatively_independent(golden, golden_sq)
-
-    def test_different_fields_rejected(self):
-        golden = ExactEigenvalue.quadratic(-1, -1)
         sqrt2 = ExactEigenvalue.quadratic(-2, 0)
-        with pytest.raises(ValueError, match="field"):
-            multiplicatively_independent(golden, sqrt2)
+        lucas = [2, 1]
+        while len(lucas) <= 70:
+            lucas.append(lucas[-1] + lucas[-2])
+        # phi^n is the larger root of x^2 - L_n x + (-1)^n, and (phi^3)^70 = (phi^70)^3
+        phi3, phi70 = (ExactEigenvalue.quadratic((-1) ** n, -lucas[n]) for n in (3, 70))
+        for alpha, beta in ((golden, golden_sq), (golden, sqrt2), (phi3, phi70)):
+            with pytest.raises(ValueError, match="two quadratic"):
+                multiplicatively_independent(alpha, beta)
+
+    @given(
+        st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 4), max_size=3),
+        st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 4), max_size=3),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integers_against_factorizations(self, base, other, i, j, related):
+        # dependent exactly when the exponent vectors are proportional
+        sympy = pytest.importorskip("sympy")
+        n = prod(q**e for q, e in base.items())
+        a, b = n**i, n**j if related else prod(q**e for q, e in other.items())
+        fa, fb = sympy.factorint(a), sympy.factorint(b)
+        dependent = not fa or not fb or (fa.keys() == fb.keys() and len({Fraction(fa[q], fb[q]) for q in fa}) == 1)
+        assert multiplicatively_independent(a, b) == (not dependent)
 
 
 class TestWordUtilities:

@@ -517,3 +517,20 @@ class TestPowerRelationSearch:
         small = TruncatedSeries.identity(2, 32)
         with pytest.raises(ValueError, match="precision"):
             power_relation_search(small, 3, 8)
+
+    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rref_against_sympy(self, p, nrows, ncols, data):
+        # oracle: sympy's reduced row-echelon form over GF(p); ours holds the
+        # same nonzero rows in the order their pivots were found
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        entry = st.one_of(st.integers(0, 2), st.integers(-(2**40), 2**40))
+        mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        field = sympy.GF(p)
+        want, want_pivots = DomainMatrix([[field(x) for x in row] for row in mat], (nrows, ncols), field).rref()
+        rows, pivots = series._rref_mod_p(np.array(mat, dtype=np.int64), p)
+        order = np.argsort(pivots)
+        assert [pivots[i] for i in order] == list(want_pivots)
+        assert rows[order].tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()[: len(pivots)]]
