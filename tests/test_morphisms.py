@@ -180,18 +180,24 @@ class TestMultiplicativeIndependence:
         assert not multiplicatively_independent(sqrt2, 2)
         assert multiplicatively_independent(sqrt2, 3)
 
-    def test_two_quadratics_refused(self):
+    def test_same_field_quadratics(self):
+        # Two quadratics are refused even when they share a field and are dependent.
         golden = ExactEigenvalue.quadratic(-1, -1)
         golden_sq = ExactEigenvalue.quadratic(1, -3)  # x^2-3x+1: larger root phi^2
-        sqrt2 = ExactEigenvalue.quadratic(-2, 0)
         lucas = [2, 1]
         while len(lucas) <= 70:
             lucas.append(lucas[-1] + lucas[-2])
         # phi^n is the larger root of x^2 - L_n x + (-1)^n, and (phi^3)^70 = (phi^70)^3
         phi3, phi70 = (ExactEigenvalue.quadratic((-1) ** n, -lucas[n]) for n in (3, 70))
-        for alpha, beta in ((golden, golden_sq), (golden, sqrt2), (phi3, phi70)):
+        for alpha, beta in ((golden, golden_sq), (phi3, phi70)):
             with pytest.raises(ValueError, match="two quadratic"):
                 multiplicatively_independent(alpha, beta)
+
+    def test_different_fields_rejected(self):
+        golden = ExactEigenvalue.quadratic(-1, -1)
+        sqrt2 = ExactEigenvalue.quadratic(-2, 0)
+        with pytest.raises(ValueError, match="two quadratic"):
+            multiplicatively_independent(golden, sqrt2)
 
     @given(
         st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 4), max_size=3),
