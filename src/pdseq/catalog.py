@@ -26,6 +26,7 @@ __all__ = [
     "sequence_names",
     "cross_check",
     "CrossCheckReport",
+    "bfile_blocks",
     "bfile_lines",
 ]
 
@@ -775,12 +776,17 @@ def cross_check(name, n, extra_definitions=None):
 _BFILE_SLICE = 4096
 
 
+def bfile_blocks(name, count, offset=0):
+    """OEIS-style b-file text, '<index> <value>\\n' per term, one string per slice of terms.
+
+    Python ints and lines a slice at a time: the lines of all the terms at
+    once would add about 70 bytes per term to the peak memory.
+    """
+    values = sequence(name).prefix(count)
+    for lo in range(0, len(values), _BFILE_SLICE):
+        yield "".join(f"{i} {v}\n" for i, v in enumerate(values[lo : lo + _BFILE_SLICE].tolist(), offset + lo))
+
+
 def bfile_lines(name, count, offset=0):
     """OEIS-style b-file lines: '<index> <value>' per term."""
-    values = sequence(name).prefix(count)
-    lines = []
-    # Python ints a slice at a time: a list of all of them would add about
-    # 36 bytes per term to the peak memory
-    for lo in range(0, len(values), _BFILE_SLICE):
-        lines += [f"{i} {v}" for i, v in enumerate(values[lo : lo + _BFILE_SLICE].tolist(), offset + lo)]
-    return lines
+    return "".join(bfile_blocks(name, count, offset)).splitlines()

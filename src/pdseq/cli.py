@@ -32,11 +32,7 @@ def _parse_horizon_overrides(pairs, env=None):
 
 
 def cmd_seq(args):
-    lines = catalog.bfile_lines(args.name, args.count, offset=args.offset)
-    lines.append("")  # a newline after the last line, if any
-    text = "\n".join(lines)
-    del lines  # before writing copies the text
-    sys.stdout.write(text)
+    sys.stdout.writelines(catalog.bfile_blocks(args.name, args.count, offset=args.offset))
     return 0
 
 

@@ -25,6 +25,16 @@ class TestSeqCommand:
         assert code == 0
         assert out.splitlines() == ["1 1", "2 1", "3 2"]
 
+    def test_output_across_slices(self, capsys):
+        # more terms than one slice of catalog.bfile_blocks: one line per term, no blank line
+        from pdseq import catalog
+
+        count = 2 * catalog._BFILE_SLICE + 3
+        code, out, _ = run_cli(capsys, "seq", "u", str(count), "--offset", "2")
+        assert code == 0
+        values = catalog.sequence("u").prefix(count).tolist()
+        assert out == "".join(f"{i + 2} {v}\n" for i, v in enumerate(values))
+
 
 class TestInvertCommand:
     def test_round_trip(self, capsys, tmp_path):
