@@ -23,7 +23,7 @@ __all__ = [
     "product",
     "union",
     "minimize",
-    "count_length_n",
+    "word_counts",
 ]
 
 LSD_FIRST = "lsd"
@@ -111,19 +111,6 @@ class Dfao:
             }
         )
 
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        trans = {(s, _freeze(c)): t for s, c, t in d["transitions"]}
-        return cls(
-            [_freeze(x) for x in d["states"]],
-            d["initial"],
-            [_freeze(c) for c in d["alphabet"]],
-            trans,
-            [_freeze(x) for x in d["outputs"]],
-            d["read_order"],
-        )
-
     def to_dot(self, name="dfao"):
         """GraphViz source; parallel edges are merged into one labelled edge."""
         lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point];']
@@ -194,10 +181,6 @@ class Dfa(Dfao):
 
     def accepts(self, word):
         return bool(self.output(word))
-
-
-def _freeze(x):
-    return tuple(x) if isinstance(x, list) else x
 
 
 def evaluate(m, n, numeration):
@@ -385,20 +368,20 @@ def minimize(m):
     return reduced.canonical()
 
 
-def count_length_n(d, n):
-    """Number of accepted words of length exactly n (exact big integers).
+def word_counts(dfa, max_length):
+    """counts[n][s]: the number of words of length n that dfa accepts read from state s.
 
-    Dynamic programming on state-occupancy vectors, equivalently the n-th
-    power of the transition count matrix applied to the start vector.
+    One backward pass over the transition table, n = 0..max_length, in exact
+    big integers: a word of length n from s is a letter c followed by a word
+    of length n-1 from step(s, c).  The language's own count at length n is
+    counts[n][dfa.initial].
     """
-    counts = [0] * d.num_states
-    counts[d.initial] = 1
-    for _ in range(n):
-        nxt = [0] * d.num_states
-        for s, c in enumerate(counts):
-            if c:
-                for letter in d.alphabet:
-                    nxt[d.step(s, letter)] += c
-        counts = nxt
-    return sum(c for s, c in enumerate(counts) if d.outputs[s])
-
+    if max_length < 0:
+        raise ValueError(f"word length {max_length} is negative")
+    table = dfa.transition_table()
+    row = np.array([int(bool(o)) for o in dfa.outputs], dtype=object)
+    counts = [row.tolist()]
+    for _ in range(max_length):
+        row = row[table].sum(axis=1)
+        counts.append(row.tolist())
+    return counts

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import automata, series
 from .automata import Dfa, Dfao
-from .morphisms import Morphism, fixed_point_prefix, morphic_word_prefix
+from .morphisms import Morphism, fixed_point_prefix, morphic_word_prefix, run_lengths
+from .numeration import fibonacci_numbers
 
 __all__ = [
     "NamedSequence",
@@ -108,19 +109,6 @@ def run_length_word_prefix(n):
         out.extend(images[out[ptr]])
         ptr += 1
     return np.frombuffer(bytes(out[:n]), dtype=np.uint8).astype(np.int64)
-
-
-def fibonacci_numbers(limit=None, count=None):
-    """The sequence 1, 1, 2, 3, 5, ... as Python ints."""
-    fs = [1, 1]
-    while (limit is not None and fs[-1] <= limit) or (count is not None and len(fs) < count):
-        fs.append(fs[-1] + fs[-2])
-    if limit is not None:
-        while fs and fs[-1] > limit:
-            fs.pop()
-    if count is not None:
-        fs = fs[:count]
-    return fs
 
 
 # -- morphisms of the catalog -----------------------------------------------
@@ -411,14 +399,13 @@ class NamedSequence:
     _cache: np.ndarray = field(default=None, repr=False)
 
     def prefix(self, n):
+        if n < 0:
+            raise ValueError(f"cannot take {n} terms of {self.name}: the count is negative")
         if self._cache is None or len(self._cache) < n:
             data = np.asarray(self.build(max(n, 64)))
             data.setflags(write=False)
             self._cache = data
         return self._cache[:n]
-
-    def term(self, n):
-        return int(self.prefix(n + 1)[n])
 
 
 def _first_hits(prefix, hit, count, size):
@@ -503,11 +490,9 @@ def _t_via_morphism(count):
 
 
 def _p_via_run_lengths(count):
-    from .morphisms import run_lengths
-
-    t = sequence("t")
-    need = 4 * count + 16
-    return np.array(run_lengths(iter(t.prefix(need).tolist()), count), dtype=np.int64)
+    # Thue-Morse runs have length 1 or 2, so 4*count+16 terms hold more
+    # than count complete runs
+    return run_lengths(sequence("t").prefix(4 * count + 16))[:count]
 
 
 def _p_via_doubled_morphism(count):
@@ -571,22 +556,13 @@ def _d_complement_is_tm_difference(n):
 def _a_mod3_run_identity(n):
     """Run lengths of (a mod 3) follow the Fibonacci numbers."""
     a = sequence("a").prefix(n).astype(np.int64)
-    runs = _run_lengths_of_array(a % 3)
+    runs = run_lengths(a % 3)
     fib = fibonacci_numbers(count=len(runs))
     complete = runs[:-1]  # last run may be cut by the horizon
     for i, r in enumerate(complete):
         if r != fib[i]:
             return False, f"run {i}: length {r} != F({i})={fib[i]}"
     return True, None
-
-
-def _run_lengths_of_array(arr):
-    if len(arr) == 0:
-        return []
-    boundaries = np.nonzero(np.diff(arr) != 0)[0]
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [len(arr)]])
-    return [int(e - s) for s, e in zip(starts, ends)]
 
 
 _REGISTRY = {}

@@ -169,23 +169,25 @@ def check_run_length_identities(n=100_000):
 
 
 def check_complexity(n_max=15):
-    fib = catalog.fibonacci_numbers(count=2 * n_max + 2)
+    fib = numeration.fibonacci_numbers(count=2 * n_max + 2)
     lprime = catalog.blocks_language_dfa()
+    lprime_counts = [row[lprime.initial] for row in automata.word_counts(lprime, 30)]
     la = catalog.ones_positions_language_dfa()
+    la_counts = [row[la.initial] for row in automata.word_counts(la, 2 * n_max + 1)]
     parts = []
     for n in range(31):
-        got = automata.count_length_n(lprime, n)
+        got = lprime_counts[n]
         parts.append((got == fib[n], f"blocks language count({n})={got} != F({n})={fib[n]}"))
     boundaries = {0: 0, 1: 1, 2: 0}
     for n, want in boundaries.items():
-        got = automata.count_length_n(la, n)
+        got = la_counts[n]
         parts.append((got == want, f"count({n})={got} != {want}"))
     for n in range(2, n_max + 1):
-        got = automata.count_length_n(la, 2 * n)
+        got = la_counts[2 * n]
         want = fib[2 * n - 2] - 1
         parts.append((got == want, f"even count({2 * n})={got} != {want}"))
     for n in range(1, n_max + 1):
-        got = automata.count_length_n(la, 2 * n + 1)
+        got = la_counts[2 * n + 1]
         want = fib[2 * n - 1] + 1
         parts.append((got == want, f"odd count({2 * n + 1})={got} != {want}"))
     return _fail(parts) + (f"lengths to {2 * n_max + 1}",)
@@ -193,7 +195,7 @@ def check_complexity(n_max=15):
 
 def check_mod3_structure(limit=1 << 27):
     parts = []
-    fib = catalog.fibonacci_numbers(count=90)
+    fib = numeration.fibonacci_numbers(count=90)
     # summation identities on the Fibonacci numbers
     for n in range(1, 41):
         lhs = sum(fib[2 * ell] for ell in range(n))
@@ -218,7 +220,7 @@ def check_mod3_structure(limit=1 << 27):
 
     # run lengths of (a mod 3) follow the Fibonacci numbers
     a_big = catalog.inverse_pd_ones_below(limit)
-    runs = catalog._run_lengths_of_array(a_big % 3)
+    runs = morphisms.run_lengths(a_big % 3)
     complete = runs[:-1]
     parts.append((len(complete) >= 25, f"only {len(complete)} complete runs below {limit}"))
     for i, r in enumerate(complete):
@@ -329,7 +331,7 @@ def check_numeration(n=100_000):
     # the i-th word of L_F has Zeckendorf value i exactly when it is the
     # greedy representation of i (Zeckendorf's theorem)
     words = automata.genealogical_words(catalog.zeckendorf_language_dfa(), n)[0]
-    weights = catalog.fibonacci_numbers(count=int(words.max(initial=0)).bit_length() + 1)[1:]
+    weights = numeration.fibonacci_numbers(count=int(words.max(initial=0)).bit_length() + 1)[1:]
     values = sum(((words >> j) & 1) * w for j, w in enumerate(weights))
     bad = next(iter(np.flatnonzero(values != np.arange(n))), None)
     parts.append((bad is None, f"unrank and greedy differ first at {bad}"))

@@ -19,11 +19,9 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _parse_horizon_overrides(pairs, env=None):
+def _parse_horizon_overrides(pairs):
     overrides = {}
-    env_value = (env or os.environ).get("PDSEQ_HORIZONS", "")
-    chunks = [c for c in env_value.split(",") if c.strip()]
-    for chunk in chunks + list(pairs or []):
+    for chunk in pairs:
         if "=" not in chunk:
             raise ValueError(f"horizon override {chunk!r} is not of the form id=value")
         key, value = chunk.split("=", 1)
@@ -95,7 +93,7 @@ def cmd_dfao(args):
 
 def cmd_complexity(args):
     dfa = catalog.language(args.language)
-    counts = [automata.count_length_n(dfa, n) for n in range(args.count + 1)]
+    counts = [row[dfa.initial] for row in automata.word_counts(dfa, args.count)]
     if args.format == "json":
         sys.stdout.write(json.dumps({"language": args.language, "counts": [str(c) for c in counts]}) + "\n")
     else:
@@ -188,7 +186,7 @@ def build_parser():
         action="append",
         default=[],
         metavar="ID=VALUE",
-        help="override the main horizon of one check (also PDSEQ_HORIZONS env)",
+        help="override the main horizon of one check",
     )
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--list", action="store_true", help="list known check ids and exit")
@@ -211,6 +209,9 @@ def main(argv=None):
         return USAGE_ERROR
     except MemoryError as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return USAGE_ERROR
+    except OverflowError as exc:
+        sys.stderr.write(f"error: integer overflow: {exc}\n")
         return USAGE_ERROR
 
 

@@ -42,12 +42,11 @@ class HorizonError(ValueError):
     """Fingerprints collided at H but diverged on the verification window."""
 
 
-def _prefix_provider(seq):
-    if callable(seq):
-        return seq
-    if hasattr(seq, "prefix"):
-        return seq.prefix
-    raise TypeError("sequence source must be callable or expose .prefix(n)")
+def _check_arguments(k, horizon):
+    if k < 2:
+        raise ValueError("base must be at least 2")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -70,16 +69,15 @@ class KernelAnalysis:
         return len(self.classes)
 
 
-def compute_kernel(seq, k, max_depth=10, horizon=512):
+def compute_kernel(prefix, k, max_depth=10, horizon=512):
     """Breadth-first closure of the k-kernel under fingerprint merging.
 
     Fingerprints are the first `horizon` subsequence terms; a merge is
     accepted only if the two subsequences also agree on 4*horizon terms
     (HorizonError otherwise).  Merges are applied in ascending residue order.
+    prefix(n) returns the first n terms of the sequence.
     """
-    prefix = _prefix_provider(seq)
-    if k < 2:
-        raise ValueError("base must be at least 2")
+    _check_arguments(k, horizon)
     H = int(horizon)
 
     classes = []
@@ -290,15 +288,16 @@ class _ModularRank:
         return self.modulus**2 > r1**r1 * self.max_abs ** (2 * r1)
 
 
-def rank_profile(seq, k, max_depth=8, horizon=512):
+def rank_profile(prefix, k, max_depth=8, horizon=512):
     """Distinct-class counts and exact rational ranks per kernel depth.
 
     Counts and ranks are cumulative over scales 0..depth.  A rank that
     stops growing is consistent with k-regularity at this horizon;
     unbounded growth is evidence against it.  No claim is made beyond the
-    horizon: fingerprints here are horizon-relative by design.
+    horizon: fingerprints here are horizon-relative by design.  prefix(n)
+    returns the first n terms of the sequence.
     """
-    prefix = _prefix_provider(seq)
+    _check_arguments(k, horizon)
     H = int(horizon)
     seen = set()
     tracker = _ModularRank(H)

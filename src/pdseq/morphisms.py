@@ -63,9 +63,6 @@ class Morphism:
                 raise ValueError(f"letter {a!r} outside the domain alphabet") from None
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, Morphism) and self.rules == other.rules
-
     def __repr__(self):
         body = ", ".join(f"{a}->{''.join(map(str, w))}" for a, w in self.rules.items())
         return f"Morphism({body})"
@@ -463,31 +460,17 @@ def _dependent(x, y):
 # -- word utilities ---------------------------------------------------------
 
 
-def run_lengths(stream, n):
-    """Lengths of the first n maximal blocks of equal consecutive letters.
+def run_lengths(values):
+    """Lengths of the maximal blocks of equal consecutive values, as an int64 array.
 
-    The stream must extend past the n-th block so the block is known to be
-    complete; otherwise a ValueError is raised.
+    One scan over the whole input; the last block may be cut off by the end
+    of the input.
     """
-    if n <= 0:
-        return ()
-    out = []
-    it = iter(stream)
-    try:
-        current = next(it)
-    except StopIteration:
-        raise ValueError("empty stream") from None
-    count = 1
-    for letter in it:
-        if letter == current:
-            count += 1
-        else:
-            out.append(count)
-            if len(out) == n:
-                return tuple(out)
-            current = letter
-            count = 1
-    raise ValueError(f"stream ended with only {len(out)} complete blocks")
+    values = np.asarray(values)
+    if not len(values):
+        return np.zeros(0, dtype=np.int64)
+    ends = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return np.diff(np.concatenate([[0], ends, [len(values)]]))
 
 
 def equivalent_up_to_renaming(f1, g1, seed1, f2, g2, seed2):

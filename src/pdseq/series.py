@@ -261,9 +261,6 @@ class TruncatedSeries:
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs.tobytes()))
-
     def __repr__(self):
         head = ",".join(str(int(c)) for c in self.coeffs[:12])
         tail = ",..." if self.precision > 12 else ""
@@ -273,40 +270,8 @@ class TruncatedSeries:
         if self.p != other.p:
             raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
 
-    def truncate(self, precision):
-        if precision > self.precision:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.p, self.coeffs[:precision])
-
     def is_zero(self):
         return not self.coeffs.any()
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(self.p, (self.coeffs[:n] + other.coeffs[:n]) % self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(self.p, (self.coeffs[:n] - other.coeffs[:n]) % self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(self.p, (self.coeffs * (other % self.p)) % self.p)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_same_field(other)
-            return other
-        if isinstance(other, int):
-            c = np.zeros(self.precision, dtype=np.int64)
-            c[0] = other % self.p
-            return TruncatedSeries(self.p, c)
-        raise TypeError(f"cannot combine series with {type(other)!r}")
 
     def frobenius(self, i=1):
         """The series with X replaced by X^(p^i), truncated to this precision."""
@@ -583,14 +548,6 @@ class PolyRelation:
                 ],
             }
         )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        terms = tuple(
-            (tuple(t["coeffs"]), tuple(t["pattern"])) for t in data["terms"]
-        )
-        return cls(data["p"], terms)
 
     def scaled(self, c):
         """The relation with every coefficient polynomial multiplied by c."""

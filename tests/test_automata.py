@@ -1,5 +1,7 @@
 """Automata: evaluation, product, minimization, counting, serialization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,23 +10,28 @@ from pdseq import catalog, numeration
 from pdseq.automata import (
     Dfa,
     Dfao,
-    count_length_n,
     evaluate,
     evaluate_range,
     genealogical_words,
     minimize,
     product,
     union,
+    word_counts,
 )
 
 
-def all_words(length):
-    for v in range(1 << length):
-        yield tuple((v >> (length - 1 - i)) & 1 for i in range(length))
+def all_words(length, k=2):
+    """Every word of the given length over the letters 0..k-1, in lexicographic order."""
+    return itertools.product(range(k), repeat=length)
 
 
 def brute_count(dfa, length):
-    return sum(1 for w in all_words(length) if dfa.accepts(w))
+    return sum(1 for w in all_words(length, len(dfa.alphabet)) if dfa.accepts(w))
+
+
+def language_counts(dfa, max_length):
+    """The number of words of each length 0..max_length that dfa accepts."""
+    return [row[dfa.initial] for row in word_counts(dfa, max_length)]
 
 
 @st.composite
@@ -181,29 +188,41 @@ class TestMinimize:
 class TestCounting:
     def test_blocks_language_counts_are_fibonacci(self):
         lprime = catalog.blocks_language_dfa()
-        got = [count_length_n(lprime, n) for n in range(7)]
-        assert got == [1, 1, 2, 3, 5, 8, 13]
+        assert language_counts(lprime, 6) == [1, 1, 2, 3, 5, 8, 13]
 
     def test_counts_match_brute_force(self):
         for dfa in (catalog.blocks_language_dfa(), catalog.ones_positions_language_dfa(), catalog.zeckendorf_language_dfa()):
-            for n in range(9):
-                assert count_length_n(dfa, n) == brute_count(dfa, n)
+            assert language_counts(dfa, 8) == [brute_count(dfa, n) for n in range(9)]
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_counts_match_brute_force_from_every_state(self, k, data):
+        dfa = data.draw(automata_over(Dfa, k, "msd"))
+        counts = word_counts(dfa, 8)
+        assert len(counts) == 9
+        for s in range(dfa.num_states):
+            from_s = Dfa(dfa.labels, s, dfa.alphabet, dfa.transitions, dfa.outputs, dfa.read_order)
+            n = data.draw(st.integers(0, 8))
+            assert counts[n][s] == brute_count(from_s, n)
+
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            word_counts(catalog.blocks_language_dfa(), -1)
 
     def test_ones_positions_small_counts(self):
         la = catalog.ones_positions_language_dfa()
-        assert count_length_n(la, 4) == 1  # 1101 only
-        assert count_length_n(la, 5) == 4  # 11111, 11101, 10001, 10111
+        assert language_counts(la, 5)[4:] == [1, 4]  # 1101; 11111, 11101, 10001, 10111
         accepted = [w for w in all_words(5) if la.accepts(w)]
         as_strings = {"".join(map(str, w)) for w in accepted}
         assert as_strings == {"11111", "11101", "10001", "10111"}
 
     def test_empty_language(self):
         dead = Dfa(("q",), 0, (0, 1), {(0, 0): 0, (0, 1): 0}, (False,), "msd")
-        assert all(count_length_n(dead, n) == 0 for n in range(10))
+        assert language_counts(dead, 9) == [0] * 10
 
     def test_counts_grow_beyond_machine_words(self):
         lprime = catalog.blocks_language_dfa()
-        big = count_length_n(lprime, 400)
+        big = language_counts(lprime, 400)[-1]
         assert big > 1 << 64  # exact big integers required
 
     def test_cumulative_count_equals_rank(self):
@@ -211,8 +230,9 @@ class TestCounting:
         # accepted word of length n+1 in genealogical order
         dfa = catalog.zeckendorf_language_dfa()
         ans = numeration.Ans(dfa)
+        counts = language_counts(dfa, 11)
         for n in range(0, 12):
-            total = sum(count_length_n(dfa, k) for k in range(n + 1))
+            total = sum(counts[: n + 1])
             first_longer = ans.rep(total)
             assert len(first_longer) == n + 1
 
@@ -238,13 +258,6 @@ class TestCounting:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        for m in (catalog.inverse_pd_dfao(), catalog.zeckendorf_language_dfa()):
-            back = type(m).from_json(m.to_json())
-            assert back.same_up_to_renaming(m)
-            assert back.labels == m.labels
-            assert back.read_order == m.read_order
-
     def test_dot_output(self):
         dot = catalog.period_doubling_dfao().to_dot("pd")
         assert dot.startswith("digraph pd {")
@@ -253,5 +266,5 @@ class TestSerialization:
 
     def test_union_language(self):
         u = union(catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa())
-        for n in range(8):
-            assert count_length_n(u, n) == brute_count(catalog.ones_positions_language_dfa(), n)
+        la = catalog.ones_positions_language_dfa()
+        assert language_counts(u, 7) == [brute_count(la, n) for n in range(8)]

@@ -30,11 +30,8 @@ class TestListings:
         assert catalog.sequence("b").prefix(10).tolist() == B_PREFIX
 
     def test_fibonacci_and_indicator(self):
-        f = catalog.sequence("F")
-        assert [f.term(n) for n in range(6)] == [1, 1, 2, 3, 5, 8]
-        x = catalog.sequence("x")
-        assert [x.term(n) for n in (1, 2, 3, 4, 5)] == [1, 1, 1, 0, 1]
-        assert x.term(0) == 0
+        assert catalog.sequence("F").prefix(6).tolist() == [1, 1, 2, 3, 5, 8]
+        assert catalog.sequence("x").prefix(6).tolist() == [0, 1, 1, 1, 0, 1]
 
     def test_run_length_word(self):
         assert catalog.sequence("p").prefix(8).tolist() == [1, 2, 1, 1, 2, 2, 2, 1]
@@ -46,6 +43,11 @@ class TestListings:
 
     def test_empty_prefix(self):
         assert len(catalog.sequence("d").prefix(0)) == 0
+
+    def test_negative_count_refused(self):
+        # a negative count would slice from the end of the cached prefix
+        with pytest.raises(ValueError, match="negative"):
+            catalog.sequence("u").prefix(-3)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown sequence"):

@@ -1,6 +1,7 @@
 """Command-line interface and check-suite plumbing."""
 
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,14 @@ class TestComplexityCommand:
         assert code == 0
         assert out == "0 1\n1 1\n2 2\n3 3\n4 5\n5 8\n6 13\n"
 
+    def test_long_lengths_within_budget(self, capsys):
+        # one table of counts, not a recount from scratch for every length
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "complexity", "la", "1500")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert len(out.splitlines()) == 1501
+
 
 class TestOreCommand:
     def test_inverse_pd_relation(self, capsys):
@@ -178,16 +187,35 @@ class TestCheckCommand:
         assert code == 0
         assert "n<1000" in out
 
-    def test_env_horizon(self, capsys, monkeypatch):
-        monkeypatch.setenv("PDSEQ_HORIZONS", "lemma-4.5=500")
-        code, out, _ = run_cli(capsys, "check", "lemma-4.5")
-        assert code == 0
-        assert "n<500" in out
-
     def test_bad_override_format(self, capsys):
         code, _, err = run_cli(capsys, "check", "--horizon", "oops")
         assert code == 2
         assert "id=value" in err
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq", "z", "-5"),
+            ("complexity", "la", "-1"),
+            ("kernel", "u", "--k", "1"),
+            ("dfao", "u", "--horizon", "0"),
+            ("kernel", "F"),
+            ("ore", "gf:F"),
+        ],
+        ids=["seq-negative", "complexity-negative", "kernel-k1", "dfao-horizon0", "kernel-F", "ore-F"],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_overflow_is_named(self, capsys):
+        _, _, err = run_cli(capsys, "kernel", "F")
+        assert "overflow" in err
 
 
 class TestRunPaperChecks:

@@ -124,6 +124,14 @@ class TestRankProfile:
         assert reps[0]["scale"] == 0 and reps[0]["residue"] == 0
         assert len(reps[0]["fingerprint"]) == 32
 
+    @pytest.mark.parametrize("fn", [rank_profile, compute_kernel])
+    def test_arguments_checked(self, fn):
+        prefix = catalog.sequence("u").prefix
+        with pytest.raises(ValueError, match="base"):
+            fn(prefix, 1, horizon=64)
+        with pytest.raises(ValueError, match="horizon"):
+            fn(prefix, 2, horizon=0)
+
     def test_class_counts_nondecreasing_in_horizon(self):
         # a longer fingerprint can only split classes, never merge them
         for name in ("p", "z", "u"):

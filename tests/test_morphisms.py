@@ -1,5 +1,6 @@
 """Morphism algebra: fixed points, erasure removal, spectra, renamings."""
 
+import itertools
 from fractions import Fraction
 from math import prod
 
@@ -219,16 +220,26 @@ class TestMultiplicativeIndependence:
 
 class TestWordUtilities:
     def test_thue_morse_run_lengths(self):
-        t = catalog.sequence("t").prefix(64).tolist()
-        assert run_lengths(t, 8) == (1, 2, 1, 1, 2, 2, 2, 1)
+        t = catalog.sequence("t").prefix(64)
+        assert run_lengths(t)[:8].tolist() == [1, 2, 1, 1, 2, 2, 2, 1]
 
     def test_staircase(self):
         word = [0] * 1 + [1] * 2 + [0] * 3 + [1] * 4 + [0] * 5
-        assert run_lengths(word, 4) == (1, 2, 3, 4)
+        assert run_lengths(word).tolist() == [1, 2, 3, 4, 5]
 
     def test_unterminated_block(self):
-        with pytest.raises(ValueError, match="blocks"):
-            run_lengths([7, 7, 7, 7], 1)
+        # the block that the end of the input cuts off is reported as it stands
+        assert run_lengths([7, 7, 7, 7]).tolist() == [4]
+        assert run_lengths([1, 7, 7]).tolist() == [1, 2]
+
+    @given(st.lists(st.integers(-2, 2), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_groupby(self, values):
+        want = [len(list(group)) for _, group in itertools.groupby(values)]
+        assert run_lengths(values).tolist() == want
+
+    def test_empty_input(self):
+        assert run_lengths([]).tolist() == []
 
 
 class TestRenaming:
