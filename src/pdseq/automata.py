@@ -2,14 +2,18 @@
 
 Automata are immutable after construction.  States are indexed 0..n-1 with
 optional labels; the input alphabet is an ordered tuple of letters (digits
-are plain ints).  A DFAO carries one output letter per state; a DFA is the
-special case of boolean outputs.  Every automaton declares whether input
-words are fed least-significant-digit first or most-significant first, so a
-convention mismatch is a type-level error instead of a silent bug.
+are plain ints).  The transitions are one int64 table, table[s, j] the
+successor of state s on alphabet[j]; canonical form, minimization, product,
+union, counting and vectorized evaluation all work on it.  A DFAO carries
+one output letter per state; a DFA is the special case of boolean outputs.
+Every automaton declares whether input words are fed least-significant-digit
+first or most-significant first, so a convention mismatch is a type-level
+error instead of a silent bug.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -31,11 +35,15 @@ MSD_FIRST = "msd"
 
 
 class Dfao:
-    """Deterministic finite automaton with an output letter on each state."""
+    """Deterministic finite automaton with an output letter on each state.
 
-    __slots__ = ("labels", "initial", "alphabet", "transitions", "outputs", "read_order", "_letter_index", "_table")
+    table[s, j] is the successor of state s on alphabet[j]: one read-only
+    int64 array, validated once here, that every operation works on.
+    """
 
-    def __init__(self, labels, initial, alphabet, transitions, outputs, read_order):
+    __slots__ = ("labels", "initial", "alphabet", "table", "outputs", "read_order")
+
+    def __init__(self, labels, initial, alphabet, table, outputs, read_order):
         labels = tuple(labels)
         alphabet = tuple(alphabet)
         n = len(labels)
@@ -45,32 +53,21 @@ class Dfao:
             raise ValueError(f"read_order must be {LSD_FIRST!r} or {MSD_FIRST!r}")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        trans = {}
-        for (s, c), t in transitions.items():
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"transition ({s},{c!r})->{t} out of range")
-            if c not in alphabet:
-                raise ValueError(f"transition letter {c!r} not in alphabet")
-            trans[(s, c)] = t
-        for s in range(n):
-            for c in alphabet:
-                if (s, c) not in trans:
-                    raise ValueError(f"transition missing for state {s} on {c!r}")
+        table = np.array(table, dtype=np.int64)
+        if table.shape != (n, len(alphabet)):
+            raise ValueError(f"transition table of shape {table.shape}, expected {(n, len(alphabet))}")
+        if table.size and not (table.min() >= 0 and table.max() < n):
+            raise ValueError("transition target out of range")
         outputs = tuple(outputs)
         if len(outputs) != n:
             raise ValueError("one output letter per state required")
+        table.setflags(write=False)
         self.labels = labels
         self.initial = initial
         self.alphabet = alphabet
-        self.transitions = trans
+        self.table = table
         self.outputs = outputs
         self.read_order = read_order
-        self._letter_index = {c: i for i, c in enumerate(alphabet)}
-        table = np.empty((n, len(alphabet)), dtype=np.int64)
-        for (s, c), t in trans.items():
-            table[s, self._letter_index[c]] = t
-        table.setflags(write=False)
-        self._table = table
 
     @property
     def num_states(self):
@@ -78,10 +75,10 @@ class Dfao:
 
     def step(self, state, letter):
         try:
-            j = self._letter_index[letter]
-        except KeyError:
+            j = self.alphabet.index(letter)
+        except ValueError:
             raise ValueError(f"letter {letter!r} outside the input alphabet") from None
-        return int(self._table[state, j])
+        return int(self.table[state, j])
 
     def final_state(self, word):
         s = self.initial
@@ -93,19 +90,17 @@ class Dfao:
         """Output letter after feeding word in the automaton's own order."""
         return self.outputs[self.final_state(word)]
 
-    def transition_table(self):
-        """Dense (state, letter index) -> state array; read-only view."""
-        return self._table
-
     # -- serialization --------------------------------------------------
 
     def to_json(self):
+        letters = sorted(range(len(self.alphabet)), key=lambda j: str(self.alphabet[j]))
+        rows = self.table.tolist()
         return json.dumps(
             {
                 "states": list(self.labels),
                 "initial": self.initial,
                 "alphabet": list(self.alphabet),
-                "transitions": [[s, c, t] for (s, c), t in sorted(self.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))],
+                "transitions": [[s, self.alphabet[j], row[j]] for s, row in enumerate(rows) for j in letters],
                 "outputs": list(self.outputs),
                 "read_order": self.read_order,
             }
@@ -118,8 +113,9 @@ class Dfao:
             lines.append(f'  q{i} [shape=circle, label="{lab}/{self.outputs[i]}"];')
         lines.append(f"  __start -> q{self.initial};")
         merged = {}
-        for (s, c), t in self.transitions.items():
-            merged.setdefault((s, t), []).append(c)
+        for s, row in enumerate(self.table.tolist()):
+            for c, t in zip(self.alphabet, row):
+                merged.setdefault((s, t), []).append(c)
         for (s, t), letters in sorted(merged.items()):
             lab = ",".join(str(c) for c in sorted(letters, key=str))
             lines.append(f'  q{s} -> q{t} [label="{lab}"];')
@@ -134,27 +130,21 @@ class Dfao:
         Two automata are identical up to state renaming exactly when their
         canonical forms compare equal.  Unreachable states are dropped.
         """
+        rows = self.table.tolist()
         order = [self.initial]
         seen = {self.initial}
-        i = 0
-        while i < len(order):
-            s = order[i]
-            i += 1
-            for c in self.alphabet:
-                t = self.step(s, c)
+        for s in order:
+            for t in rows[s]:
                 if t not in seen:
                     seen.add(t)
                     order.append(t)
-        renum = {old: new for new, old in enumerate(order)}
-        trans = {}
-        for old in order:
-            for c in self.alphabet:
-                trans[(renum[old], c)] = renum[self.step(old, c)]
+        renumber = np.zeros(self.num_states, dtype=np.int64)
+        renumber[order] = np.arange(len(order))
         return type(self)(
             [self.labels[old] for old in order],
             0,
             self.alphabet,
-            trans,
+            renumber[self.table[order]],
             [self.outputs[old] for old in order],
             self.read_order,
         )
@@ -164,20 +154,15 @@ class Dfao:
         if (self.alphabet, self.read_order) != (other.alphabet, other.read_order):
             return False
         a, b = self.canonical(), other.canonical()
-        return (
-            a.num_states == b.num_states
-            and a.outputs == b.outputs
-            and all(a.transitions[k] == b.transitions[k] for k in a.transitions)
-        )
-
+        return a.outputs == b.outputs and np.array_equal(a.table, b.table)
 
 
 class Dfa(Dfao):
     """Acceptor: outputs are booleans (True on accepting states)."""
 
-    def __init__(self, labels, initial, alphabet, transitions, accepting, read_order):
+    def __init__(self, labels, initial, alphabet, table, accepting, read_order):
         outputs = tuple(bool(x) for x in accepting)
-        super().__init__(labels, initial, alphabet, transitions, outputs, read_order)
+        super().__init__(labels, initial, alphabet, table, outputs, read_order)
 
     def accepts(self, word):
         return bool(self.output(word))
@@ -214,8 +199,7 @@ def genealogical_words(language, count, m=None):
     if m.alphabet != language.alphabet:
         raise ValueError("alphabet mismatch between the language and the automaton")
     k, nm = len(language.alphabet), m.num_states
-    # pair state s = (language state) * nm + (m state): one gather per length
-    table = (language.transition_table()[:, None, :] * nm + m.transition_table()[None, :, :]).reshape(-1, k)
+    table = _pair_table(language, m)  # one gather per length
     accepting = np.repeat(np.array(language.outputs, dtype=bool), nm)
     live = np.repeat(_coaccessible(language), nm)
     states = np.array([language.initial * nm + m.initial], dtype=np.int64)
@@ -244,10 +228,9 @@ def genealogical_words(language, count, m=None):
 
 def _coaccessible(dfa):
     """Boolean mask of the states from which some accepting state is reachable."""
-    table = dfa.transition_table()
     live = np.array(dfa.outputs, dtype=bool)
     while True:
-        grown = live | live[table].any(axis=1)
+        grown = live | live[dfa.table].any(axis=1)
         if np.array_equal(grown, live):
             return live
         live = grown
@@ -255,8 +238,8 @@ def _coaccessible(dfa):
 
 def _base_k_language(k):
     """MSD-first acceptor of the base-k representations: empty or no leading zero."""
-    trans = {(s, d): 2 if s == 2 or (s, d) == (0, 0) else 1 for s in range(3) for d in range(k)}
-    return Dfa(("start", "digits", "dead"), 0, range(k), trans, (True, True, False), MSD_FIRST)
+    table = [[2] + [1] * (k - 1), [1] * k, [2] * k]
+    return Dfa(("start", "digits", "dead"), 0, range(k), table, (True, True, False), MSD_FIRST)
 
 
 def evaluate_range(m, count, language=None):
@@ -278,16 +261,20 @@ def evaluate_range(m, count, language=None):
         raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
     if m.read_order == MSD_FIRST:
         return outputs[genealogical_words(_base_k_language(k), count, m)[1]]
-    table = m.transition_table()
     # states[v] is the state after reading the length-L digit string v
     # LSD-first; a new leading digit d is read last and gives v' = d*k^L + v
     states = np.array([m.initial], dtype=np.int64)
     pieces = [states]
     while k ** (len(pieces) - 1) < count:
         lower = len(states)
-        states = table[states].T.ravel()
+        states = m.table[states].T.ravel()
         pieces.append(states[lower:])  # the strings without a leading zero
     return outputs[np.concatenate(pieces)[:count]]
+
+
+def _pair_table(a, b):
+    """Transition table on pairs: state (sa, sb) is numbered sa * |b| + sb."""
+    return (a.table[:, None, :] * b.num_states + b.table[None, :, :]).reshape(-1, len(a.alphabet))
 
 
 def product(a, b):
@@ -296,92 +283,61 @@ def product(a, b):
         raise ValueError("alphabet mismatch in product")
     if a.read_order != b.read_order:
         raise ValueError("read-order mismatch in product")
-    start = (a.initial, b.initial)
-    order = [start]
-    index = {start: 0}
-    trans = {}
-    i = 0
-    while i < len(order):
-        sa, sb = order[i]
-        for c in a.alphabet:
-            t = (a.step(sa, c), b.step(sb, c))
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            trans[(i, c)] = index[t]
-        i += 1
-    labels = [f"({a.labels[sa]},{b.labels[sb]})" for sa, sb in order]
-    outputs = [(a.outputs[sa], b.outputs[sb]) for sa, sb in order]
-    return Dfao(labels, 0, a.alphabet, trans, outputs, a.read_order)
-
-
-def map_outputs(m, fn, as_dfa=False):
-    """Copy of m with each state output replaced by fn(output)."""
-    outs = [fn(o) for o in m.outputs]
-    cls = Dfa if as_dfa else Dfao
-    return cls(m.labels, m.initial, m.alphabet, m.transitions, outs, m.read_order)
+    pairs = [(sa, sb) for sa in range(a.num_states) for sb in range(b.num_states)]
+    labels = [f"({a.labels[sa]},{b.labels[sb]})" for sa, sb in pairs]
+    outputs = [(a.outputs[sa], b.outputs[sb]) for sa, sb in pairs]
+    start = a.initial * b.num_states + b.initial
+    return Dfao(labels, start, a.alphabet, _pair_table(a, b), outputs, a.read_order).canonical()
 
 
 def union(a, b):
     """DFA accepting the union of two languages over the same alphabet."""
     prod = product(a, b)
-    return map_outputs(prod, lambda pair: bool(pair[0]) or bool(pair[1]), as_dfa=True)
+    accepting = [bool(x) or bool(y) for x, y in prod.outputs]
+    return Dfa(prod.labels, prod.initial, prod.alphabet, prod.table, accepting, prod.read_order)
 
 
 def minimize(m):
     """Moore minimization: merge states with equal behaviour.
 
     Partition refinement seeded by output letters; unreachable states are
-    dropped first and the result is renumbered canonically (BFS order), so
-    minimizing two behaviour-equal automata yields identical tables.
+    dropped first, each block keeps the label of its first state, and the
+    result is renumbered canonically (BFS order), so minimizing two
+    behaviour-equal automata yields identical tables.
     """
     m = m.canonical()
-    n = m.num_states
-    # block id per state, seeded by outputs
-    outs = {}
-    block = [0] * n
-    for s in range(n):
-        block[s] = outs.setdefault(m.outputs[s], len(outs))
+    seeds = {}
+    block = np.array([seeds.setdefault(o, len(seeds)) for o in m.outputs], dtype=np.int64)
+    count = len(seeds)
     while True:
-        signatures = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s],) + tuple(block[m.step(s, c)] for c in m.alphabet)
-            new_block[s] = signatures.setdefault(sig, len(signatures))
-        if len(signatures) == len(set(block)):
-            block = new_block
+        # a state's new block is its old block and the old blocks of its successors
+        _, first, inverse = np.unique(
+            np.column_stack([block, block[m.table]]), axis=0, return_index=True, return_inverse=True
+        )
+        block = inverse.reshape(-1)  # its shape differs between numpy versions
+        if len(first) == count:
             break
-        block = new_block
-    nblocks = len(set(block))
-    rep = {}
-    for s in range(n):
-        rep.setdefault(block[s], s)
-    trans = {}
-    outputs = [None] * nblocks
-    labels = [None] * nblocks
-    for b, s in rep.items():
-        outputs[b] = m.outputs[s]
-        labels[b] = m.labels[s]
-        for c in m.alphabet:
-            trans[(b, c)] = block[m.step(s, c)]
-    reduced = type(m)(labels, block[m.initial], m.alphabet, trans, outputs, m.read_order)
-    return reduced.canonical()
+        count = len(first)
+    return type(m)(
+        [m.labels[s] for s in first],
+        int(block[m.initial]),
+        m.alphabet,
+        block[m.table[first]],
+        [m.outputs[s] for s in first],
+        m.read_order,
+    ).canonical()
 
 
 def word_counts(dfa, max_length):
-    """counts[n][s]: the number of words of length n that dfa accepts read from state s.
+    """Rows n = 0..max_length, one at a time: row[s] is the number of words
+    of length n that dfa accepts read from state s.
 
-    One backward pass over the transition table, n = 0..max_length, in exact
-    big integers: a word of length n from s is a letter c followed by a word
-    of length n-1 from step(s, c).  The language's own count at length n is
-    counts[n][dfa.initial].
+    One backward pass over the transition table in exact big integers: a
+    word of length n from s is a letter c followed by a word of length n-1
+    from step(s, c).  The language's own count at length n is
+    row[dfa.initial].  A negative length is refused at the call.
     """
     if max_length < 0:
         raise ValueError(f"word length {max_length} is negative")
-    table = dfa.transition_table()
-    row = np.array([int(bool(o)) for o in dfa.outputs], dtype=object)
-    counts = [row.tolist()]
-    for _ in range(max_length):
-        row = row[table].sum(axis=1)
-        counts.append(row.tolist())
-    return counts
+    accepting = np.array([int(bool(o)) for o in dfa.outputs], dtype=object)
+    return itertools.accumulate(range(max_length), lambda row, _: row[dfa.table].sum(axis=1), initial=accepting)

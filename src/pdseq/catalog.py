@@ -189,6 +189,7 @@ def golden_coding():
 
 
 # -- automata of the catalog -------------------------------------------------
+# Row s of each transition table lists state s's successors on the digits 0, 1.
 
 
 def period_doubling_dfao():
@@ -199,76 +200,43 @@ def period_doubling_dfao():
     The machine does not generate d when fed LSD-first (d_2 would come out
     wrong), because the trailing-run parity must be the last thing tracked.
     """
-    trans = {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0}
-    return Dfao(("even-run", "odd-run"), 0, (0, 1), trans, (0, 1), "msd")
+    return Dfao(("even-run", "odd-run"), 0, (0, 1), [[0, 1], [0, 0]], (0, 1), "msd")
 
 
 def inverse_pd_dfao():
     """Five states, LSD-first, generating the formal-inverse coefficients."""
-    trans = {
-        (0, 0): 1, (0, 1): 2,
-        (1, 0): 1, (1, 1): 1,
-        (2, 0): 3, (2, 1): 0,
-        (3, 0): 4, (3, 1): 3,
-        (4, 0): 3, (4, 1): 1,
-    }
-    return Dfao(("start", "sink0", "one", "mid1", "alt1"), 0, (0, 1), trans, (0, 0, 1, 1, 1), "lsd")
+    table = [[1, 2], [1, 1], [3, 0], [4, 3], [3, 1]]
+    return Dfao(("start", "sink0", "one", "mid1", "alt1"), 0, (0, 1), table, (0, 0, 1, 1, 1), "lsd")
 
 
 def zeckendorf_language_dfa():
     """Acceptor of the valid Zeckendorf words (empty word included)."""
-    trans = {
-        (0, 0): 4, (0, 1): 1,
-        (1, 0): 2, (1, 1): 4,
-        (2, 0): 2, (2, 1): 3,
-        (3, 0): 2, (3, 1): 4,
-        (4, 0): 4, (4, 1): 4,
-    }
-    return Dfa(("A", "B", "C", "D", "E"), 0, (0, 1), trans, (True, True, True, True, False), "msd")
+    table = [[4, 1], [2, 4], [2, 3], [2, 4], [4, 4]]
+    return Dfa(("A", "B", "C", "D", "E"), 0, (0, 1), table, (True, True, True, True, False), "msd")
 
 
 def fibonacci_indicator_dfao():
     """Three states over Zeckendorf reps: output 1 exactly on words 10*."""
-    trans = {
-        (0, 0): 0, (0, 1): 1,
-        (1, 0): 1, (1, 1): 2,
-        (2, 0): 2, (2, 1): 2,
-    }
-    return Dfao(("zero0", "one", "zero1"), 0, (0, 1), trans, (0, 1, 0), "msd")
+    table = [[0, 1], [1, 2], [2, 2]]
+    return Dfao(("zero0", "one", "zero1"), 0, (0, 1), table, (0, 1, 0), "msd")
 
 
 def blocks_language_dfa():
     """Acceptor of {1,00}*."""
-    trans = {
-        (0, 0): 1, (0, 1): 0,
-        (1, 0): 0, (1, 1): 2,
-        (2, 0): 2, (2, 1): 2,
-    }
-    return Dfa(("even0", "half0", "dead"), 0, (0, 1), trans, (True, False, False), "msd")
+    table = [[1, 0], [0, 2], [2, 2]]
+    return Dfa(("even0", "half0", "dead"), 0, (0, 1), table, (True, False, False), "msd")
 
 
 def odd_ones_language_dfa():
     """Acceptor of {11}*1 (all-ones words of odd length)."""
-    trans = {
-        (0, 0): 3, (0, 1): 1,
-        (1, 0): 3, (1, 1): 2,
-        (2, 0): 3, (2, 1): 1,
-        (3, 0): 3, (3, 1): 3,
-    }
-    return Dfa(("start", "odd", "even", "dead"), 0, (0, 1), trans, (False, True, False, False), "msd")
+    table = [[3, 1], [3, 2], [3, 1], [3, 3]]
+    return Dfa(("start", "odd", "even", "dead"), 0, (0, 1), table, (False, True, False, False), "msd")
 
 
 def marked_block_language_dfa():
     """Acceptor of 1{1,00}*0{11}*1 (determinized by hand)."""
-    trans = {
-        (0, 0): 5, (0, 1): 1,
-        (1, 0): 2, (1, 1): 1,
-        (2, 0): 1, (2, 1): 3,
-        (3, 0): 5, (3, 1): 4,
-        (4, 0): 5, (4, 1): 3,
-        (5, 0): 5, (5, 1): 5,
-    }
-    return Dfa(("A", "B", "C", "D", "E", "dead"), 0, (0, 1), trans, (False, False, False, True, False, False), "msd")
+    table = [[5, 1], [2, 1], [1, 3], [5, 4], [5, 3], [5, 5]]
+    return Dfa(("A", "B", "C", "D", "E", "dead"), 0, (0, 1), table, (False, False, False, True, False, False), "msd")
 
 
 def ones_positions_language_dfa():

@@ -27,16 +27,13 @@ class CheckResult:
     elapsed: float
     detail: str | None = None
 
-    def to_json_dict(self, include_elapsed=False):
-        d = {
+    def to_json_dict(self):
+        return {
             "id": self.check_id,
             "status": self.status,
             "horizon": self.horizon,
             "detail": self.detail,
         }
-        if include_elapsed:
-            d["elapsed"] = round(self.elapsed, 3)
-        return d
 
 
 def _fail(parts):
@@ -375,7 +372,7 @@ def run_paper_checks(selection=None, horizons=None):
     Unknown ids raise ValueError before anything runs.
     """
     horizons = dict(horizons or {})
-    if selection in (None, "all", ["all"]):
+    if selection is None:
         selected = list(CHECKS)
     else:
         selected = list(selection)

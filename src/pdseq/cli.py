@@ -93,7 +93,7 @@ def cmd_dfao(args):
 
 def cmd_complexity(args):
     dfa = catalog.language(args.language)
-    counts = [row[dfa.initial] for row in automata.word_counts(dfa, args.count)]
+    counts = (row[dfa.initial] for row in automata.word_counts(dfa, args.count))
     if args.format == "json":
         sys.stdout.write(json.dumps({"language": args.language, "counts": [str(c) for c in counts]}) + "\n")
     else:

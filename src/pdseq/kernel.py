@@ -139,14 +139,13 @@ def synthesize_dfao(analysis):
         raise ValueError("kernel is not closed; synthesis would be unsound")
     k = analysis.k
     n = len(analysis.classes)
-    trans = dict(analysis.transitions)
-    for s in range(n):
-        for c in range(k):
-            if (s, c) not in trans:
-                raise AssertionError("closure table incomplete")
+    try:
+        table = [[analysis.transitions[(s, c)] for c in range(k)] for s in range(n)]
+    except KeyError:
+        raise AssertionError("closure table incomplete") from None
     labels = [f"({c.scale},{c.residue})" for c in analysis.classes]
     outputs = [c.fingerprint[0] for c in analysis.classes]
-    return Dfao(labels, 0, tuple(range(k)), trans, outputs, "lsd")
+    return Dfao(labels, 0, tuple(range(k)), table, outputs, "lsd")
 
 
 # -- rank profiling ---------------------------------------------------------

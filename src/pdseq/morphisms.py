@@ -291,7 +291,10 @@ def _poly_gcd(a, b):
     return a
 
 
-def largest_real_root(int_poly, width=Fraction(1, 10**14)):
+_ROOT_WIDTH = Fraction(1, 10**14)  # of the interval largest_real_root returns
+
+
+def largest_real_root(int_poly):
     """Isolating interval (lo, hi] of the largest real root, exact endpoints.
 
     int_poly has integer coefficients, lowest degree first; it must have at
@@ -305,7 +308,7 @@ def largest_real_root(int_poly, width=Fraction(1, 10**14)):
     if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 0:
         raise ValueError("polynomial has no real root")
     # keep hi above every root, move lo up to just below the largest root
-    while hi - lo > width:
+    while hi - lo > _ROOT_WIDTH:
         mid = (lo + hi) / 2
         if _sign_variations(chain, mid) - _sign_variations(chain, hi) >= 1:
             lo = mid

@@ -97,7 +97,7 @@ class Ans:
 
     def _count_from(self, length, state):
         if length >= len(self._counts):
-            self._counts = word_counts(self.dfa, 2 * length)
+            self._counts = list(word_counts(self.dfa, 2 * length))
         return self._counts[length][state]
 
     def rep(self, n):

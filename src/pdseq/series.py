@@ -218,7 +218,10 @@ class TruncatedSeries:
 
     def __init__(self, p, coeffs):
         _check_modulus(p)
-        c = np.asarray(coeffs, dtype=np.int64) % p
+        try:
+            c = np.asarray(coeffs, dtype=np.int64) % p
+        except OverflowError:  # exact integers past int64 reduce before the conversion
+            c = (np.asarray(coeffs, dtype=object) % p).astype(np.int64)
         if c.ndim != 1 or len(c) < 1:
             raise ValueError("a series needs at least one coefficient")
         c.setflags(write=False)

@@ -29,6 +29,11 @@ def brute_count(dfa, length):
     return sum(1 for w in all_words(length, len(dfa.alphabet)) if dfa.accepts(w))
 
 
+def from_state(m, s):
+    """Copy of m that starts in state s."""
+    return type(m)(m.labels, s, m.alphabet, m.table, m.outputs, m.read_order)
+
+
 def language_counts(dfa, max_length):
     """The number of words of each length 0..max_length that dfa accepts."""
     return [row[dfa.initial] for row in word_counts(dfa, max_length)]
@@ -39,9 +44,9 @@ def automata_over(draw, cls, k, read_order):
     """A random automaton with 1-6 states over the alphabet 0..k-1."""
     n = draw(st.integers(1, 6))
     state = st.integers(0, n - 1)
-    trans = {(s, c): draw(state) for s in range(n) for c in range(k)}
+    table = draw(st.lists(st.lists(state, min_size=k, max_size=k), min_size=n, max_size=n))
     outputs = draw(st.lists(st.booleans() if cls is Dfa else st.integers(0, 3), min_size=n, max_size=n))
-    return cls([f"q{i}" for i in range(n)], draw(state), range(k), trans, outputs, read_order)
+    return cls([f"q{i}" for i in range(n)], draw(state), range(k), table, outputs, read_order)
 
 
 class TestEvaluation:
@@ -112,13 +117,12 @@ class TestEvaluation:
             evaluate_range(pairs, 10)
 
     def test_enumeration_refusals(self):
-        finite = Dfa(("a", "dead"), 0, (0, 1), {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, (True, False), "msd")
+        finite = Dfa(("a", "dead"), 0, (0, 1), [[1, 1], [1, 1]], (True, False), "msd")
         assert genealogical_words(finite, 1)[0].tolist() == [0]
         with pytest.raises(ValueError, match="fewer than 2"):
             genealogical_words(finite, 2)
         # 0*1 has one word per length; the 64th is too long for int64 values
-        trans = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 2, (2, 1): 2}
-        sparse = Dfa(("zeros", "one", "dead"), 0, (0, 1), trans, (False, True, False), "msd")
+        sparse = Dfa(("zeros", "one", "dead"), 0, (0, 1), [[0, 1], [2, 2], [2, 2]], (False, True, False), "msd")
         assert genealogical_words(sparse, 63)[0].tolist() == [1] * 63
         with pytest.raises(ValueError, match="overflow"):
             genealogical_words(sparse, 64)
@@ -137,7 +141,7 @@ class TestProduct:
 
     def test_one_state_identity(self):
         a = catalog.inverse_pd_dfao()
-        one = Dfao(("only",), 0, (0, 1), {(0, 0): 0, (0, 1): 0}, ("*",), "lsd")
+        one = Dfao(("only",), 0, (0, 1), [[0, 0]], ("*",), "lsd")
         prod = product(a, one)
         assert prod.num_states == a.num_states
         # outputs are pairs carrying a's outputs unchanged
@@ -163,12 +167,7 @@ class TestMinimize:
 
     def test_duplicate_states_merge(self):
         # two redundant copies of the sink state collapse
-        trans = {
-            (0, 0): 1, (0, 1): 2,
-            (1, 0): 1, (1, 1): 1,
-            (2, 0): 2, (2, 1): 2,
-        }
-        m = Dfao(("s", "a", "b"), 0, (0, 1), trans, (0, 1, 1), "lsd")
+        m = Dfao(("s", "a", "b"), 0, (0, 1), [[1, 2], [1, 1], [2, 2]], (0, 1, 1), "lsd")
         assert minimize(m).num_states == 2
 
     def test_behaviour_preserved(self):
@@ -180,9 +179,52 @@ class TestMinimize:
     def test_same_up_to_renaming(self):
         m = catalog.inverse_pd_dfao()
         labels = [f"state-{i}" for i in range(m.num_states)]
-        relabeled = Dfao(labels, m.initial, m.alphabet, m.transitions, m.outputs, m.read_order)
+        relabeled = Dfao(labels, m.initial, m.alphabet, m.table, m.outputs, m.read_order)
         assert m.same_up_to_renaming(relabeled)
         assert not m.same_up_to_renaming(catalog.period_doubling_dfao())
+
+    @given(st.sampled_from([2, 3]), st.sampled_from(["lsd", "msd"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_minimize_on_random_automata(self, k, read_order, data):
+        m = data.draw(automata_over(Dfao, k, read_order))
+        mini = minimize(m)
+        words = [w for length in range(7) for w in all_words(length, k)]
+        assert [mini.output(w) for w in words] == [m.output(w) for w in words]
+        # minimal: some word shorter than the state count tells any two states apart
+        short = [w for length in range(mini.num_states) for w in all_words(length, k)]
+        behaviours = {tuple(from_state(mini, s).output(w) for w in short) for s in range(mini.num_states)}
+        assert len(behaviours) == mini.num_states
+        # canonical: a renumbered copy, its initial state moved with it, minimizes identically
+        perm = np.array(data.draw(st.permutations(range(m.num_states))))
+        old = np.argsort(perm)  # state perm[s] of the copy is state s of m
+        shuffled = Dfao(
+            [m.labels[s] for s in old],
+            int(perm[m.initial]),
+            m.alphabet,
+            perm[m.table[old]],
+            [m.outputs[s] for s in old],
+            m.read_order,
+        )
+        again = minimize(shuffled)
+        assert np.array_equal(again.table, mini.table)
+        assert (again.outputs, again.labels) == (mini.outputs, mini.labels)
+
+
+class TestConstruction:
+    def test_table_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            Dfao(("a", "b"), 0, (0, 1), [[0, 1]], (0, 1), "lsd")
+        with pytest.raises(ValueError, match="shape"):
+            Dfao(("a", "b"), 0, (0, 1, 2), [[0, 1], [1, 0]], (0, 1), "lsd")
+
+    @pytest.mark.parametrize("target", [2, -1])
+    def test_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match="out of range"):
+            Dfao(("a", "b"), 0, (0, 1), [[0, 1], [target, 0]], (0, 1), "lsd")
+
+    def test_wrong_output_count(self):
+        with pytest.raises(ValueError, match="one output letter per state"):
+            Dfao(("a", "b"), 0, (0, 1), [[0, 1], [1, 0]], (0,), "lsd")
 
 
 class TestCounting:
@@ -198,12 +240,11 @@ class TestCounting:
     @settings(max_examples=60, deadline=None)
     def test_word_counts_match_brute_force_from_every_state(self, k, data):
         dfa = data.draw(automata_over(Dfa, k, "msd"))
-        counts = word_counts(dfa, 8)
+        counts = list(word_counts(dfa, 8))
         assert len(counts) == 9
         for s in range(dfa.num_states):
-            from_s = Dfa(dfa.labels, s, dfa.alphabet, dfa.transitions, dfa.outputs, dfa.read_order)
             n = data.draw(st.integers(0, 8))
-            assert counts[n][s] == brute_count(from_s, n)
+            assert counts[n][s] == brute_count(from_state(dfa, s), n)
 
     def test_negative_length_refused(self):
         with pytest.raises(ValueError, match="negative"):
@@ -217,7 +258,7 @@ class TestCounting:
         assert as_strings == {"11111", "11101", "10001", "10111"}
 
     def test_empty_language(self):
-        dead = Dfa(("q",), 0, (0, 1), {(0, 0): 0, (0, 1): 0}, (False,), "msd")
+        dead = Dfa(("q",), 0, (0, 1), [[0, 0]], (False,), "msd")
         assert language_counts(dead, 9) == [0] * 10
 
     def test_counts_grow_beyond_machine_words(self):
@@ -239,7 +280,7 @@ class TestCounting:
     def test_zeckendorf_language_is_nonadjacent_ones(self):
         # acceptance on every word of length <= 20, vectorized per length
         dfa = catalog.zeckendorf_language_dfa()
-        table = dfa.transition_table()
+        table = dfa.table
         acc = np.array([bool(o) for o in dfa.outputs])
         assert dfa.accepts(())
         for length in range(1, 21):

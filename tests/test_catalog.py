@@ -189,7 +189,7 @@ class TestPositionsStructure:
         limit = 1 << 20
         u = catalog.sequence("u").prefix(limit)
         dfa = catalog.ones_positions_language_dfa()
-        table = dfa.transition_table()
+        table = dfa.table
         acc = np.array([bool(o) for o in dfa.outputs])
         values = np.arange(1, limit, dtype=np.int64)
         accepted = np.zeros(limit, dtype=bool)

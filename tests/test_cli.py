@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from pdseq import checks
@@ -113,16 +114,47 @@ class TestKernelCommand:
 
 class TestDfaoCommand:
     def test_json(self, capsys):
+        # the five-state machine of u, transitions sorted by state, then letter
         code, out, _ = run_cli(capsys, "dfao", "u")
         assert code == 0
-        machine = json.loads(out)
-        assert len(machine["states"]) == 5
-        assert machine["read_order"] == "lsd"
+        assert out == (
+            '{"states": ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(3,1)"], "initial": 0, "alphabet": [0, 1], '
+            '"transitions": [[0, 0, 1], [0, 1, 2], [1, 0, 1], [1, 1, 1], [2, 0, 3], [2, 1, 0], [3, 0, 4], '
+            '[3, 1, 3], [4, 0, 3], [4, 1, 1]], "outputs": [0, 0, 1, 1, 1], "read_order": "lsd"}\n'
+        )
 
     def test_dot(self, capsys):
         code, out, _ = run_cli(capsys, "dfao", "d", "--dot")
         assert code == 0
-        assert out.startswith("digraph d {")
+        assert out.splitlines() == [
+            "digraph d {",
+            "  rankdir=LR;",
+            "  __start [shape=point];",
+            '  q0 [shape=circle, label="(0,0)/0"];',
+            '  q1 [shape=circle, label="(1,0)/0"];',
+            '  q2 [shape=circle, label="(1,1)/1"];',
+            '  q3 [shape=circle, label="(2,1)/1"];',
+            "  __start -> q0;",
+            '  q0 -> q1 [label="0"];',
+            '  q0 -> q2 [label="1"];',
+            '  q1 -> q1 [label="0,1"];',
+            '  q2 -> q0 [label="1"];',
+            '  q2 -> q3 [label="0"];',
+            '  q3 -> q3 [label="0,1"];',
+            "}",
+        ]
+
+    def test_letters_sorted_as_strings(self, capsys):
+        # past 10 letters the JSON lists a state's transitions on 0, 1, 10, ..., 19, 2, 20, ...
+        code, out, _ = run_cli(capsys, "dfao", "tp3", "--k", "27", "--horizon", "27")
+        assert code == 0
+        machine = json.loads(out)
+        letters = sorted(range(27), key=str)
+        assert [t[:2] for t in machine["transitions"]] == [[s, c] for s in range(3) for c in letters]
+        # tp3 at base 27 = 3^3: reading digit c adds the base-3 digit sum of c mod 3
+        assert [t[2] for t in machine["transitions"]] == [
+            (s + sum(int(x) for x in np.base_repr(c, 3))) % 3 for s in range(3) for c in letters
+        ]
 
 
 class TestComplexityCommand:
@@ -141,6 +173,15 @@ class TestComplexityCommand:
 
 
 class TestOreCommand:
+    def test_fibonacci_gf_past_int64(self, capsys):
+        # F outgrows int64 within the default precision; F mod 2 is still a series
+        code, out, err = run_cli(capsys, "ore", "gf:F")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "p": 2,
+            "terms": [{"pattern": ["frob", 0], "coeffs": [1]}, {"pattern": ["frob", 1], "coeffs": [1, 1, 1]}],
+        }
+
     def test_inverse_pd_relation(self, capsys):
         code, out, _ = run_cli(capsys, "ore", "u", "--depth", "2", "--deg", "3")
         assert code == 0
@@ -202,9 +243,9 @@ class TestRefusals:
             ("kernel", "u", "--k", "1"),
             ("dfao", "u", "--horizon", "0"),
             ("kernel", "F"),
-            ("ore", "gf:F"),
+            ("check", "all"),
         ],
-        ids=["seq-negative", "complexity-negative", "kernel-k1", "dfao-horizon0", "kernel-F", "ore-F"],
+        ids=["seq-negative", "complexity-negative", "kernel-k1", "dfao-horizon0", "kernel-F", "check-all"],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -92,8 +92,7 @@ class TestAns:
     def test_finite_language_rejected(self):
         from pdseq.automata import Dfa
 
-        trans = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-        finite = Dfa(("a", "dead"), 0, (0, 1), trans, (True, False), "msd")
+        finite = Dfa(("a", "dead"), 0, (0, 1), [[1, 1], [1, 1]], (True, False), "msd")
         with pytest.raises(ValueError, match="infinite"):
             Ans(finite)
 

@@ -203,6 +203,11 @@ class TestConvolution:
 
 
 class TestMul:
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_integers_past_int64_reduce_exactly(self, p):
+        coeffs = [0, 1, 2**63, -(2**70), 2**64 + 3]
+        assert TruncatedSeries(p, coeffs).coeffs.tolist() == [c % p for c in coeffs]
+
     def test_freshman_dream(self):
         one_plus_x = series_of(2, [1, 1], 8)
         sq = mul(one_plus_x, one_plus_x)
