@@ -5,14 +5,18 @@ Every sequence is registered under the short name used throughout the
 package (d, t, p, u, o, z, a, b, delta, x, F, tp2, tp3, ...).  The primary
 definition is the cheapest exact one; alternates are independent
 constructions (morphic, automaton, series) that cross_check compares
-termwise.  Position sequences o, z and b are filters over their base
-sequences; a is enumerated from the language of its binary expansions and
-checked against the filter over u.  Nothing assumes a closed form for them.
+termwise.  A known fact about a sequence is stated the same way, as one
+more definition: 1 - d is the first difference of Thue-Morse mod 2, and
+the gaps of z and o are the run-length fixed points.  Position sequences
+o, z and b are filters over their base sequences; a is enumerated from the
+language of its binary expansions and checked against the filter over u.
+Nothing assumes a closed form for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -310,14 +314,7 @@ def inverse_pd_relation_quartic():
 
 def _binomial_poly_mod(exponent, p):
     """(1 - X)^exponent reduced mod p, lowest degree first."""
-    coeffs = [1]
-    for _ in range(exponent):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = (nxt[i] + c) % p
-            nxt[i + 1] = (nxt[i + 1] - c) % p
-        coeffs = nxt
-    return tuple(coeffs)
+    return tuple((-1) ** i * comb(exponent, i) % p for i in range(exponent + 1))
 
 
 def generalized_tm_relation(p):
@@ -363,7 +360,6 @@ class NamedSequence:
     description: str
     build: callable
     alternates: dict = field(default_factory=dict)
-    identities: dict = field(default_factory=dict)
     _cache: np.ndarray = field(default=None, repr=False)
 
     def prefix(self, n):
@@ -444,6 +440,11 @@ def _d_via_coded_runs(count):
     return np.array([int(c) for c in word], dtype=np.int64)
 
 
+def _d_via_tm_difference(count):
+    """1 - d is the first difference of Thue-Morse reduced mod 2."""
+    return 1 - np.diff(sequence("t").prefix(count + 1)) % 2
+
+
 def _u_via_reversion(count):
     d_series = series.TruncatedSeries(2, period_doubling_prefix(count))
     return series.reversion(d_series).coeffs
@@ -471,66 +472,19 @@ def _z_via_tm_alternations(count):
     return _first_hits(sequence("t").prefix, lambda data: np.diff(data) != 0, count, max(4 * count, 64))
 
 
+def _z_via_run_lengths(count):
+    """z marks the ends of the maximal blocks of t: z[0] + 1 = p[0] and z[k+1] - z[k] = p[k+1]."""
+    return np.cumsum(sequence("p").prefix(count)) - 1
+
+
+def _o_via_run_length_gaps(count):
+    """o[0] = 1, and the gaps of o are the shifted fixed point of 2->242, 4->24442."""
+    w = _morphic_ints(doubled_run_length_morphism(), "2", count)
+    return np.concatenate(([1], 1 + np.cumsum(w[1:])))
+
+
 def _delta_via_x(count):
     return sequence("x").prefix(count + 2)[2:].copy()
-
-
-# identity cross-checks tied to specific sequences
-
-
-def _z_run_length_identity(n):
-    """Gaps of z are the Thue-Morse run lengths, offset by one block.
-
-    z marks the ends of the maximal blocks of t, so z[0]+1 is the first
-    block length and z[k+1]-z[k] the length of block k+1.
-    """
-    z = sequence("z").prefix(n + 1).astype(np.int64)
-    p = sequence("p").prefix(n + 1).astype(np.int64)
-    if int(z[0]) + 1 != int(p[0]):
-        return False, f"first block: z[0]+1={int(z[0])+1} != p[0]={int(p[0])}"
-    gaps = np.diff(z)
-    mismatch = np.nonzero(gaps != p[1 : n + 1])[0]
-    if len(mismatch):
-        i = int(mismatch[0])
-        return False, f"gap {i}: z diff {int(gaps[i])} != p[{i + 1}]={int(p[i + 1])}"
-    return True, None
-
-
-def _o_run_length_identity(n):
-    """Gaps of o are the shifted fixed point of 2->242, 4->24442."""
-    o = sequence("o").prefix(n + 1).astype(np.int64)
-    w = _morphic_ints(doubled_run_length_morphism(), "2", n + 2)
-    gaps = np.diff(o)
-    mismatch = np.nonzero(gaps != w[1 : n + 1])[0]
-    if len(mismatch):
-        i = int(mismatch[0])
-        return False, f"gap {i}: o diff {int(gaps[i])} != word[{i + 1}]={int(w[i + 1])}"
-    return True, None
-
-
-def _d_complement_is_tm_difference(n):
-    """1-d equals the first difference of Thue-Morse reduced mod 2."""
-    d = sequence("d").prefix(n).astype(np.int64)
-    t = sequence("t").prefix(n + 1).astype(np.int64)
-    lhs = 1 - d
-    rhs = np.diff(t) % 2
-    mismatch = np.nonzero(lhs != rhs)[0]
-    if len(mismatch):
-        i = int(mismatch[0])
-        return False, f"index {i}: 1-d={int(lhs[i])} != diff(t)%2={int(rhs[i])}"
-    return True, None
-
-
-def _a_mod3_run_identity(n):
-    """Run lengths of (a mod 3) follow the Fibonacci numbers."""
-    a = sequence("a").prefix(n).astype(np.int64)
-    runs = run_lengths(a % 3)
-    fib = fibonacci_numbers(count=len(runs))
-    complete = runs[:-1]  # last run may be cut by the horizon
-    for i, r in enumerate(complete):
-        if r != fib[i]:
-            return False, f"run {i}: length {r} != F({i})={fib[i]}"
-    return True, None
 
 
 _REGISTRY = {}
@@ -551,8 +505,8 @@ def _build_registry():
                 "uniform-morphism": _d_via_morphism,
                 "msd-automaton": _d_via_dfao,
                 "coded-run-length-morphism": _d_via_coded_runs,
+                "tm-first-difference": _d_via_tm_difference,
             },
-            identities={"tm-first-difference": _d_complement_is_tm_difference},
         )
     )
     _register(
@@ -590,8 +544,10 @@ def _build_registry():
             "z",
             "positions of zeros in the period-doubling sequence",
             _positions(period_doubling_prefix, 0),
-            alternates={"tm-alternation-positions": _z_via_tm_alternations},
-            identities={"run-length-gaps": _z_run_length_identity},
+            alternates={
+                "tm-alternation-positions": _z_via_tm_alternations,
+                "run-length-gaps": _z_via_run_lengths,
+            },
         )
     )
     _register(
@@ -599,7 +555,7 @@ def _build_registry():
             "o",
             "positions of ones in the period-doubling sequence",
             _positions(period_doubling_prefix, 1),
-            identities={"run-length-gaps": _o_run_length_identity},
+            alternates={"run-length-gaps": _o_via_run_length_gaps},
         )
     )
     _register(
@@ -608,7 +564,6 @@ def _build_registry():
             "positions of ones in the formal-inverse coefficient sequence",
             _a_build,
             alternates={"odd-indicator-filter": _a_via_indicator},
-            identities={"mod3-fibonacci-runs": _a_mod3_run_identity},
         )
     )
     _register(
@@ -678,7 +633,7 @@ class CrossCheckReport:
     name: str
     horizon: int
     passed: bool
-    failures: list  # (definition, index-or-None, expected, got) or (identity, detail)
+    failures: list  # (definition, first differing index or None on a short prefix, expected, got)
 
     def __str__(self):
         if self.passed:
@@ -689,31 +644,20 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-def cross_check(name, n, extra_definitions=None):
-    """Compare every registered definition of the sequence termwise.
-
-    extra_definitions maps label -> prefix function; the harness self-test
-    injects a corrupted definition this way.
-    """
+def cross_check(name, n):
+    """Compare the first n terms of every alternate definition with the primary one."""
     seq = sequence(name)
     reference = seq.prefix(n)
     failures = []
-    definitions = dict(seq.alternates)
-    if extra_definitions:
-        definitions.update(extra_definitions)
-    for label, build in definitions.items():
+    for label, build in seq.alternates.items():
         got = np.asarray(build(n))[:n]
         if len(got) != n:
             failures.append((label, None, f"{n} terms", f"{len(got)} terms"))
             continue
-        mismatch = np.nonzero(np.asarray(reference, dtype=np.int64) != np.asarray(got, dtype=np.int64))[0]
+        mismatch = np.flatnonzero(reference != got)
         if len(mismatch):
             i = int(mismatch[0])
             failures.append((label, i, int(reference[i]), int(got[i])))
-    for label, identity in seq.identities.items():
-        ok, detail = identity(n)
-        if not ok:
-            failures.append((label, detail))
     return CrossCheckReport(name, n, not failures, failures)
 
 

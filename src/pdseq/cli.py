@@ -95,7 +95,11 @@ def cmd_complexity(args):
     dfa = catalog.language(args.language)
     counts = (row[dfa.initial] for row in automata.word_counts(dfa, args.count))
     if args.format == "json":
-        sys.stdout.write(json.dumps({"language": args.language, "counts": [str(c) for c in counts]}) + "\n")
+        # json.dumps's bytes, written one count at a time
+        sys.stdout.write(f'{{"language": {json.dumps(args.language)}, "counts": [')
+        for n, c in enumerate(counts):
+            sys.stdout.write(f'{", " if n else ""}"{c}"')
+        sys.stdout.write("]}\n")
     else:
         for n, c in enumerate(counts):
             sys.stdout.write(f"{n} {c}\n")

@@ -1,5 +1,7 @@
 """The sequence registry: listings, cross-checks, and derived structure."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,23 +120,22 @@ class TestBuilders:
         assert report.passed, str(report)
 
 
+# cross-check horizons other than the default 4096
+CROSS_CHECK_HORIZONS = {
+    "d": 1 << 18,
+    "t": 1 << 14,
+    "p": 20_000,
+    "z": 20_000,
+    "o": 20_000,
+    "a": 2_000,
+    "delta": 20_000,
+    "x": 20_000,
+}
+
+
 class TestCrossChecks:
     @pytest.mark.parametrize(
-        "name,horizon",
-        [
-            ("d", 1 << 18),
-            ("t", 1 << 14),
-            ("p", 20_000),
-            ("u", 4096),
-            ("z", 20_000),
-            ("o", 20_000),
-            ("a", 2_000),
-            ("delta", 20_000),
-            ("x", 20_000),
-            ("tp2", 4096),
-            ("tp3", 4096),
-            ("tp5", 4096),
-        ],
+        "name,horizon", [(name, CROSS_CHECK_HORIZONS.get(name, 4096)) for name in catalog.sequence_names()]
     )
     def test_registered_definitions_agree(self, name, horizon):
         report = catalog.cross_check(name, horizon)
@@ -147,11 +148,21 @@ class TestCrossChecks:
                 data[137] ^= 1
             return data
 
-        report = catalog.cross_check("d", 1000, extra_definitions={"broken": corrupted})
+        with mock.patch.dict(catalog.sequence("d").alternates, {"broken": corrupted}):
+            report = catalog.cross_check("d", 1000)
         assert not report.passed
         [(label, index, expected, got)] = report.failures
         assert label == "broken" and index == 137
         assert expected != got
+
+    def test_run_length_gaps_pin_the_first_position(self):
+        # o + 2 has the gaps of o: only the first term tells them apart
+        o = catalog.sequence("o")
+        build = o.build
+        with mock.patch.object(o, "build", lambda n: build(n) + 2), mock.patch.object(o, "_cache", None):
+            report = catalog.cross_check("o", 1000)
+        [(label, index, expected, got)] = report.failures
+        assert (label, index, expected, got) == ("run-length-gaps", 0, 3, 1)
 
     def test_report_format(self):
         report = catalog.cross_check("d", 256)

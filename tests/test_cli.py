@@ -171,6 +171,17 @@ class TestComplexityCommand:
         assert code == 0
         assert len(out.splitlines()) == 1501
 
+    def test_json_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "complexity", "lprime", "6", "--format", "json")
+        assert code == 0
+        assert out == '{"language": "lprime", "counts": ["1", "1", "2", "3", "5", "8", "13"]}\n'
+
+    def test_json_matches_text(self, capsys):
+        _, text, _ = run_cli(capsys, "complexity", "la", "300")
+        code, out, _ = run_cli(capsys, "complexity", "la", "300", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"language": "la", "counts": [line.split()[1] for line in text.splitlines()]}
+
 
 class TestOreCommand:
     def test_fibonacci_gf_past_int64(self, capsys):
@@ -240,12 +251,21 @@ class TestRefusals:
         [
             ("seq", "z", "-5"),
             ("complexity", "la", "-1"),
+            ("complexity", "la", "-1", "--format", "json"),
             ("kernel", "u", "--k", "1"),
             ("dfao", "u", "--horizon", "0"),
             ("kernel", "F"),
             ("check", "all"),
         ],
-        ids=["seq-negative", "complexity-negative", "kernel-k1", "dfao-horizon0", "kernel-F", "check-all"],
+        ids=[
+            "seq-negative",
+            "complexity-negative",
+            "complexity-negative-json",
+            "kernel-k1",
+            "dfao-horizon0",
+            "kernel-F",
+            "check-all",
+        ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
