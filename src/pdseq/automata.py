@@ -192,38 +192,56 @@ def genealogical_words(language, count, m=None):
     DFA itself) reaches on it.  Raises ValueError when the language has
     fewer than count words or one longer than int64 values allow.
     """
-    if m is None:
-        m = language
+    m = language if m is None else m
+    values = np.empty(count, dtype=np.int64)
+    states = np.empty(count, dtype=np.int64)
+    found = 0
+    for level_states, level_values in _accepted_by_length(language, m, count, True):
+        end = found + len(level_states)
+        np.remainder(level_states, m.num_states, out=states[found:end])
+        values[found:end] = level_values
+        found = end
+    return values, states
+
+
+def _accepted_by_length(language, m, count, with_values):
+    """Per word length, the accepted words of language among its first count.
+
+    Yields (pair states, base-k values or None): the state of the pair
+    automaton (language, m), numbered sa * |m| + sb, and with_values the
+    value of each word.  States are held in the smallest unsigned dtype of
+    the pair table, and a length yields no more words than count still asks.
+    """
     if (language.read_order, m.read_order) != (MSD_FIRST, MSD_FIRST):
         raise ValueError("genealogical enumeration reads words MSD-first")
     if m.alphabet != language.alphabet:
         raise ValueError("alphabet mismatch between the language and the automaton")
     k, nm = len(language.alphabet), m.num_states
-    table = _pair_table(language, m)  # one gather per length
+    table = _pair_table(language, m)
+    table = table.astype(np.min_scalar_type(len(table) - 1))
     accepting = np.repeat(np.array(language.outputs, dtype=bool), nm)
     live = np.repeat(_coaccessible(language), nm)
-    states = np.array([language.initial * nm + m.initial], dtype=np.int64)
-    values = np.zeros(1, dtype=np.int64)
-    found_values, found_states = [], []
+    states = np.array([language.initial * nm + m.initial], dtype=table.dtype)
+    values = np.zeros(1, dtype=np.int64) if with_values else None
     found = length = 0
     while True:
-        acc = accepting[states]
-        found_values.append(values[acc])
-        found_states.append(states[acc])
-        found += len(found_states[-1])
-        if found >= count:
-            break
+        acc = _gather(accepting, states)
+        hits = states[acc][: count - found]
+        yield hits, (values[acc][: len(hits)] if with_values else None)
+        found += len(hits)
+        if found == count:
+            return
         length += 1
         if k**length > 1 << 63:
             raise ValueError(f"words of length {length} overflow int64 values")
         # every live word extended by each letter, still in lexicographic order
-        states = table[states].ravel()
-        values = (values[:, None] * k + np.arange(k)).ravel()
-        keep = live[states]
-        states, values = states[keep], values[keep]
+        states = _gather(table, states).ravel()
+        keep = _gather(live, states)
+        states = states[keep]
+        if with_values:
+            values = (values[:, None] * k + np.arange(k)).ravel()[keep]
         if not len(states):
             raise ValueError(f"the language has only {found} words, fewer than {count}")
-    return np.concatenate(found_values)[:count], np.concatenate(found_states)[:count] % nm
 
 
 def _coaccessible(dfa):
@@ -248,28 +266,71 @@ def evaluate_range(m, count, language=None):
     Index n is represented by the n-th word of language in genealogical
     order (see genealogical_words).  With no language, n is written in base
     k = len(m.alphabet) over digits 0..k-1, without leading zeros, and fed
-    in m's own read order.
+    in m's own read order.  Each word length writes its outputs into the one
+    result; no word values are computed.
     """
     outputs = np.array(m.outputs)
     if outputs.ndim != 1 or outputs.dtype.kind not in "biu":
         raise ValueError("vectorized evaluation needs integer outputs")
     outputs = outputs.astype(np.int64)
-    if language is not None:
-        return outputs[genealogical_words(language, count, m)[1]]
+    out = np.empty(count, dtype=np.int64)
     k = len(m.alphabet)
-    if m.alphabet != tuple(range(k)):
-        raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
-    if m.read_order == MSD_FIRST:
-        return outputs[genealogical_words(_base_k_language(k), count, m)[1]]
-    # states[v] is the state after reading the length-L digit string v
-    # LSD-first; a new leading digit d is read last and gives v' = d*k^L + v
-    states = np.array([m.initial], dtype=np.int64)
-    pieces = [states]
-    while k ** (len(pieces) - 1) < count:
-        lower = len(states)
-        states = m.table[states].T.ravel()
-        pieces.append(states[lower:])  # the strings without a leading zero
-    return outputs[np.concatenate(pieces)[:count]]
+    if language is None:
+        if m.alphabet != tuple(range(k)):
+            raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
+        if m.read_order == LSD_FIRST:
+            _evaluate_lsd(m, outputs, out)
+            return out
+        language = _base_k_language(k)
+    # pair state sa * |m| + sb outputs m's letter at sb
+    pair_outputs = np.tile(outputs, language.num_states)
+    found = 0
+    for level_states, _ in _accepted_by_length(language, m, count, False):
+        end = found + len(level_states)
+        _gather(pair_outputs, level_states, out[found:end])
+        found = end
+    return out
+
+
+_GATHER = 1 << 16  # indices gathered per call of np.take
+
+
+def _gather(source, index, out=None):
+    """source[index] along the first axis, written into out (new by default).
+
+    np.take, several times faster than fancy indexing on a 2-D table, runs
+    on slices: it converts a narrow index to intp first, and a slice at a
+    time that copy stays small.  The indices are valid, so mode "clip" only
+    spares take a buffered copy of out.
+    """
+    if out is None:
+        out = np.empty(index.shape + source.shape[1:], dtype=source.dtype)
+    for lo in range(0, len(index), _GATHER):
+        np.take(source, index[lo : lo + _GATHER], axis=0, out=out[lo : lo + _GATHER], mode="clip")
+    return out
+
+
+def _evaluate_lsd(m, outputs, out):
+    """out[n] = output of m on the base-k digits of n read LSD-first, n < len(out)."""
+    count, k = len(out), len(m.alphabet)
+    if not count:
+        return
+    table = m.table.astype(np.min_scalar_type(m.num_states - 1))
+    # states[v], v < width = k^L, is the state after reading the L-digit
+    # string v LSD-first (leading zeros allowed); a new leading digit d is
+    # read last and gives v' = d*width + v, a word without leading zero
+    # exactly when v' >= width
+    states = np.array([m.initial], dtype=table.dtype)
+    out[0] = outputs[m.initial]
+    width = 1
+    while width < count:
+        n = min(width * k, count)
+        grown = np.empty(n, dtype=table.dtype)
+        for d, lo in enumerate(range(0, n, width)):
+            hi = min(lo + width, n)
+            _gather(table[:, d], states[: hi - lo], grown[lo:hi])
+        _gather(outputs, grown[width:], out[width:n])
+        states, width = grown, width * k
 
 
 def _pair_table(a, b):

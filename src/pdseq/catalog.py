@@ -40,10 +40,20 @@ __all__ = [
 
 
 def period_doubling_prefix(n):
-    """d(m) = (exponent of 2 in m+1) mod 2, for m < n."""
-    m = np.arange(1, n + 1, dtype=np.int64)
-    # m & -m = 2^e is exact in float64, and frexp returns its exponent e+1
-    return ((np.frexp((m & -m).astype(np.float64))[1] - 1) & 1).astype(np.int64)
+    """d(m) = (exponent of 2 in m+1) mod 2, for m < n.
+
+    m + 1 is odd for even m, and 2(j+1) for m = 2j+1, so d(2j) = 0 and
+    d(2j+1) = 1 - d(j).  Filled by doubling in the result itself: the odd
+    indices of [lo, hi), hi <= 2*lo, read only the prefix below lo.
+    """
+    d = np.zeros(n, dtype=np.int64)
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        odd = lo | 1
+        np.subtract(1, d[odd // 2 : hi // 2], out=d[odd:hi:2])
+        lo = hi
+    return d
 
 
 def digit_sum_mod_prefix(n, p):
@@ -93,9 +103,22 @@ def inverse_pd_prefix(n):
 
 
 def inverse_pd_ones_below(limit):
-    """All positions m < limit with u(m) = 1 (they are odd)."""
-    v = inverse_pd_odd_indicator(max((limit + 1) // 2, 1))
-    return 2 * np.nonzero(v)[0].astype(np.int64) + 1
+    """All positions m < limit with u(m) = 1, ascending, as int64.
+
+    They are odd, m = 2j + 1, and the recurrences of inverse_pd_odd_indicator
+    make the set S = {j : u(2j+1) = 1} satisfy S = {0} u (2S + 2) u (4S + 3).
+    S below b gives 2S + 2 below 2b + 2 and 4S + 3 below 4b + 3, so the bound
+    grows as b -> 2b + 2 by one merge of two sorted arrays, and memory stays
+    proportional to the ones found.
+    """
+    bound = limit // 2  # 2j + 1 < limit exactly when j < limit // 2
+    s, b = np.zeros(1, dtype=np.int64), 1  # s is S below b
+    while b < bound:
+        b = 2 * b + 2
+        odd = 4 * s + 3
+        s = np.concatenate(([0], 2 * s + 2, odd[odd < b]))
+        s.sort(kind="stable")  # two ascending runs: timsort merges them in one pass
+    return 2 * s[s < bound] + 1
 
 
 def thue_morse_prefix(n):
@@ -375,12 +398,13 @@ class NamedSequence:
 def _first_hits(prefix, hit, count, size):
     """The first count indices where the mask hit(prefix(size)) holds.
 
-    size doubles until there are count of them.
+    size doubles until there are count of them.  The result is a copy, so
+    a cache that keeps it does not keep the whole search buffer.
     """
     while True:
         hits = np.flatnonzero(hit(prefix(size)))
         if len(hits) >= count:
-            return hits[:count]
+            return hits[:count].copy()
         size *= 2
 
 

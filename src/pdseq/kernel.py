@@ -186,6 +186,9 @@ class RankProfile:
         }
 
 
+_CHUNK = 32  # rows reduced at a time against one prime's basis
+
+
 def _mod(x, q):
     """x mod q in [0, q) for integer-valued float64 |x| < 2^53.
 
@@ -199,33 +202,44 @@ class _PrimeEchelon:
 
     Entries stay in [0, q).  A product against the basis sums at most ncols
     terms below (q-1)^2, which the caller keeps under 2^53, so every matmul
-    here is exact.
+    here is exact.  The basis rows live in the first rank rows of a buffer
+    that doubles when it fills, and are updated in place, _CHUNK rows at a
+    time.
     """
-
-    _CHUNK = 32  # rows eliminated one pivot at a time between basis updates
 
     def __init__(self, q, ncols):
         self.q = q
-        self.basis = np.zeros((0, ncols))
+        self.rows = np.zeros((0, ncols))
         self.pivots = []
 
     def add_block(self, rows):
-        """Add integer rows (int64, any sign) and return the new rank mod q."""
-        q = self.q
+        """Add a few integer rows (int64, any sign) and return the new rank mod q.
+
+        The rows are reduced against the basis and row-reduced among
+        themselves once; the new pivots are then cleared in the old rows.
+        """
+        q, rank = self.q, len(self.pivots)
+        basis = self.rows[:rank]
         b = np.mod(rows, q).astype(np.float64)
-        if self.pivots:
-            b = _mod(b - b[:, self.pivots] @ self.basis, q)
-        while True:
-            b = b[b.any(axis=1)]
-            if not len(b):
-                return len(self.pivots)
-            new, pivots = _rref_mod_p(b[: self._CHUNK], q)
-            new = new.astype(np.float64)
-            # the new rows vanish at the old pivots; clear the new pivots in
-            # the old rows and in the rows still waiting
-            self.basis = np.vstack([_mod(self.basis - self.basis[:, pivots] @ new, q), new])
-            self.pivots += pivots
-            b = _mod(b[self._CHUNK :] - b[self._CHUNK :, pivots] @ new, q)
+        if rank:
+            b = _mod(b - b[:, self.pivots] @ basis, q)
+        b = b[b.any(axis=1)]
+        if not len(b):
+            return rank
+        new, pivots = _rref_mod_p(b, q)
+        # the new rows vanish at the old pivots; clear the new pivots in the old rows
+        cleared = new.astype(np.float64)
+        for lo in range(0, rank, _CHUNK):
+            part = basis[lo : lo + _CHUNK]
+            part[:] = _mod(part - part[:, pivots] @ cleared, q)
+        grown = rank + len(new)
+        if grown > len(self.rows):
+            rows = np.empty((max(grown, 2 * rank), self.rows.shape[1]))
+            rows[:rank] = basis
+            self.rows = rows
+        self.rows[rank:grown] = new
+        self.pivots += pivots
+        return grown
 
 
 def _prime_sequence(ncols):
@@ -272,12 +286,18 @@ class _ModularRank:
         self.nrows += len(rows)
         self.max_abs = max(self.max_abs, int(rows.max(initial=0)), -int(rows.min(initial=0)))
         for ech in self.echelons:
-            self.rank = max(self.rank, ech.add_block(rows))
+            self._feed(ech, rows)
         while not self._certified():
             ech = _PrimeEchelon(next(self.primes), self.ncols)
             self.echelons.append(ech)
             self.modulus *= ech.q
-            self.rank = max(self.rank, ech.add_block(np.concatenate(self.blocks)))
+            for block in self.blocks:
+                self._feed(ech, block)
+
+    def _feed(self, ech, rows):
+        # rank mod q does not depend on the order the rows arrive in
+        for lo in range(0, len(rows), _CHUNK):
+            self.rank = max(self.rank, ech.add_block(rows[lo : lo + _CHUNK]))
 
     def _certified(self):
         if self.echelons and self.rank == min(self.nrows, self.ncols):

@@ -15,6 +15,8 @@ suite, the short version being:
    only the position sequence of ones behaves as pinned.
 """
 
+import tracemalloc
+
 import pytest
 
 from pdseq import checks
@@ -100,3 +102,15 @@ def test_criterion_13_rank_profiles(results):
 
 def test_criterion_14_numeration(results):
     _assert_check(results, "ans-numeration")
+
+
+def test_mod3_structure_memory_budget():
+    # the ones of u below 2^27 are 317,811 positions (2.5 MB); no indicator
+    # of 2^26 entries is needed to find them
+    tracemalloc.start()
+    try:
+        ok, _, _ = checks.check_mod3_structure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < 32 << 20, f"peak {peak / 2**20:.1f} MB"

@@ -1,6 +1,7 @@
 """Automata: evaluation, product, minimization, counting, serialization."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pdseq import catalog, numeration
 from pdseq.automata import (
     Dfa,
     Dfao,
+    _base_k_language,
     evaluate,
     evaluate_range,
     genealogical_words,
@@ -37,6 +39,18 @@ def from_state(m, s):
 def language_counts(dfa, max_length):
     """The number of words of each length 0..max_length that dfa accepts."""
     return [row[dfa.initial] for row in word_counts(dfa, max_length)]
+
+
+def last_letter_dfao(k, read_order):
+    """Outputs the last letter read, 0 on the empty word."""
+    table = [list(range(k))] * (k + 1)
+    return Dfao([f"q{i}" for i in range(k)] + ["start"], k, range(k), table, list(range(k)) + [0], read_order)
+
+
+def digit_sum_dfao(k, read_order):
+    """Outputs the digit sum mod k, which does not depend on the read order."""
+    table = [[(s + d) % k for d in range(k)] for s in range(k)]
+    return Dfao([f"q{i}" for i in range(k)], 0, range(k), table, range(k), read_order)
 
 
 @st.composite
@@ -111,6 +125,41 @@ class TestEvaluation:
         assert states.tolist() == [m.final_state(w) for w in words]
         assert evaluate_range(m, count, language).tolist() == [evaluate(m, n, ans) for n in range(count)]
 
+    @pytest.mark.parametrize("k, length", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
+    def test_counts_at_base_k_length_boundaries(self, k, length):
+        # the n-digit numbers end at k^n - 1; a last letter read that is the
+        # leading digit (LSD-first) or the last digit (MSD-first) shows the order
+        base = numeration.BaseK(k)
+        language = _base_k_language(k)
+        for order in ("lsd", "msd"):
+            for m in (last_letter_dfao(k, order), digit_sum_dfao(k, order)):
+                for count in (k**length - 1, k**length, k**length + 1):
+                    want = [evaluate(m, n, base) for n in range(count)]
+                    assert evaluate_range(m, count).tolist() == want
+                    if order == "msd":
+                        values, states = genealogical_words(language, count, m)
+                        assert values.tolist() == list(range(count))
+                        assert [m.outputs[s] for s in states.tolist()] == want
+
+    @pytest.mark.parametrize("count", sorted({f + d for f in numeration.fibonacci_numbers(count=15)[2:] for d in (-1, 0, 1)}))
+    def test_counts_at_fibonacci_boundaries(self, count):
+        # the words of L_F up to a length, and the ones of u (the words of L_a)
+        # below a power of two, number a Fibonacci number or one less
+        lf, x = catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao()
+        ans = numeration.Ans(lf)
+        words = [ans.rep(n) for n in range(count)]
+        values, states = genealogical_words(lf, count, x)
+        assert values.tolist() == [int("".join(map(str, w)) or "0", 2) for w in words]
+        assert states.tolist() == [x.final_state(w) for w in words]
+        assert evaluate_range(x, count, lf).tolist() == [evaluate(x, n, ans) for n in range(count)]
+        la = catalog.ones_positions_language_dfa()
+        ans = numeration.Ans(la)
+        values, states = genealogical_words(la, count)
+        words = [ans.rep(n) for n in range(count)]
+        assert values.tolist() == [int("".join(map(str, w)), 2) for w in words]
+        assert states.tolist() == [la.final_state(w) for w in words]
+        assert values.tolist() == catalog.inverse_pd_ones_below(values[-1] + 1).tolist()
+
     def test_non_integer_outputs_refused(self):
         pairs = product(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
         with pytest.raises(ValueError, match="integer outputs"):
@@ -126,6 +175,17 @@ class TestEvaluation:
         assert genealogical_words(sparse, 63)[0].tolist() == [1] * 63
         with pytest.raises(ValueError, match="overflow"):
             genealogical_words(sparse, 64)
+
+    @pytest.mark.parametrize("m", [catalog.inverse_pd_dfao(), catalog.odd_ones_language_dfa()], ids=["lsd", "msd"])
+    def test_memory_budget_of_a_range(self, m):
+        # the 8 MB result, and per-length state arrays of a byte per state
+        tracemalloc.start()
+        try:
+            evaluate_range(m, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MB"
 
     def test_pd_output_is_trailing_ones_parity(self):
         # the two-state machine computes nu_2(n+1) mod 2 for every index

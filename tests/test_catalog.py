@@ -91,7 +91,7 @@ class TestBuilders:
         assert v.tolist() == odd_indicator_oracle(n)
         assert np.array_equal(v, evaluate_range(catalog.inverse_pd_dfao(), 2 * n)[1::2])
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 4097])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 1000, 1023, 1024, 1025, 4097])
     def test_period_doubling_and_thue_morse_per_index(self, n):
         def nu2(m):
             return (m & -m).bit_length() - 1
@@ -194,6 +194,26 @@ class TestPositionsStructure:
     def test_ones_positions_are_odd(self):
         a = catalog.inverse_pd_ones_below(1 << 16)
         assert bool(np.all(a % 2 == 1))
+
+    def test_ones_below_small_limits(self):
+        # u(1) = u(5) = 1: a position equal to the limit is not below it
+        for limit, want in ((0, []), (1, []), (2, [1]), (5, [1]), (6, [1, 5])):
+            got = catalog.inverse_pd_ones_below(limit)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @given(st.integers(0, 1 << 16))
+    @settings(max_examples=60, deadline=None)
+    def test_ones_below_match_the_dense_prefix(self, limit):
+        got = catalog.inverse_pd_ones_below(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.flatnonzero(catalog.inverse_pd_prefix(limit)))
+
+    def test_ones_below_powers_of_two_count_fibonacci(self):
+        # the ones of u below 2^k number F(k) for odd k and F(k) - 1 for even
+        # k, F(0) = F(1) = 1, up to k = 27 where the mod-3 check reads them
+        fib = catalog.fibonacci_numbers(count=30)
+        for k in range(1, 28):
+            assert len(catalog.inverse_pd_ones_below(1 << k)) == fib[k] - (k % 2 == 0)
 
     def test_expansions_are_exactly_the_language(self):
         # both directions: u(m) = 1 iff the binary expansion of m is accepted

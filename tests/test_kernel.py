@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdseq import catalog
+from pdseq import catalog, kernel
 from pdseq.automata import evaluate_range, minimize
 from pdseq.kernel import (
     HorizonError,
     _ModularRank,
-    _PrimeEchelon,
     _prime_sequence,
     compute_kernel,
     rank_profile,
@@ -147,13 +146,14 @@ def rational_rank(rows):
     return sympy.Matrix([[int(x) for x in row] for row in rows]).rank() if rows else 0
 
 
-def feed(ncols, blocks, chunk=_PrimeEchelon._CHUNK):
+def feed(ncols, blocks, chunk=kernel._CHUNK):
     """Rank after each block, next to the oracle's rank of all rows so far.
 
-    A small chunk makes a few rows take the path of large blocks: several
-    elimination rounds per block, each clearing the rows still waiting.
+    A small chunk makes a few rows take the path of large blocks: each
+    prime receives a block in several slices, and a new prime replays the
+    earlier blocks slice by slice.
     """
-    with mock.patch.object(_PrimeEchelon, "_CHUNK", chunk):
+    with mock.patch.object(kernel, "_CHUNK", chunk):
         tracker = _ModularRank(ncols)
         seen = []
         for block in blocks:
@@ -166,7 +166,7 @@ entries = st.one_of(st.integers(-(2**40), 2**40), st.integers(-2, 2))
 
 
 class TestModularRank:
-    @pytest.mark.parametrize("chunk", [1, 2, _PrimeEchelon._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, kernel._CHUNK])
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_blocks_depth_by_depth(self, chunk, ncols, data):
@@ -175,7 +175,7 @@ class TestModularRank:
         for tracker, want in feed(ncols, blocks, chunk):
             assert tracker.rank == want
 
-    @pytest.mark.parametrize("chunk", [1, 2, _PrimeEchelon._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, kernel._CHUNK])
     @given(st.integers(2, 6), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_planted_rational_dependencies(self, chunk, ncols, r, data):
@@ -193,6 +193,19 @@ class TestModularRank:
         for tracker, want in feed(ncols, blocks, chunk):
             assert tracker.rank == want
         assert tracker.rank <= r
+
+    @given(st.integers(1, 5), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_slices_match_sympy_rank(self, ncols, chunk, data):
+        # each later row is an earlier one shifted by 0, q0 or q0*q1 in every
+        # entry, so the first prime(s) can miss its rank and a further prime
+        # replays the earlier rows in slices
+        q0, q1 = islice(_prime_sequence(ncols), 2)
+        base = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+        shifts = data.draw(st.lists(st.sampled_from([0, q0, q0 * q1]), min_size=len(base), max_size=len(base)))
+        rows = base + [[x + c for x in row] for row, c in zip(base, shifts)]
+        for tracker, want in feed(ncols, [rows[: len(base)], rows[len(base) :]], chunk):
+            assert tracker.rank == want
 
     def test_diagonal_singular_mod_first_prime(self):
         q0, q1 = islice(_prime_sequence(2), 2)
