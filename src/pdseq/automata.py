@@ -80,15 +80,12 @@ class Dfao:
             raise ValueError(f"letter {letter!r} outside the input alphabet") from None
         return int(self.table[state, j])
 
-    def final_state(self, word):
+    def output(self, word):
+        """Output letter after feeding word in the automaton's own order."""
         s = self.initial
         for c in word:
             s = self.step(s, c)
-        return s
-
-    def output(self, word):
-        """Output letter after feeding word in the automaton's own order."""
-        return self.outputs[self.final_state(word)]
+        return self.outputs[s]
 
     # -- serialization --------------------------------------------------
 
@@ -180,28 +177,19 @@ def evaluate(m, n, numeration):
     return m.output(word)
 
 
-def genealogical_words(language, count, m=None):
-    """The first count words of a language in genealogical order, as arrays.
+def genealogical_words(language, count):
+    """The first count words of a language in genealogical order, as an array.
 
     language is an MSD-first DFA; its words are taken length by length and,
     within a length, lexicographically by the alphabet order (the order of
     an abstract numeration system, so the n-th word represents n).  Returns
-    two int64 arrays: the base-k value of each word, where k is the alphabet
-    size and a letter's digit is its index in the alphabet, and the state
-    that m (an MSD-first DFAO over the same alphabet; default the language
-    DFA itself) reaches on it.  Raises ValueError when the language has
-    fewer than count words or one longer than int64 values allow.
+    the int64 base-k value of each word, where k is the alphabet size and a
+    letter's digit is its index in the alphabet.  Raises ValueError when the
+    language has fewer than count words or one longer than int64 values
+    allow.
     """
-    m = language if m is None else m
-    values = np.empty(count, dtype=np.int64)
-    states = np.empty(count, dtype=np.int64)
-    found = 0
-    for level_states, level_values in _accepted_by_length(language, m, count, True):
-        end = found + len(level_states)
-        np.remainder(level_states, m.num_states, out=states[found:end])
-        values[found:end] = level_values
-        found = end
-    return values, states
+    levels = [values for _, values in _accepted_by_length(language, language, count, True)]
+    return np.concatenate(levels)
 
 
 def _accepted_by_length(language, m, count, with_values):

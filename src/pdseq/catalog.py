@@ -16,6 +16,7 @@ Nothing assumes a closed form for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -60,11 +61,13 @@ def digit_sum_mod_prefix(n, p):
     """s_p(m) mod p for m < n (generalized Thue-Morse values).
 
     Built by p-fold doubling: the block for m = j*p^k + r, r < p^k, is
-    (j + s[r]) mod p, one broadcast per power of p.
+    (j + s[r]) mod p, one broadcast per power of p over the blocks j that
+    the first n values reach.
     """
     s = np.zeros(1, dtype=np.int64)
     while len(s) < n:
-        s = ((np.arange(p, dtype=np.int64)[:, None] + s) % p).ravel()
+        blocks = min(p, -(-n // len(s)))
+        s = ((np.arange(blocks, dtype=np.int64)[:, None] + s) % p).ravel()
     return s[:n]
 
 
@@ -125,45 +128,32 @@ def thue_morse_prefix(n):
     return digit_sum_mod_prefix(n, 2)
 
 
-def run_length_word_prefix(n):
-    """Fixed point of 1->121, 2->12221 as ints (run lengths of Thue-Morse)."""
-    if n <= 0:
-        return np.zeros(0, dtype=np.int64)
-    out = bytearray(b"\x01\x02\x01")
-    images = {1: b"\x01\x02\x01", 2: b"\x01\x02\x02\x02\x01"}
-    ptr = 1
-    while len(out) < n:
-        out.extend(images[out[ptr]])
-        ptr += 1
-    return np.frombuffer(bytes(out[:n]), dtype=np.uint8).astype(np.int64)
-
-
 # -- morphisms of the catalog -----------------------------------------------
 
 
 def period_doubling_morphism():
-    return Morphism({"0": ("0", "1"), "1": ("0", "0")})
+    return Morphism({0: (0, 1), 1: (0, 0)})
 
 
 def thue_morse_morphism():
-    return Morphism({"0": ("0", "1"), "1": ("1", "0")})
+    return Morphism({0: (0, 1), 1: (1, 0)})
 
 
 def run_length_morphism():
-    return Morphism({"1": ("1", "2", "1"), "2": ("1", "2", "2", "2", "1")})
+    """1->121, 2->12221: its fixed point is the run lengths of Thue-Morse."""
+    return Morphism({1: (1, 2, 1), 2: (1, 2, 2, 2, 1)})
 
 
 def doubled_run_length_morphism():
-    return Morphism({"2": ("2", "4", "2"), "4": ("2", "4", "4", "4", "2")})
+    return Morphism({2: (2, 4, 2), 4: (2, 4, 4, 4, 2)})
 
 
 def doubled_run_length_coding():
-    return Morphism({"2": ("0", "1"), "4": ("0", "0", "0", "1")})
+    return Morphism({2: (0, 1), 4: (0, 0, 0, 1)})
 
 
 def generalized_tm_morphism(p):
-    letters = [str(j) for j in range(p)]
-    return Morphism({a: tuple(str((int(a) + i) % p) for i in range(p)) for a in letters})
+    return Morphism({a: tuple((a + i) % p for i in range(p)) for a in range(p)})
 
 
 def fib_indicator_product_morphism():
@@ -187,13 +177,13 @@ def fib_indicator_erasing_coding():
     return Morphism(
         {
             "z": (),
-            "a0": ("0",),
+            "a0": (0,),
             "a1": (),
-            "a2": ("1",),
-            "a3": ("1",),
+            "a2": (1,),
+            "a3": (1,),
             "a4": (),
-            "a5": ("0",),
-            "a6": ("0",),
+            "a5": (0,),
+            "a6": (0,),
             "a7": (),
         }
     )
@@ -212,7 +202,7 @@ def golden_morphism():
 
 
 def golden_coding():
-    return Morphism({"a": ("0",), "b": ("1",), "c": ("1",), "d": ("0",), "e": ("0",)})
+    return Morphism({"a": (0,), "b": (1,), "c": (1,), "d": (0,), "e": (0,)})
 
 
 # -- automata of the catalog -------------------------------------------------
@@ -356,6 +346,7 @@ def generalized_tm_relation(p):
 
 def inverse_gtm_series(p, precision):
     """Formal inverse of the generalized Thue-Morse generating function."""
+    series._check_modulus(p)  # before building terms: p <= 1 would never fill them
     t = series.TruncatedSeries(p, digit_sum_mod_prefix(precision, p))
     return series.reversion(t)
 
@@ -412,9 +403,17 @@ def _positions(indicator_prefix, value):
     return lambda count: _first_hits(indicator_prefix, lambda data: data == value, count, max(4 * count, 64))
 
 
+def _fixed_point(morphism, seed):
+    return lambda count: fixed_point_prefix(morphism(), seed, count)
+
+
+def _morphic_word(morphism, coding, seed):
+    return lambda count: morphic_word_prefix(morphism(), coding(), seed, count)
+
+
 def _a_build(count):
     """The first count positions of ones in u: its MSD-first language L_a, enumerated."""
-    return automata.genealogical_words(ones_positions_language_dfa(), count)[0]
+    return automata.genealogical_words(ones_positions_language_dfa(), count)
 
 
 def _a_via_indicator(count):
@@ -438,30 +437,12 @@ def _x_via_zeckendorf(count):
     return automata.evaluate_range(fibonacci_indicator_dfao(), count, zeckendorf_language_dfa())
 
 
-def _x_via_golden_morphism(count):
-    word = morphic_word_prefix(golden_morphism(), golden_coding(), "a", count)
-    return np.array([int(c) for c in word], dtype=np.int64)
-
-
 def _fib_build(count):
     return np.array(fibonacci_numbers(count=count), dtype=object)
 
 
-def _morphic_ints(morphism, seed, count):
-    return np.array([int(c) for c in fixed_point_prefix(morphism, seed, count)], dtype=np.int64)
-
-
-def _d_via_morphism(count):
-    return _morphic_ints(period_doubling_morphism(), "0", count)
-
-
 def _d_via_dfao(count):
     return automata.evaluate_range(period_doubling_dfao(), count)
-
-
-def _d_via_coded_runs(count):
-    word = morphic_word_prefix(doubled_run_length_morphism(), doubled_run_length_coding(), "2", count)
-    return np.array([int(c) for c in word], dtype=np.int64)
 
 
 def _d_via_tm_difference(count):
@@ -478,10 +459,6 @@ def _u_via_dfao(count):
     return automata.evaluate_range(inverse_pd_dfao(), count)
 
 
-def _t_via_morphism(count):
-    return _morphic_ints(thue_morse_morphism(), "0", count)
-
-
 def _p_via_run_lengths(count):
     # Thue-Morse runs have length 1 or 2, so 4*count+16 terms hold more
     # than count complete runs
@@ -489,7 +466,7 @@ def _p_via_run_lengths(count):
 
 
 def _p_via_doubled_morphism(count):
-    return _morphic_ints(doubled_run_length_morphism(), "2", count) // 2
+    return fixed_point_prefix(doubled_run_length_morphism(), 2, count) // 2
 
 
 def _z_via_tm_alternations(count):
@@ -503,7 +480,7 @@ def _z_via_run_lengths(count):
 
 def _o_via_run_length_gaps(count):
     """o[0] = 1, and the gaps of o are the shifted fixed point of 2->242, 4->24442."""
-    w = _morphic_ints(doubled_run_length_morphism(), "2", count)
+    w = fixed_point_prefix(doubled_run_length_morphism(), 2, count)
     return np.concatenate(([1], 1 + np.cumsum(w[1:])))
 
 
@@ -526,9 +503,9 @@ def _build_registry():
             "period-doubling sequence",
             period_doubling_prefix,
             alternates={
-                "uniform-morphism": _d_via_morphism,
+                "uniform-morphism": _fixed_point(period_doubling_morphism, 0),
                 "msd-automaton": _d_via_dfao,
-                "coded-run-length-morphism": _d_via_coded_runs,
+                "coded-run-length-morphism": _morphic_word(doubled_run_length_morphism, doubled_run_length_coding, 2),
                 "tm-first-difference": _d_via_tm_difference,
             },
         )
@@ -538,14 +515,14 @@ def _build_registry():
             "t",
             "Thue-Morse sequence",
             thue_morse_prefix,
-            alternates={"uniform-morphism": _t_via_morphism},
+            alternates={"uniform-morphism": _fixed_point(thue_morse_morphism, 0)},
         )
     )
     _register(
         NamedSequence(
             "p",
             "run lengths of Thue-Morse",
-            run_length_word_prefix,
+            _fixed_point(run_length_morphism, 1),
             alternates={
                 "run-length-scan": _p_via_run_lengths,
                 "doubled-alphabet-morphism": _p_via_doubled_morphism,
@@ -612,7 +589,7 @@ def _build_registry():
             _x_build,
             alternates={
                 "zeckendorf-automaton": _x_via_zeckendorf,
-                "golden-morphism": _x_via_golden_morphism,
+                "golden-morphism": _morphic_word(golden_morphism, golden_coding, "a"),
             },
         )
     )
@@ -629,11 +606,7 @@ def _build_registry():
                 f"tp{p}",
                 f"base-{p} digit sum reduced mod {p}",
                 (lambda pp: lambda n: digit_sum_mod_prefix(n, pp))(p),
-                alternates={
-                    "uniform-morphism": (
-                        lambda pp: lambda n: _morphic_ints(generalized_tm_morphism(pp), "0", n)
-                    )(p)
-                },
+                alternates={"uniform-morphism": _fixed_point(partial(generalized_tm_morphism, p), 0)},
             )
         )
 

@@ -69,63 +69,59 @@ class KernelAnalysis:
         return len(self.classes)
 
 
+def _kernel_rows(prefix, k, depth, width):
+    """Row r is the kernel subsequence s(k^depth j + r), j < width, for r < k^depth.
+
+    One fetch of k^depth * width terms, reshaped: a view, not a copy.
+    """
+    step = k**depth
+    return np.asarray(prefix(step * width), dtype=np.int64).reshape(width, step).T
+
+
 def compute_kernel(prefix, k, max_depth=10, horizon=512):
     """Breadth-first closure of the k-kernel under fingerprint merging.
 
     Fingerprints are the first `horizon` subsequence terms; a merge is
     accepted only if the two subsequences also agree on 4*horizon terms
-    (HorizonError otherwise).  Merges are applied in ascending residue order.
-    prefix(n) returns the first n terms of the sequence.
+    (HorizonError otherwise), checked against the window kept for each
+    class.  Merges are applied in ascending residue order.  prefix(n)
+    returns the first n terms of the sequence.
     """
     _check_arguments(k, horizon)
     H = int(horizon)
 
-    classes = []
-    class_by_key = {}
-    transitions = {}
-
-    def level_arrays(scale):
-        step = k**scale
-        data = prefix(step * 4 * H)
-        return np.asarray(data, dtype=np.int64), step
-
     # class 0 is the whole sequence
-    data0, _ = level_arrays(0)
-    fp0 = data0[:H]
-    classes.append(KernelClass(0, 0, tuple(int(x) for x in fp0)))
-    class_by_key[fp0.tobytes()] = 0
-    pending = [(0, 0, 0)]  # (scale, residue, class index)
+    window = _kernel_rows(prefix, k, 0, 4 * H)[0]
+    classes = [KernelClass(0, 0, tuple(window[:H].tolist()))]
+    windows = [window]
+    class_by_key = {window[:H].tobytes(): 0}
+    transitions = {}
+    level = [(0, 0)]  # (residue, class index) of the classes first found at this scale
 
-    while pending:
-        scale = pending[0][0]
-        level = [item for item in pending if item[0] == scale]
-        pending = [item for item in pending if item[0] != scale]
-        if scale + 1 > max_depth:
-            return KernelAnalysis(k, H, classes, transitions, False, None)
-        data, step = level_arrays(scale + 1)
-
-        children = sorted((residue + digit * k**scale, idx, digit) for _, residue, idx in level for digit in range(k))
+    for scale in range(max_depth):
+        rows = _kernel_rows(prefix, k, scale + 1, 4 * H)
+        children = sorted((residue + digit * k**scale, idx, digit) for residue, idx in level for digit in range(k))
+        level = []
         for r, idx, digit in children:
-            sub = data[r::step][: 4 * H]
-            fp = sub[:H]
-            key = fp.tobytes()
-            if key in class_by_key:
-                target = class_by_key[key]
-                rep = classes[target]
-                rep_data, rep_step = level_arrays(rep.scale)
-                rep_sub = rep_data[rep.residue :: k**rep.scale][: 4 * H]
-                if not np.array_equal(rep_sub[: len(sub)], sub[: len(rep_sub)]):
-                    raise HorizonError(
-                        f"classes ({rep.scale},{rep.residue}) and ({scale + 1},{r}) "
-                        f"agree on {H} terms but diverge within {4 * H}"
-                    )
-            else:
+            window = rows[r]
+            key = window[:H].tobytes()
+            target = class_by_key.get(key)
+            if target is None:
                 target = len(classes)
-                classes.append(KernelClass(scale + 1, r, tuple(int(x) for x in fp)))
+                classes.append(KernelClass(scale + 1, r, tuple(window[:H].tolist())))
+                windows.append(window)
                 class_by_key[key] = target
-                pending.append((scale + 1, r, target))
+                level.append((r, target))
+            elif not np.array_equal(windows[target], window):
+                rep = classes[target]
+                raise HorizonError(
+                    f"classes ({rep.scale},{rep.residue}) and ({scale + 1},{r}) "
+                    f"agree on {H} terms but diverge within {4 * H}"
+                )
             transitions[(idx, digit)] = target
-    return KernelAnalysis(k, H, classes, transitions, True, max(c.scale for c in classes))
+        if not level:
+            return KernelAnalysis(k, H, classes, transitions, True, scale)
+    return KernelAnalysis(k, H, classes, transitions, False, None)
 
 
 def synthesize_dfao(analysis):
@@ -322,11 +318,8 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     tracker = _ModularRank(H)
     depths = []
     for depth in range(max_depth + 1):
-        step = k**depth
-        # row r of the reshaped prefix is the fingerprint s(step*j + r), j < H
-        rows = np.asarray(prefix(step * H), dtype=np.int64).reshape(H, step).T
         new_rows, new_reps = [], []
-        for r, fp in enumerate(rows):
+        for r, fp in enumerate(_kernel_rows(prefix, k, depth, H)):
             key = fp.tobytes()
             if key in seen:
                 continue

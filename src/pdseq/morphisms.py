@@ -1,8 +1,9 @@
 """Morphisms on finite alphabets: fixed points, codings and spectral data.
 
-Letters are strings, words are tuples of letters.  Fixed points are produced
-by a lazy work-queue expansion so that prefix generation is O(1) amortized
-per letter and never materializes more than a bounded lookahead.  Spectral
+The letters of one alphabet are all ints (digits) or all strings (named
+states); a Morphism maps words given as tuples of letters.  Prefixes of
+fixed points and of their codings are int or str numpy arrays, read from one
+flat table of letter images with one vectorized gather per pass.  Spectral
 radii of incidence matrices are computed from exact integer characteristic
 polynomials with Sturm-sequence root isolation; no floating-point linear
 algebra is involved.  An integer or quadratic spectral radius gets an exact
@@ -23,9 +24,7 @@ import numpy as np
 
 __all__ = [
     "Morphism",
-    "fixed_point",
     "fixed_point_prefix",
-    "morphic_word",
     "morphic_word_prefix",
     "remove_erasure",
     "trim_to_prolongable",
@@ -50,10 +49,6 @@ class Morphism:
     def alphabet(self):
         return tuple(self.rules)
 
-    @property
-    def non_erasing(self):
-        return all(len(w) > 0 for w in self.rules.values())
-
     def __call__(self, word):
         out = []
         for a in word:
@@ -76,50 +71,79 @@ class Morphism:
 # -- fixed points ---------------------------------------------------------
 
 
-def _check_prolongable(m, seed):
-    if not m.non_erasing:
+def _image_table(m, domain, codomain):
+    """m's images of the letters of domain, as one flat int64 array of indices into codomain.
+
+    Returns (flat, start, length): the image of domain[i] is
+    flat[start[i] : start[i] + length[i]].
+    """
+    index = {b: j for j, b in enumerate(codomain)}
+    try:
+        images = [[index[b] for b in m.rules[a]] for a in domain]
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]!r} outside the alphabet") from None
+    length = np.array([len(w) for w in images], dtype=np.int64)
+    flat = np.array([j for w in images for j in w], dtype=np.int64)
+    return flat, np.cumsum(length) - length, length
+
+
+def _apply(table, word):
+    """The image of a word of letter indices, as letter indices: one gather."""
+    flat, start, length = table
+    lengths = length[word]
+    ends = np.cumsum(lengths)
+    # letter i of the image of word[j] is flat[start[word[j]] + i], at position ends[j] - lengths[j] + i
+    return flat[np.repeat(start[word] - ends + lengths, lengths) + np.arange(lengths.sum())]
+
+
+def _fixed_point(m, seed, n):
+    """First n letters of the fixed point of m from seed, as indices into m.alphabet.
+
+    With m(w[:done]) = w, m(w) = w + m(w[done:]): each pass expands, in one
+    gather, only letters not yet expanded, and no more of them than n asks
+    for.
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if any(len(w) == 0 for w in m.rules.values()):
         raise ValueError("fixed points need a non-erasing morphism")
     image = m.rules.get(seed)
     if image is None:
         raise ValueError(f"seed {seed!r} not in the alphabet")
     if len(image) < 2 or image[0] != seed:
         raise ValueError(f"morphism is not prolongable on {seed!r}")
-
-
-def fixed_point(m, seed):
-    """Lazy stream of the fixed point of m starting with seed.
-
-    The fixed point w satisfies w = m(w); the buffer below is exactly
-    m(w_0) m(w_1) ... and stays ahead of the read pointer because the
-    morphism is non-erasing and the seed image has length >= 2.
-    """
-    _check_prolongable(m, seed)
-    buffer = list(m.rules[seed])
-    expand_at = 1
-    emit_at = 0
-    while True:
-        if emit_at == len(buffer):
-            buffer.extend(m.rules[buffer[expand_at]])
-            expand_at += 1
-        yield buffer[emit_at]
-        emit_at += 1
+    letters = m.alphabet
+    table = _image_table(m, letters, letters)
+    w = _apply(table, [letters.index(seed)])
+    done = 1
+    while len(w) < n:
+        todo = w[done:]
+        # the fewest letters whose images, of lengths table[2], fill the n - len(w) still wanted
+        todo = todo[: np.searchsorted(np.cumsum(table[2][todo]), n - len(w)) + 1]
+        w = np.concatenate([w, _apply(table, todo)])
+        done += len(todo)
+    return w[:n]
 
 
 def fixed_point_prefix(m, seed, n):
-    """First n letters of the fixed point, as a tuple."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return tuple(itertools.islice(fixed_point(m, seed), n))
-
-
-def morphic_word(f, g, seed):
-    """Stream of g(f^omega(seed)); g may erase letters."""
-    for a in fixed_point(f, seed):
-        yield from g.rules[a]
+    """First n letters of the fixed point of m starting with seed, as a numpy array."""
+    return np.array(m.alphabet)[_fixed_point(m, seed, n)]
 
 
 def morphic_word_prefix(f, g, seed, n):
-    return tuple(itertools.islice(morphic_word(f, g, seed), n))
+    """First n letters of g(f^omega(seed)), as a numpy array; g may erase letters.
+
+    The fixed-point prefix that g codes doubles until its image holds n
+    letters.
+    """
+    codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
+    coding = _image_table(g, f.alphabet, codomain)
+    size = n
+    while True:
+        word = _apply(coding, _fixed_point(f, seed, size))
+        if len(word) >= n:
+            return np.array(codomain)[word[:n]]
+        size *= 2
 
 
 # -- erasure removal ------------------------------------------------------

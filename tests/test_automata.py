@@ -118,11 +118,10 @@ class TestEvaluation:
         words = [ans.rep(n) for n in range(count)]
         if words and k ** len(words[-1]) > 1 << 63:
             with pytest.raises(ValueError, match="overflow"):
-                genealogical_words(language, count, m)
+                genealogical_words(language, count)
             return
-        values, states = genealogical_words(language, count, m)
+        values = genealogical_words(language, count)
         assert values.tolist() == [sum(d * k**i for i, d in enumerate(reversed(w))) for w in words]
-        assert states.tolist() == [m.final_state(w) for w in words]
         assert evaluate_range(m, count, language).tolist() == [evaluate(m, n, ans) for n in range(count)]
 
     @pytest.mark.parametrize("k, length", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
@@ -137,9 +136,7 @@ class TestEvaluation:
                     want = [evaluate(m, n, base) for n in range(count)]
                     assert evaluate_range(m, count).tolist() == want
                     if order == "msd":
-                        values, states = genealogical_words(language, count, m)
-                        assert values.tolist() == list(range(count))
-                        assert [m.outputs[s] for s in states.tolist()] == want
+                        assert genealogical_words(language, count).tolist() == list(range(count))
 
     @pytest.mark.parametrize("count", sorted({f + d for f in numeration.fibonacci_numbers(count=15)[2:] for d in (-1, 0, 1)}))
     def test_counts_at_fibonacci_boundaries(self, count):
@@ -148,16 +145,14 @@ class TestEvaluation:
         lf, x = catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao()
         ans = numeration.Ans(lf)
         words = [ans.rep(n) for n in range(count)]
-        values, states = genealogical_words(lf, count, x)
+        values = genealogical_words(lf, count)
         assert values.tolist() == [int("".join(map(str, w)) or "0", 2) for w in words]
-        assert states.tolist() == [x.final_state(w) for w in words]
         assert evaluate_range(x, count, lf).tolist() == [evaluate(x, n, ans) for n in range(count)]
         la = catalog.ones_positions_language_dfa()
         ans = numeration.Ans(la)
-        values, states = genealogical_words(la, count)
+        values = genealogical_words(la, count)
         words = [ans.rep(n) for n in range(count)]
         assert values.tolist() == [int("".join(map(str, w)), 2) for w in words]
-        assert states.tolist() == [la.final_state(w) for w in words]
         assert values.tolist() == catalog.inverse_pd_ones_below(values[-1] + 1).tolist()
 
     def test_non_integer_outputs_refused(self):
@@ -167,12 +162,12 @@ class TestEvaluation:
 
     def test_enumeration_refusals(self):
         finite = Dfa(("a", "dead"), 0, (0, 1), [[1, 1], [1, 1]], (True, False), "msd")
-        assert genealogical_words(finite, 1)[0].tolist() == [0]
+        assert genealogical_words(finite, 1).tolist() == [0]
         with pytest.raises(ValueError, match="fewer than 2"):
             genealogical_words(finite, 2)
         # 0*1 has one word per length; the 64th is too long for int64 values
         sparse = Dfa(("zeros", "one", "dead"), 0, (0, 1), [[0, 1], [2, 2], [2, 2]], (False, True, False), "msd")
-        assert genealogical_words(sparse, 63)[0].tolist() == [1] * 63
+        assert genealogical_words(sparse, 63).tolist() == [1] * 63
         with pytest.raises(ValueError, match="overflow"):
             genealogical_words(sparse, 64)
 

@@ -1,5 +1,6 @@
 """The sequence registry: listings, cross-checks, and derived structure."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -110,6 +111,16 @@ class TestBuilders:
             return s
 
         assert catalog.digit_sum_mod_prefix(n, p).tolist() == [digit_sum(m) % p for m in range(n)]
+
+    def test_digit_sum_mod_memory_follows_the_count(self):
+        # a broadcast over all p digit rows would hold p * 8 bytes for n = 10
+        tracemalloc.start()
+        try:
+            assert catalog.digit_sum_mod_prefix(10, 1000003).tolist() == list(range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", [f + d for f in catalog.fibonacci_numbers(count=22)[6:] for d in (-1, 0, 1)])
     def test_a_definitions_agree_at_fibonacci_boundaries(self, n):

@@ -256,6 +256,9 @@ class TestRefusals:
             ("dfao", "u", "--horizon", "0"),
             ("kernel", "F"),
             ("check", "all"),
+            ("ore", "up1"),
+            ("ore", "up0"),
+            ("ore", "up-3"),
         ],
         ids=[
             "seq-negative",
@@ -265,6 +268,9 @@ class TestRefusals:
             "dfao-horizon0",
             "kernel-F",
             "check-all",
+            "ore-up1",
+            "ore-up0",
+            "ore-up-3",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -277,6 +283,11 @@ class TestRefusals:
     def test_overflow_is_named(self, capsys):
         _, _, err = run_cli(capsys, "kernel", "F")
         assert "overflow" in err
+
+    def test_modulus_checked_before_the_terms(self, capsys):
+        # the terms of a modulus p <= 1 would never fill: the check must come first
+        _, _, err = run_cli(capsys, "ore", "up1")
+        assert err == "error: modulus 1 is not prime\n"
 
 
 class TestRunPaperChecks:

@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdseq import catalog, kernel
-from pdseq.automata import evaluate_range, minimize
+from pdseq.automata import Dfao, evaluate_range, minimize
 from pdseq.kernel import (
     HorizonError,
     _ModularRank,
@@ -88,6 +88,21 @@ class TestSynthesis:
         machine = synthesize_dfao(analysis)
         assert machine.num_states == 1
         assert machine.output((0, 1, 1, 0)) == 7
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_regenerates_random_lsd_automata(self, data):
+        n = data.draw(st.integers(1, 5))
+        state = st.integers(0, n - 1)
+        table = data.draw(st.lists(st.lists(state, min_size=2, max_size=2), min_size=n, max_size=n))
+        outputs = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        m = Dfao([f"q{i}" for i in range(n)], data.draw(state), (0, 1), table, outputs, "lsd")
+        try:
+            analysis = compute_kernel(lambda count: evaluate_range(m, count), 2, horizon=64)
+        except HorizonError:
+            assume(False)
+        machine = minimize(synthesize_dfao(analysis))
+        assert np.array_equal(evaluate_range(machine, 1 << 12), evaluate_range(m, 1 << 12))
 
     def test_open_kernel_cannot_synthesize(self):
         analysis = compute_kernel(catalog.sequence("p").prefix, 2, max_depth=3, horizon=64)

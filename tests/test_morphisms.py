@@ -6,7 +6,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdseq import catalog
 from pdseq.morphisms import (
@@ -26,30 +26,74 @@ GOLDEN = (1 + 5**0.5) / 2
 PRIMES = (2, 3, 5, 7, 2**61 - 1)
 
 
+def queue_fixed_point(m, seed, n):
+    """Reference: the fixed point from a work queue, one letter image at a time."""
+    word, expand_at = list(m.rules[seed]), 1
+    while len(word) < n:
+        word.extend(m.rules[word[expand_at]])
+        expand_at += 1
+    return word[:n]
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """A random morphism on 2-5 int or str letters, prolongable on its first letter."""
+    size = draw(st.integers(2, 5))
+    letters = draw(st.sampled_from([list(range(3, 3 + size)), [f"s{i}" for i in range(size)]]))
+    image = st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(tuple)
+    rules = {a: draw(image) for a in letters}
+    rules[letters[0]] = (letters[0],) + draw(image)
+    return Morphism(rules), letters[0]
+
+
 class TestFixedPoints:
     def test_period_doubling_prefix(self):
         h = catalog.period_doubling_morphism()
-        got = "".join(fixed_point_prefix(h, "0", 21))
-        assert got == "010001010100010001000"
+        got = fixed_point_prefix(h, 0, 21).tolist()
+        assert got == [int(c) for c in "010001010100010001000"]
 
     def test_run_length_prefix(self):
         f = catalog.run_length_morphism()
-        assert fixed_point_prefix(f, "1", 8) == tuple("12112221"[i] for i in range(8))
+        assert fixed_point_prefix(f, 1, 8).tolist() == [1, 2, 1, 1, 2, 2, 2, 1]
 
     def test_slow_growth_morphism(self):
+        # one pass per letter: each expands the single b not yet expanded
         m = Morphism({"a": ("a", "b"), "b": ("b",)})
-        assert fixed_point_prefix(m, "a", 4) == ("a", "b", "b", "b")
+        for n in (4, 2000):
+            assert fixed_point_prefix(m, "a", n).tolist() == ["a"] + ["b"] * (n - 1)
 
     def test_not_prolongable(self):
         m = Morphism({"a": ("b", "a"), "b": ("a",)})
         with pytest.raises(ValueError, match="prolongable"):
             fixed_point_prefix(m, "a", 4)
 
+    def test_image_letter_outside_the_alphabet(self):
+        m = Morphism({"a": ("a", "c"), "b": ("b",)})
+        with pytest.raises(ValueError, match="'c' outside the alphabet"):
+            fixed_point_prefix(m, "a", 4)
+
     def test_long_prefix_matches_formula(self):
         h = catalog.period_doubling_morphism()
         n = 1 << 18
-        got = np.array([int(c) for c in fixed_point_prefix(h, "0", n)], dtype=np.int64)
+        got = fixed_point_prefix(h, 0, n)
         assert np.array_equal(got, catalog.period_doubling_prefix(n))
+
+    @given(prolongable_morphisms(), st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_work_queue(self, morphism_and_seed, n):
+        m, seed = morphism_and_seed
+        assert fixed_point_prefix(m, seed, n).tolist() == queue_fixed_point(m, seed, n)
+
+    @given(prolongable_morphisms(), st.integers(0, 2000), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_coding_matches_the_work_queue(self, morphism_and_seed, n, data):
+        f, seed = morphism_and_seed
+        out = data.draw(st.sampled_from([[0, 1, 2], ["x", "y"]]))
+        g = Morphism({a: data.draw(st.lists(st.sampled_from(out), max_size=2)) for a in f.alphabet})
+        # a coding may erase all but finitely many letters; those words are skipped
+        coded = [b for a in queue_fixed_point(f, seed, 4 * n + 8) for b in g.rules[a]]
+        assume(len(coded) >= n)
+        assert morphic_word_prefix(f, g, seed, n).tolist() == coded[:n]
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -89,7 +133,7 @@ class TestErasureRemoval:
         fe, ge = remove_erasure(f, g, {"a1", "a4", "a7"})
         before = morphic_word_prefix(f, g, "z", 200)
         after = morphic_word_prefix(fe, ge, "z", 200)
-        assert before == after
+        assert before.tolist() == after.tolist()
 
     def test_trim_requires_erased_seed(self):
         phi = catalog.golden_morphism()
@@ -103,7 +147,7 @@ class TestErasureRemoval:
         fe, ge = remove_erasure(f, g, {"a1", "a4", "a7"})
         fp, gp, seed = trim_to_prolongable(fe, ge, "z")
         assert seed == "a0"
-        assert morphic_word_prefix(fp, gp, seed, 200) == morphic_word_prefix(fe, ge, "z", 200)
+        assert morphic_word_prefix(fp, gp, seed, 200).tolist() == morphic_word_prefix(fe, ge, "z", 200).tolist()
 
 
 class TestSpectra:
@@ -252,8 +296,8 @@ class TestRenaming:
     def test_distinct_morphisms_fail(self):
         h = catalog.period_doubling_morphism()
         tau = catalog.thue_morse_morphism()
-        ident = Morphism({"0": ("0",), "1": ("1",)})
-        assert equivalent_up_to_renaming(h, ident, "0", tau, ident, "0") is None
+        ident = Morphism({0: (0,), 1: (1,)})
+        assert equivalent_up_to_renaming(h, ident, 0, tau, ident, 0) is None
 
     def test_pipeline_bijection(self):
         f = catalog.fib_indicator_product_morphism()
