@@ -15,6 +15,7 @@ Nothing assumes a closed form for them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
@@ -422,7 +423,7 @@ def _a_via_indicator(count):
 
 
 def _delta_build(count):
-    a = sequence("a").prefix(count + 1).astype(np.int64)
+    a = sequence("a").prefix(count + 1)
     return ((np.diff(a) % 3) != 0).astype(np.int64)
 
 
@@ -665,9 +666,18 @@ def bfile_blocks(name, count, offset=0):
     """OEIS-style b-file text, '<index> <value>\\n' per term, one string per slice of terms.
 
     Python ints and lines a slice at a time: the lines of all the terms at
-    once would add about 70 bytes per term to the peak memory.
+    once would add about 70 bytes per term to the peak memory.  A term
+    longer than Python prints (sys.get_int_max_str_digits) is refused
+    before the first line.
     """
     values = sequence(name).prefix(count)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    too_long = np.flatnonzero(abs(values) >= 10**limit) if limit and values.dtype == object else ()
+    if len(too_long):
+        i = too_long[0]
+        raise ValueError(
+            f"term {offset + i} of {name} has more than {limit} decimal digits, too many to print; ask for at most {i} terms"
+        )
     for lo in range(0, len(values), _BFILE_SLICE):
         yield "".join(f"{i} {v}\n" for i, v in enumerate(values[lo : lo + _BFILE_SLICE].tolist(), offset + lo))
 

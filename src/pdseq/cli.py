@@ -77,13 +77,11 @@ def cmd_kernel(args):
 
 
 def cmd_dfao(args):
-    analysis = kernel.compute_kernel(
-        catalog.sequence(args.name).prefix, args.k, horizon=args.horizon
-    )
-    if not analysis.closed:
+    machine = kernel.compute_kernel(catalog.sequence(args.name).prefix, args.k, horizon=args.horizon)
+    if machine is None:
         sys.stderr.write(f"kernel of {args.name} did not close within the depth cap\n")
         return USAGE_ERROR
-    machine = automata.minimize(kernel.synthesize_dfao(analysis))
+    machine = automata.minimize(machine)
     if args.dot:
         sys.stdout.write(machine.to_dot(args.name) + "\n")
     else:

@@ -1,26 +1,29 @@
-"""k-kernels: subsequence classes, DFAO synthesis, and rank profiling.
+"""k-kernels: the automaton of a closed kernel, and exact rank profiles.
 
 The k-kernel of a sequence is the family (s(k^i n + r)) for all scales i
-and residues r < k^i.  Classes are keyed by a fingerprint (the first H
-subsequence terms); every claimed class equality is re-verified on a 4H
-window before it is trusted, because fingerprint collisions would silently
-corrupt a synthesized automaton.  Rank profiles report, per scale, the
-number of distinct fingerprints and the exact rank of the fingerprint
-matrix over the rationals.
+and residues r < k^i.  Subsequences are keyed by a fingerprint (their
+first H terms); every claimed equality is re-verified on a 4H window before
+it is trusted, because fingerprint collisions would silently corrupt the
+automaton.  compute_kernel closes the kernel under these merges and returns
+its LSD-first automaton.  rank_profile reports, per scale, the number of
+distinct fingerprints and the exact rank of the fingerprint matrix over the
+rationals.
 
-That rank is multi-modular.  Each scale's new fingerprints are reduced as
-one block against a row-echelon basis per prime q, in float64 matmuls kept
-exact by H*(q-1)^2 < 2^53.  Rank mod q never exceeds the rank over Q, so
-R = max_q rank mod q is a lower bound.  It is certified exact when it
+That rank is multi-modular.  One prime q at a time, every scale's new
+fingerprints are reduced, a few rows at a time, against one row-echelon
+basis mod q, in float64 matmuls kept exact by H*(q-1)^2 < 2^53; the basis
+is dropped before the next prime.  Rank mod q never exceeds the rank over
+Q, so R = max_q rank mod q is a lower bound.  It is certified exact when it
 equals the row or column count, or when the product of the primes exceeds
 the Hadamard bound (sqrt(R+1) X)^(R+1) on every (R+1)-minor, X = max
 |entry|, since a nonzero minor cannot be divisible by a larger product.  A
-further prime is taken only when none of these holds.
+further prime is taken only while some scale is not certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -29,12 +32,9 @@ from .automata import Dfao
 from .series import _is_prime, _rref_mod_p
 
 __all__ = [
-    "KernelClass",
-    "KernelAnalysis",
     "RankProfile",
     "HorizonError",
     "compute_kernel",
-    "synthesize_dfao",
     "rank_profile",
 ]
 
@@ -49,26 +49,6 @@ def _check_arguments(k, horizon):
         raise ValueError("horizon must be at least 1")
 
 
-@dataclass(frozen=True)
-class KernelClass:
-    scale: int
-    residue: int
-    fingerprint: tuple
-
-
-@dataclass
-class KernelAnalysis:
-    k: int
-    horizon: int
-    classes: list
-    transitions: dict  # (class index, digit) -> class index
-    closed: bool
-    closed_depth: int | None
-
-    def class_count(self):
-        return len(self.classes)
-
-
 def _kernel_rows(prefix, k, depth, width):
     """Row r is the kernel subsequence s(k^depth j + r), j < width, for r < k^depth.
 
@@ -79,69 +59,51 @@ def _kernel_rows(prefix, k, depth, width):
 
 
 def compute_kernel(prefix, k, max_depth=10, horizon=512):
-    """Breadth-first closure of the k-kernel under fingerprint merging.
+    """The DFAO of the k-kernel (reads digits LSD-first), or None if it does not close.
 
-    Fingerprints are the first `horizon` subsequence terms; a merge is
-    accepted only if the two subsequences also agree on 4*horizon terms
-    (HorizonError otherwise), checked against the window kept for each
-    class.  Merges are applied in ascending residue order.  prefix(n)
+    Breadth-first closure under fingerprint merging.  Fingerprints are the
+    first `horizon` subsequence terms; a merge is accepted only if the two
+    subsequences also agree on 4*horizon terms (HorizonError otherwise).
+    Merges are applied in ascending residue order.  Each state is a kernel
+    subsequence, labelled "(scale,residue)"; after reading the base-k digits
+    of n from the least significant end the automaton sits at the
+    subsequence (scale, n), so a state outputs the subsequence's first term.
+    None means the kernel did not close within max_depth scales.  prefix(n)
     returns the first n terms of the sequence.
     """
     _check_arguments(k, horizon)
     H = int(horizon)
 
-    # class 0 is the whole sequence
+    # state 0 is the whole sequence
     window = _kernel_rows(prefix, k, 0, 4 * H)[0]
-    classes = [KernelClass(0, 0, tuple(window[:H].tolist()))]
-    windows = [window]
-    class_by_key = {window[:H].tobytes(): 0}
-    transitions = {}
-    level = [(0, 0)]  # (residue, class index) of the classes first found at this scale
+    labels, windows, table = ["(0,0)"], [window], [[-1] * k]
+    state_by_key = {window[:H].tobytes(): 0}
+    level = [(0, 0)]  # (residue, state) of the states first found at this scale
 
     for scale in range(max_depth):
         rows = _kernel_rows(prefix, k, scale + 1, 4 * H)
-        children = sorted((residue + digit * k**scale, idx, digit) for residue, idx in level for digit in range(k))
+        children = sorted((residue + digit * k**scale, state, digit) for residue, state in level for digit in range(k))
         level = []
-        for r, idx, digit in children:
+        for r, state, digit in children:
             window = rows[r]
             key = window[:H].tobytes()
-            target = class_by_key.get(key)
+            target = state_by_key.get(key)
             if target is None:
-                target = len(classes)
-                classes.append(KernelClass(scale + 1, r, tuple(window[:H].tolist())))
+                target = len(labels)
+                labels.append(f"({scale + 1},{r})")
                 windows.append(window)
-                class_by_key[key] = target
+                table.append([-1] * k)
+                state_by_key[key] = target
                 level.append((r, target))
             elif not np.array_equal(windows[target], window):
-                rep = classes[target]
                 raise HorizonError(
-                    f"classes ({rep.scale},{rep.residue}) and ({scale + 1},{r}) "
+                    f"classes {labels[target]} and ({scale + 1},{r}) "
                     f"agree on {H} terms but diverge within {4 * H}"
                 )
-            transitions[(idx, digit)] = target
+            table[state][digit] = target
         if not level:
-            return KernelAnalysis(k, H, classes, transitions, True, scale)
-    return KernelAnalysis(k, H, classes, transitions, False, None)
-
-
-def synthesize_dfao(analysis):
-    """DFAO whose states are the kernel classes (reads digits LSD-first).
-
-    After reading the base-k digits of n from the least significant end the
-    automaton sits at the class of (scale, n), whose fingerprint starts with
-    s(n); the output letter is therefore the first fingerprint entry.
-    """
-    if not analysis.closed:
-        raise ValueError("kernel is not closed; synthesis would be unsound")
-    k = analysis.k
-    n = len(analysis.classes)
-    try:
-        table = [[analysis.transitions[(s, c)] for c in range(k)] for s in range(n)]
-    except KeyError:
-        raise AssertionError("closure table incomplete") from None
-    labels = [f"({c.scale},{c.residue})" for c in analysis.classes]
-    outputs = [c.fingerprint[0] for c in analysis.classes]
-    return Dfao(labels, 0, tuple(range(k)), table, outputs, "lsd")
+            return Dfao(labels, 0, range(k), table, [int(w[0]) for w in windows], "lsd")
+    return None
 
 
 # -- rank profiling ---------------------------------------------------------
@@ -151,7 +113,7 @@ def synthesize_dfao(analysis):
 class RankProfile:
     k: int
     horizon: int
-    depths: list  # per depth: dict(depth, class_count, rank, new_representatives)
+    depths: list  # per depth, as reported: dict(depth, class_count, rank, representatives)
 
     def class_counts(self):
         return [d["class_count"] for d in self.depths]
@@ -164,22 +126,7 @@ class RankProfile:
         return len(vals) > tail and len(set(vals[-tail:])) == 1
 
     def to_json_dict(self):
-        return {
-            "k": self.k,
-            "horizon": self.horizon,
-            "depths": [
-                {
-                    "depth": d["depth"],
-                    "class_count": d["class_count"],
-                    "rank": d["rank"],
-                    "representatives": [
-                        {"scale": i, "residue": r, "fingerprint": fp}
-                        for (i, r, fp) in d["new_representatives"]
-                    ],
-                }
-                for d in self.depths
-            ],
-        }
+        return {"k": self.k, "horizon": self.horizon, "depths": self.depths}
 
 
 _CHUNK = 32  # rows reduced at a time against one prime's basis
@@ -252,55 +199,31 @@ def _prime_sequence(ncols):
     raise ValueError(f"too few primes to certify a rank with {ncols} columns")
 
 
-class _ModularRank:
-    """Exact rational rank of a growing set of integer rows.
+def _exact_ranks(blocks, ncols):
+    """The rank over Q of the rows of blocks[0..d] (int64, ncols columns), for each d.
 
-    Each prime q keeps its own echelon basis; R = max_q rank mod q is a
-    lower bound for the rank over Q.  It is the rank once R equals the row
-    or the column count, or once the product of the primes exceeds the
-    Hadamard bound (sqrt(R+1) X)^(R+1), X = max |entry|: a nonzero
-    (R+1)-minor would be divisible by every prime, hence larger than that
-    bound.  Primes are added only while none holds, so a full-rank matrix
-    needs one.
+    One prime at a time, a single echelon takes every block, _CHUNK rows at
+    a time, and is then dropped.  Primes are added until the rank after
+    every block is certified, as the module docstring describes.
     """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.primes = _prime_sequence(ncols)
-        self.blocks = []
-        self.nrows = 0
-        self.max_abs = 0
-        self.echelons = []
-        self.modulus = 1
-        self.rank = 0
-
-    def add_block(self, rows):
-        if not len(rows):
-            return
-        rows = np.asarray(rows, dtype=np.int64)
-        self.blocks.append(rows)
-        self.nrows += len(rows)
-        self.max_abs = max(self.max_abs, int(rows.max(initial=0)), -int(rows.min(initial=0)))
-        for ech in self.echelons:
-            self._feed(ech, rows)
-        while not self._certified():
-            ech = _PrimeEchelon(next(self.primes), self.ncols)
-            self.echelons.append(ech)
-            self.modulus *= ech.q
-            for block in self.blocks:
-                self._feed(ech, block)
-
-    def _feed(self, ech, rows):
-        # rank mod q does not depend on the order the rows arrive in
-        for lo in range(0, len(rows), _CHUNK):
-            self.rank = max(self.rank, ech.add_block(rows[lo : lo + _CHUNK]))
-
-    def _certified(self):
-        if self.echelons and self.rank == min(self.nrows, self.ncols):
-            return True
-        r1 = self.rank + 1
-        # modulus > (sqrt(r1) X)^r1, squared to stay in integers
-        return self.modulus**2 > r1**r1 * self.max_abs ** (2 * r1)
+    sizes = list(accumulate(len(block) for block in blocks))
+    peaks = list(accumulate((max(int(b.max(initial=0)), -int(b.min(initial=0))) for b in blocks), max))
+    ranks = [0] * len(blocks)
+    modulus = 1
+    primes = _prime_sequence(ncols)
+    # the Hadamard bound squared, to stay in integers
+    while not all(
+        (modulus > 1 and r == min(size, ncols)) or modulus**2 > (r + 1) ** (r + 1) * peak ** (2 * r + 2)
+        for r, size, peak in zip(ranks, sizes, peaks)
+    ):
+        ech = _PrimeEchelon(next(primes), ncols)
+        rank = 0
+        for d, block in enumerate(blocks):
+            for lo in range(0, len(block), _CHUNK):
+                rank = ech.add_block(block[lo : lo + _CHUNK])
+            ranks[d] = max(ranks[d], rank)
+        modulus *= ech.q
+    return ranks
 
 
 def rank_profile(prefix, k, max_depth=8, horizon=512):
@@ -315,8 +238,7 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     _check_arguments(k, horizon)
     H = int(horizon)
     seen = set()
-    tracker = _ModularRank(H)
-    depths = []
+    blocks, depths = [], []
     for depth in range(max_depth + 1):
         new_rows, new_reps = [], []
         for r, fp in enumerate(_kernel_rows(prefix, k, depth, H)):
@@ -325,14 +247,9 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
                 continue
             seen.add(key)
             new_rows.append(fp)
-            new_reps.append((depth, r, [int(x) for x in fp[:32]]))
-        tracker.add_block(new_rows)
-        depths.append(
-            {
-                "depth": depth,
-                "class_count": len(seen),
-                "rank": tracker.rank,
-                "new_representatives": new_reps,
-            }
-        )
+            new_reps.append({"scale": depth, "residue": r, "fingerprint": [int(x) for x in fp[:32]]})
+        blocks.append(np.array(new_rows, dtype=np.int64).reshape(len(new_rows), H))
+        depths.append({"depth": depth, "class_count": len(seen), "representatives": new_reps})
+    for d, rank in zip(depths, _exact_ranks(blocks, H)):
+        d["rank"] = rank
     return RankProfile(k, H, depths)

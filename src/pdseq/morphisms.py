@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 import numpy as np
 
@@ -130,11 +130,33 @@ def fixed_point_prefix(m, seed, n):
     return np.array(m.alphabet)[_fixed_point(m, seed, n)]
 
 
+def _kept_prefix_length(f, g, seed):
+    """A prefix length of f's fixed point past which g erases every letter, or inf.
+
+    With f(seed) = seed w the fixed point is seed w f(w) f^2(w) ...  A letter
+    of f^j(w), j >= len(alphabet), ends a path through a cycle of the letter
+    graph, so it and every letter it leads to recur without end.  If g
+    erases all of those, the letters it keeps lie in f^len(alphabet)(seed).
+    """
+    recurring = set(f.rules[seed][1:])
+    for _ in f.alphabet:
+        recurring = {b for a in recurring for b in f.rules[a]}
+    for _ in f.alphabet:
+        recurring |= {b for a in recurring for b in f.rules[a]}
+    if any(g.rules[a] for a in recurring):
+        return inf
+    lengths = dict.fromkeys(f.alphabet, 1)
+    for _ in f.alphabet:
+        lengths = {a: sum(lengths[b] for b in w) for a, w in f.rules.items()}
+    return lengths[seed]
+
+
 def morphic_word_prefix(f, g, seed, n):
     """First n letters of g(f^omega(seed)), as a numpy array; g may erase letters.
 
     The fixed-point prefix that g codes doubles until its image holds n
-    letters.
+    letters.  If g erases all but finitely many letters of the fixed point
+    and fewer than n are left, ValueError is raised.
     """
     codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
     coding = _image_table(g, f.alphabet, codomain)
@@ -143,6 +165,8 @@ def morphic_word_prefix(f, g, seed, n):
         word = _apply(coding, _fixed_point(f, seed, size))
         if len(word) >= n:
             return np.array(codomain)[word[:n]]
+        if size >= _kept_prefix_length(f, g, seed):
+            raise ValueError(f"the coding keeps {len(word)} letters of the fixed point, fewer than {n}")
         size *= 2
 
 

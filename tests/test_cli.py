@@ -259,6 +259,7 @@ class TestRefusals:
             ("ore", "up1"),
             ("ore", "up0"),
             ("ore", "up-3"),
+            ("seq", "F", "25000"),
         ],
         ids=[
             "seq-negative",
@@ -271,6 +272,7 @@ class TestRefusals:
             "ore-up1",
             "ore-up0",
             "ore-up-3",
+            "seq-F-past-digit-limit",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -283,6 +285,15 @@ class TestRefusals:
     def test_overflow_is_named(self, capsys):
         _, _, err = run_cli(capsys, "kernel", "F")
         assert "overflow" in err
+
+    def test_digit_limit_names_the_first_term(self, capsys):
+        # F(20578), b-file index 20577, is the first Fibonacci number with
+        # more than 4300 digits, Python's default limit for printing an int
+        _, _, err = run_cli(capsys, "seq", "F", "25000", "--offset", "1")
+        assert err.startswith("error: term 20578 of F has more than 4300 decimal digits")
+        assert err.endswith("ask for at most 20577 terms\n")
+        code, out, _ = run_cli(capsys, "seq", "F", "20577")
+        assert code == 0 and out.count("\n") == 20577
 
     def test_modulus_checked_before_the_terms(self, capsys):
         # the terms of a modulus p <= 1 would never fill: the check must come first

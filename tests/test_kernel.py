@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,33 +14,30 @@ from pdseq import catalog, kernel
 from pdseq.automata import Dfao, evaluate_range, minimize
 from pdseq.kernel import (
     HorizonError,
-    _ModularRank,
+    _exact_ranks,
+    _PrimeEchelon,
     _prime_sequence,
     compute_kernel,
     rank_profile,
-    synthesize_dfao,
 )
 
 
 class TestComputeKernel:
     def test_inverse_pd_kernel_generators(self):
-        analysis = compute_kernel(catalog.sequence("u").prefix, 2, horizon=512)
-        assert analysis.closed
-        pairs = {(c.scale, c.residue) for c in analysis.classes}
-        assert pairs == {(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)}
+        machine = compute_kernel(catalog.sequence("u").prefix, 2, horizon=512)
+        assert set(machine.labels) == {"(0,0)", "(1,0)", "(1,1)", "(2,1)", "(3,1)"}
 
     def test_pd_kernel_four_classes(self):
-        analysis = compute_kernel(catalog.sequence("d").prefix, 2, horizon=512)
-        assert analysis.closed
-        assert analysis.class_count() == 4
+        machine = compute_kernel(catalog.sequence("d").prefix, 2, horizon=512)
+        assert machine.num_states == 4
 
     def test_constant_sequence(self):
-        analysis = compute_kernel(lambda n: np.zeros(n, dtype=np.int64), 2, horizon=64)
-        assert analysis.closed and analysis.class_count() == 1
+        machine = compute_kernel(lambda n: np.zeros(n, dtype=np.int64), 2, horizon=64)
+        assert machine.num_states == 1
+        assert machine.table.tolist() == [[0, 0]]
 
     def test_depth_cap_reports_open(self):
-        analysis = compute_kernel(catalog.sequence("p").prefix, 2, max_depth=3, horizon=64)
-        assert not analysis.closed and analysis.closed_depth is None
+        assert compute_kernel(catalog.sequence("p").prefix, 2, max_depth=3, horizon=64) is None
 
     def test_closure_stable_under_doubled_horizon(self):
         # sequences with genuinely closing kernels merge identically at both
@@ -47,11 +45,8 @@ class TestComputeKernel:
         for name, k in (("u", 2), ("d", 2), ("t", 2), ("tp3", 3)):
             a = compute_kernel(catalog.sequence(name).prefix, k, horizon=512)
             b = compute_kernel(catalog.sequence(name).prefix, k, horizon=1024)
-            assert a.closed and b.closed
-            assert [(c.scale, c.residue) for c in a.classes] == [
-                (c.scale, c.residue) for c in b.classes
-            ]
-            assert a.transitions == b.transitions
+            assert a.labels == b.labels
+            assert np.array_equal(a.table, b.table)
 
     def test_fingerprint_collision_raises(self):
         # the even subsequence agrees with the whole sequence on the first
@@ -62,30 +57,27 @@ class TestComputeKernel:
                 s[400] = 1
             return s
 
-        with pytest.raises(HorizonError):
+        with pytest.raises(HorizonError, match=r"classes \(0,0\) and \(1,0\) agree on 128 terms"):
             compute_kernel(tricky, 2, horizon=128)
 
 
 class TestSynthesis:
     def test_inverse_pd_five_states(self):
-        analysis = compute_kernel(catalog.sequence("u").prefix, 2, horizon=512)
-        machine = minimize(synthesize_dfao(analysis))
+        machine = minimize(compute_kernel(catalog.sequence("u").prefix, 2, horizon=512))
         assert machine.num_states == 5
         assert machine.same_up_to_renaming(catalog.inverse_pd_dfao())
 
     def test_pd_synthesis_is_minimal_lsd_machine(self):
         # reading least significant digit first, the trailing-run parity
         # needs four states (the two-state machine only works MSD-first)
-        analysis = compute_kernel(catalog.sequence("d").prefix, 2, horizon=512)
-        machine = minimize(synthesize_dfao(analysis))
+        machine = minimize(compute_kernel(catalog.sequence("d").prefix, 2, horizon=512))
         assert machine.read_order == "lsd"
         assert machine.num_states == 4
         limit = 1 << 16
         assert np.array_equal(evaluate_range(machine, limit), catalog.sequence("d").prefix(limit))
 
     def test_constant_sequence_single_state(self):
-        analysis = compute_kernel(lambda n: np.full(n, 7, dtype=np.int64), 2, horizon=64)
-        machine = synthesize_dfao(analysis)
+        machine = compute_kernel(lambda n: np.full(n, 7, dtype=np.int64), 2, horizon=64)
         assert machine.num_states == 1
         assert machine.output((0, 1, 1, 0)) == 7
 
@@ -98,16 +90,21 @@ class TestSynthesis:
         outputs = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         m = Dfao([f"q{i}" for i in range(n)], data.draw(state), (0, 1), table, outputs, "lsd")
         try:
-            analysis = compute_kernel(lambda count: evaluate_range(m, count), 2, horizon=64)
+            machine = compute_kernel(lambda count: evaluate_range(m, count), 2, horizon=64)
         except HorizonError:
             assume(False)
-        machine = minimize(synthesize_dfao(analysis))
-        assert np.array_equal(evaluate_range(machine, 1 << 12), evaluate_range(m, 1 << 12))
+        # each state outputs the first term of its subsequence (scale, residue)
+        for label, out in zip(machine.labels, machine.outputs):
+            scale, residue = map(int, label.strip("()").split(","))
+            assert out == evaluate_range(m, residue + 1)[residue]
+        assert np.array_equal(evaluate_range(minimize(machine), 1 << 12), evaluate_range(m, 1 << 12))
 
     def test_open_kernel_cannot_synthesize(self):
-        analysis = compute_kernel(catalog.sequence("p").prefix, 2, max_depth=3, horizon=64)
-        with pytest.raises(ValueError, match="closed"):
-            synthesize_dfao(analysis)
+        # u's kernel has its last new class at scale 3 and closes once scale 4
+        # adds none: a cap of 3 scales gives no automaton
+        prefix = catalog.sequence("u").prefix
+        assert compute_kernel(prefix, 2, max_depth=3, horizon=64) is None
+        assert compute_kernel(prefix, 2, max_depth=4, horizon=64).num_states == 5
 
 
 class TestRankProfile:
@@ -157,24 +154,32 @@ class TestRankProfile:
 
 def rational_rank(rows):
     """Oracle: the rank over Q, by sympy."""
-    sympy = pytest.importorskip("sympy")
-    return sympy.Matrix([[int(x) for x in row] for row in rows]).rank() if rows else 0
+    pytest.importorskip("sympy")
+    from sympy import QQ, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[ZZ(int(x)) for x in row] for row in rows]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), ZZ).convert_to(QQ).rank() if rows else 0
 
 
 def feed(ncols, blocks, chunk=kernel._CHUNK):
-    """Rank after each block, next to the oracle's rank of all rows so far.
+    """_exact_ranks of the blocks, the oracle's rank of the rows up to each
+    block, and the primes' echelons as _exact_ranks left them.
 
     A small chunk makes a few rows take the path of large blocks: each
-    prime receives a block in several slices, and a new prime replays the
-    earlier blocks slice by slice.
+    prime receives every block in several slices.
     """
-    with mock.patch.object(kernel, "_CHUNK", chunk):
-        tracker = _ModularRank(ncols)
-        seen = []
-        for block in blocks:
-            tracker.add_block(np.array(block, dtype=np.int64).reshape(len(block), ncols))
-            seen += block
-            yield tracker, rational_rank(seen)
+    echelons = []
+
+    def spy(q, n):
+        echelons.append(_PrimeEchelon(q, n))
+        return echelons[-1]
+
+    arrays = [np.array(block, dtype=np.int64).reshape(len(block), ncols) for block in blocks]
+    with mock.patch.object(kernel, "_CHUNK", chunk), mock.patch.object(kernel, "_PrimeEchelon", spy):
+        ranks = _exact_ranks(arrays, ncols)
+    wants = [rational_rank([row for block in blocks[: d + 1] for row in block]) for d in range(len(blocks))]
+    return ranks, wants, echelons
 
 
 entries = st.one_of(st.integers(-(2**40), 2**40), st.integers(-2, 2))
@@ -187,8 +192,8 @@ class TestModularRank:
     def test_random_blocks_depth_by_depth(self, chunk, ncols, data):
         row = st.lists(entries, min_size=ncols, max_size=ncols)
         blocks = data.draw(st.lists(st.lists(row, max_size=5), min_size=1, max_size=5))
-        for tracker, want in feed(ncols, blocks, chunk):
-            assert tracker.rank == want
+        ranks, wants, _ = feed(ncols, blocks, chunk)
+        assert ranks == wants
 
     @pytest.mark.parametrize("chunk", [1, 2, kernel._CHUNK])
     @given(st.integers(2, 6), st.integers(1, 4), st.data())
@@ -205,30 +210,29 @@ class TestModularRank:
         rows = data.draw(st.permutations(base + planted))
         cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
         blocks = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
-        for tracker, want in feed(ncols, blocks, chunk):
-            assert tracker.rank == want
-        assert tracker.rank <= r
+        ranks, wants, _ = feed(ncols, blocks, chunk)
+        assert ranks == wants
+        assert ranks[-1] <= r
 
     @given(st.integers(1, 5), st.integers(1, 3), st.data())
     @settings(max_examples=60, deadline=None)
     def test_slices_match_sympy_rank(self, ncols, chunk, data):
         # each later row is an earlier one shifted by 0, q0 or q0*q1 in every
         # entry, so the first prime(s) can miss its rank and a further prime
-        # replays the earlier rows in slices
+        # takes every row again, in slices
         q0, q1 = islice(_prime_sequence(ncols), 2)
         base = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols), min_size=1, max_size=4))
         shifts = data.draw(st.lists(st.sampled_from([0, q0, q0 * q1]), min_size=len(base), max_size=len(base)))
         rows = base + [[x + c for x in row] for row, c in zip(base, shifts)]
-        for tracker, want in feed(ncols, [rows[: len(base)], rows[len(base) :]], chunk):
-            assert tracker.rank == want
+        ranks, wants, _ = feed(ncols, [rows[: len(base)], rows[len(base) :]], chunk)
+        assert ranks == wants
 
     def test_diagonal_singular_mod_first_prime(self):
         q0, q1 = islice(_prime_sequence(2), 2)
-        tracker = _ModularRank(2)
-        tracker.add_block(np.array([[1, 0], [0, q0]]))
-        assert tracker.rank == 2
-        assert [e.q for e in tracker.echelons] == [q0, q1]
-        assert [len(e.pivots) for e in tracker.echelons] == [1, 2]
+        ranks, _, echelons = feed(2, [[[1, 0], [0, q0]]])
+        assert ranks == [2]
+        assert [e.q for e in echelons] == [q0, q1]
+        assert [len(e.pivots) for e in echelons] == [1, 2]
 
     @pytest.mark.parametrize("nprimes", [1, 2])
     def test_determinant_a_product_of_first_primes(self, nprimes):
@@ -238,11 +242,9 @@ class TestModularRank:
         primes = list(islice(_prime_sequence(2), nprimes + 1))
         det = int(np.prod(primes[:nprimes], dtype=object))
         a = isqrt(det)
-        matrix = np.array([[a, 1], [a * (a + 1) - det, a + 1]])
-        tracker = _ModularRank(2)
-        tracker.add_block(matrix)
-        assert tracker.rank == rational_rank(matrix.tolist()) == 2
-        assert [len(e.pivots) for e in tracker.echelons] == [1] * nprimes + [2]
+        ranks, wants, echelons = feed(2, [[[a, 1], [a * (a + 1) - det, a + 1]]])
+        assert ranks == wants == [2]
+        assert [len(e.pivots) for e in echelons] == [1] * nprimes + [2]
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=40, deadline=None)
@@ -257,24 +259,52 @@ class TestModularRank:
         w[j] += data.draw(st.sampled_from([-1, 1])) * multiple
         together = data.draw(st.booleans())
         blocks = [[v, w]] if together else [[v], [w]]
-        for tracker, want in feed(ncols, blocks):
-            assert tracker.rank == want
+        ranks, wants, echelons = feed(ncols, blocks)
+        assert ranks == wants
         independent = any(x for i, x in enumerate(v) if i != j)
-        assert tracker.rank == (2 if independent else 1)
-        assert len(tracker.echelons) >= (3 if multiple == q0 * q1 and independent else 1)
+        assert ranks[-1] == (2 if independent else 1)
+        assert len(echelons) >= (3 if multiple == q0 * q1 and independent else 1)
 
     def test_full_column_rank_needs_one_prime(self):
-        tracker = _ModularRank(2)
-        tracker.add_block(np.array([[1, 0], [0, 2**40], [5, 7]]))
-        assert tracker.rank == 2 and len(tracker.echelons) == 1
+        ranks, _, echelons = feed(2, [[[1, 0], [0, 2**40], [5, 7]]])
+        assert ranks == [2] and len(echelons) == 1
 
     def test_zero_rows_and_empty_blocks(self):
-        tracker = _ModularRank(3)
-        tracker.add_block(np.zeros((0, 3), dtype=np.int64))
-        tracker.add_block(np.zeros((2, 3), dtype=np.int64))
-        assert tracker.rank == 0
-        tracker.add_block(np.array([[0, 0, 5], [0, 0, -10]]))
-        assert tracker.rank == 1
+        ranks, _, echelons = feed(3, [[], [[0, 0, 0], [0, 0, 0]], [[0, 0, 5], [0, 0, -10]]])
+        assert ranks == [0, 0, 1]
+        assert [len(e.pivots) for e in echelons] == [1]
+        # all-zero rows need no prime at all
+        assert feed(3, [[], [[0, 0, 0]]])[:2] == ([0, 0], [0, 0])
+
+    def test_many_primes_hold_one_echelon(self):
+        # 48 independent rows with entries near 2^40 and 16 integer
+        # combinations of them: the rank is certified by the Hadamard bound
+        # only, after about 100 primes, yet one prime's echelon is alive at
+        # a time
+        rng = np.random.default_rng(5)
+        ncols, r = 64, 48
+        base = rng.integers(-(2**40), 2**40, size=(r, ncols))
+        rows = np.concatenate([base, rng.integers(-3, 4, size=(16, r)) @ base])
+        rows = rows[rng.permutation(len(rows))]
+        primes = []
+
+        def spy(q, n):  # unlike feed's spy, keeps no echelon alive
+            primes.append(q)
+            return _PrimeEchelon(q, n)
+
+        with mock.patch.object(kernel, "_PrimeEchelon", spy):
+            _exact_ranks([rows], ncols)  # fills the primality cache outside the measurement
+            primes.clear()
+            tracemalloc.start()
+            try:
+                ranks = _exact_ranks([rows[:40], rows[40:]], ncols)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(primes) >= 10
+        assert ranks == [rational_rank(rows[:40]), rational_rank(rows)] == [40, r]
+        echelon = r * ncols * 8  # float64 basis rows of one prime
+        assert peak < 8 * echelon
 
     def test_prime_sequence_bound(self):
         sympy = pytest.importorskip("sympy")

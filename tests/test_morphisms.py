@@ -95,6 +95,21 @@ class TestFixedPoints:
         assume(len(coded) >= n)
         assert morphic_word_prefix(f, g, seed, n).tolist() == coded[:n]
 
+    def test_coding_that_keeps_finitely_many_letters(self):
+        # a -> ab, b -> b has fixed point abbb...; coding b to nothing leaves
+        # one letter, and a longer request is refused rather than searched for
+        f = Morphism({"a": ("a", "b"), "b": ("b",)})
+        g = Morphism({"a": (0,), "b": ()})
+        assert morphic_word_prefix(f, g, "a", 1).tolist() == [0]
+        with pytest.raises(ValueError, match="keeps 1 letters of the fixed point, fewer than 2"):
+            morphic_word_prefix(f, g, "a", 2)
+        # the kept letters can sit behind a chain of letters that recur once
+        f = Morphism({"a": ("a", "b"), "b": ("c",), "c": ("d",), "d": ("e",), "e": ("e", "e")})
+        g = Morphism({"a": (), "b": (), "c": (), "d": (1, 2), "e": ()})
+        assert morphic_word_prefix(f, g, "a", 2).tolist() == [1, 2]
+        with pytest.raises(ValueError, match="keeps 2 letters"):
+            morphic_word_prefix(f, g, "a", 3)
+
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_homomorphism_property(self, data):
