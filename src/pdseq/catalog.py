@@ -9,8 +9,8 @@ termwise.  A known fact about a sequence is stated the same way, as one
 more definition: 1 - d is the first difference of Thue-Morse mod 2, and
 the gaps of z and o are the run-length fixed points.  Position sequences
 o, z and b are filters over their base sequences; a is enumerated from the
-language of its binary expansions and checked against the filter over u.
-Nothing assumes a closed form for them.
+language of its binary expansions and checked against the set recurrence
+that builds u.  Nothing assumes a closed form for them.
 """
 
 from __future__ import annotations
@@ -72,48 +72,14 @@ def digit_sum_mod_prefix(n, p):
     return s[:n]
 
 
-def inverse_pd_odd_indicator(n):
-    """v with v[m] = u(2m+1): the odd-index part of the formal inverse.
-
-    The even-index values of u vanish, so this halves the memory of every
-    large-horizon scan.  Recurrences: v[0]=1, v[2m]=v[m-1], v[4m+1]=0,
-    v[4m+3]=v[m].  Filled by doubling: each step fills [lo, hi) with
-    hi <= 2*lo by two strided slice copies, v[lo:hi:2] from v[m-1] and
-    v[lo3:hi:4] from v[m] (lo3 the first index = 3 mod 4), both reading only
-    the prefix below lo; the indices = 1 mod 4 keep their initial zero.
-    """
-    v = np.zeros(max(n, 1), dtype=np.uint8)
-    v[0] = 1
-    lo = 1
-    while lo < n:
-        hi = min(2 * lo, n)
-        even = lo + (lo & 1)
-        dst = v[even:hi:2]
-        dst[:] = v[even // 2 - 1 :][: len(dst)]
-        three = lo + (3 - lo) % 4
-        dst = v[three:hi:4]
-        dst[:] = v[three // 4 :][: len(dst)]
-        lo = hi
-    return v[:n]
-
-
-def inverse_pd_prefix(n):
-    """u(m) for m < n via the recurrences u(2m)=0, u(4m+1)=u(2m-1), u(4m+3)=u(m)."""
-    u = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        v = inverse_pd_odd_indicator((n + 1) // 2)
-        u[1::2] = v[: len(u[1::2])]
-    return u
-
-
 def inverse_pd_ones_below(limit):
     """All positions m < limit with u(m) = 1, ascending, as int64.
 
-    They are odd, m = 2j + 1, and the recurrences of inverse_pd_odd_indicator
-    make the set S = {j : u(2j+1) = 1} satisfy S = {0} u (2S + 2) u (4S + 3).
-    S below b gives 2S + 2 below 2b + 2 and 4S + 3 below 4b + 3, so the bound
-    grows as b -> 2b + 2 by one merge of two sorted arrays, and memory stays
-    proportional to the ones found.
+    u(1) = 1, and u(2m) = 0, u(4m+1) = u(2m-1), u(4m+3) = u(m) for m >= 1.
+    So the ones are odd, m = 2j + 1, and S = {j : u(2j+1) = 1} satisfies
+    S = {0} u (2S + 2) u (4S + 3).  S below b gives 2S + 2 below 2b + 2 and
+    4S + 3 below 4b + 3, so the bound grows as b -> 2b + 2 by one merge of
+    two sorted arrays, and memory stays proportional to the ones found.
     """
     bound = limit // 2  # 2j + 1 < limit exactly when j < limit // 2
     s, b = np.zeros(1, dtype=np.int64), 1  # s is S below b
@@ -123,6 +89,13 @@ def inverse_pd_ones_below(limit):
         s = np.concatenate(([0], 2 * s + 2, odd[odd < b]))
         s.sort(kind="stable")  # two ascending runs: timsort merges them in one pass
     return 2 * s[s < bound] + 1
+
+
+def inverse_pd_prefix(n):
+    """u(m) for m < n: 1 at the positions inverse_pd_ones_below(n), else 0."""
+    u = np.zeros(n, dtype=np.int64)
+    u[inverse_pd_ones_below(n)] = 1
+    return u
 
 
 def thue_morse_prefix(n):
@@ -387,21 +360,23 @@ class NamedSequence:
         return self._cache[:n]
 
 
-def _first_hits(prefix, hit, count, size):
-    """The first count indices where the mask hit(prefix(size)) holds.
+def _first_hits(hits_below, count, size):
+    """The first count of hits_below(size), the ascending hits below size.
 
     size doubles until there are count of them.  The result is a copy, so
     a cache that keeps it does not keep the whole search buffer.
     """
     while True:
-        hits = np.flatnonzero(hit(prefix(size)))
+        hits = hits_below(size)
         if len(hits) >= count:
             return hits[:count].copy()
         size *= 2
 
 
 def _positions(indicator_prefix, value):
-    return lambda count: _first_hits(indicator_prefix, lambda data: data == value, count, max(4 * count, 64))
+    return lambda count: _first_hits(
+        lambda size: np.flatnonzero(indicator_prefix(size) == value), count, max(4 * count, 64)
+    )
 
 
 def _fixed_point(morphism, seed):
@@ -417,9 +392,8 @@ def _a_build(count):
     return automata.genealogical_words(ones_positions_language_dfa(), count)
 
 
-def _a_via_indicator(count):
-    # position 2m + 1 of u is 1 where the odd indicator is
-    return 2 * _first_hits(inverse_pd_odd_indicator, lambda v: v != 0, count, 32) + 1
+def _a_via_set_recurrence(count):
+    return _first_hits(inverse_pd_ones_below, count, 64)
 
 
 def _delta_build(count):
@@ -471,7 +445,7 @@ def _p_via_doubled_morphism(count):
 
 
 def _z_via_tm_alternations(count):
-    return _first_hits(sequence("t").prefix, lambda data: np.diff(data) != 0, count, max(4 * count, 64))
+    return _first_hits(lambda size: np.flatnonzero(np.diff(sequence("t").prefix(size))), count, max(4 * count, 64))
 
 
 def _z_via_run_lengths(count):
@@ -565,7 +539,7 @@ def _build_registry():
             "a",
             "positions of ones in the formal-inverse coefficient sequence",
             _a_build,
-            alternates={"odd-indicator-filter": _a_via_indicator},
+            alternates={"set-recurrence": _a_via_set_recurrence},
         )
     )
     _register(

@@ -155,12 +155,13 @@ def check_morphism_identities(n_max=7):
     return _fail(parts) + (f"n=1..{n_max}",)
 
 
+def _cross_checked(*horizons):
+    """One part per (name, n): whether cross_check(name, n) passed, and its report."""
+    return [(r.passed, str(r)) for r in (catalog.cross_check(name, n) for name, n in horizons)]
+
+
 def check_run_length_identities(n=100_000):
-    parts = []
-    for name in ("z", "o"):
-        report = catalog.cross_check(name, n)
-        parts.append((report.passed, str(report)))
-    return _fail(parts) + (f"{n} terms",)
+    return _fail(_cross_checked(("z", n), ("o", n))) + (f"{n} terms",)
 
 
 def check_complexity(n_max=15):
@@ -229,16 +230,8 @@ def check_mod3_structure(limit=1 << 27):
 
 
 def check_delta_fibonacci(n=100_000):
-    delta = catalog.sequence("delta").prefix(n)
-    x_members = catalog.sequence("x").prefix(n + 2)
-    parts = [
-        (bool(np.array_equal(delta, x_members[2:])), "delta differs from the shifted indicator"),
-    ]
-    x_automatic = automata.evaluate_range(catalog.fibonacci_indicator_dfao(), n + 2, catalog.zeckendorf_language_dfa())
-    parts.append(
-        (bool(np.array_equal(x_automatic, x_members[: n + 2])), "automaton and membership definitions of x differ")
-    )
-    return _fail(parts) + (f"{n} terms",)
+    # delta's alternate is x shifted by two; x's is the Zeckendorf automaton
+    return _fail(_cross_checked(("delta", n), ("x", n + 2))) + (f"{n} terms",)
 
 
 def check_morphic_pipeline(n=100_000):
@@ -366,7 +359,7 @@ def run_paper_checks(selection=None, horizons=None):
     """Run the suite (or the selected ids) and return CheckResult records.
 
     horizons maps a check id to an override for its main horizon knob.
-    Unknown ids raise ValueError before anything runs.
+    Unknown ids and overrides below 1 raise ValueError before anything runs.
     """
     horizons = dict(horizons or {})
     if selection is None:
@@ -376,9 +369,11 @@ def run_paper_checks(selection=None, horizons=None):
         unknown = [s for s in selected if s not in CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}; known: {list(CHECKS)}")
-    for key in horizons:
+    for key, value in horizons.items():
         if key not in CHECKS:
             raise ValueError(f"horizon override for unknown check id {key!r}")
+        if value < 1:
+            raise ValueError(f"horizon override {key}={value}: a horizon must be at least 1")
     results = []
     for check_id in CHECKS:
         if check_id not in selected:

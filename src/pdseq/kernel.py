@@ -42,9 +42,11 @@ class HorizonError(ValueError):
     """Fingerprints collided at H but diverged on the verification window."""
 
 
-def _check_arguments(k, horizon):
+def _check_arguments(k, depth, horizon):
     if k < 2:
         raise ValueError("base must be at least 2")
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
 
@@ -71,7 +73,7 @@ def compute_kernel(prefix, k, max_depth=10, horizon=512):
     None means the kernel did not close within max_depth scales.  prefix(n)
     returns the first n terms of the sequence.
     """
-    _check_arguments(k, horizon)
+    _check_arguments(k, max_depth, horizon)
     H = int(horizon)
 
     # state 0 is the whole sequence
@@ -235,7 +237,7 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     horizon: fingerprints here are horizon-relative by design.  prefix(n)
     returns the first n terms of the sequence.
     """
-    _check_arguments(k, horizon)
+    _check_arguments(k, max_depth, horizon)
     H = int(horizon)
     seen = set()
     blocks, depths = [], []

@@ -29,7 +29,6 @@ sizes by the square root of that length rather than of N.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -57,18 +56,25 @@ _COLUMNS = 4096
 _FFT_BYTES = 256
 
 
-@functools.cache
 def _is_prime(p):
+    """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751
+    (Jaeschke 1993), so for every p that _check_modulus admits."""
     if p < 2:
         return False
-    for q in range(2, int(math.isqrt(p)) + 1):
-        if p % q == 0:
+    for a in (2, 3, 5, 7):
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
             return False
     return True
 
 
 def _check_modulus(p):
-    # the size test comes first: trial division of a huge p would not finish
+    # the size test comes first: _is_prime is exact only below it
     if p >= 2 and (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large: (p-1)^2 must be below 2^63")
     if not _is_prime(p):
@@ -561,16 +567,6 @@ class PolyRelation:
             }
         )
 
-    def scaled(self, c):
-        """The relation with every coefficient polynomial multiplied by c."""
-        c %= self.p
-        if c == 0:
-            raise ValueError("scaling by zero")
-        return PolyRelation(
-            self.p,
-            tuple((tuple(x * c % self.p for x in coeffs), pat) for coeffs, pat in self.terms),
-        )
-
 
 def _apply_pattern(a, pattern):
     kind, e = pattern
@@ -699,32 +695,19 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
 
     survivors.sort(key=selection_key)
     for v in survivors:
-        rel = _vector_to_relation(v, patterns, p, depth, deg)
-        if rel is None:
-            continue
+        rel = _vector_to_relation(v, patterns, p, deg)
         if relation_residual(rel, a).is_zero():
             return rel
     return None
 
 
-def _vector_to_relation(v, patterns, p, depth, deg):
+def _vector_to_relation(v, patterns, p, deg):
+    # v is scaled so that its first nonzero entry is 1: patterns ascend, so
+    # that entry leads the first term
+    values = [int(x) % p for x in v]
+    inverse = pow(next(x for x in values if x), p - 2, p)
     by_pattern = {}
-    for value, (kind, i, j) in zip(v, patterns):
-        value = int(value) % p
-        if value == 0:
-            continue
-        key = (kind, i)
-        by_pattern.setdefault(key, [0] * (deg + 1))[j] = value
-    if not by_pattern:
-        return None
-    terms = []
-    for (kind, i), coeffs in sorted(by_pattern.items()):
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        terms.append((tuple(coeffs), (kind, i)))
-    rel = PolyRelation(p, tuple(terms))
-    # normalize: first nonzero coefficient of the first term scaled to 1
-    lead = next(c for c in rel.terms[0][0] if c)
-    if lead != 1:
-        rel = rel.scaled(pow(lead, p - 2, p))
-    return rel
+    for value, (kind, i, j) in zip(values, patterns):
+        if value:
+            by_pattern.setdefault((kind, i), [0] * (deg + 1))[j] = value * inverse % p
+    return PolyRelation(p, tuple((tuple(np.trim_zeros(c, "b")), key) for key, c in sorted(by_pattern.items())))

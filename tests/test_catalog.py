@@ -78,19 +78,37 @@ def odd_indicator_oracle(n):
     return v
 
 
+def assert_inverse_prefix(limit):
+    """u below limit: its odd part by the recurrences and by the automaton, its even part zero."""
+    u = catalog.inverse_pd_prefix(limit)
+    assert u.dtype == np.int64 and len(u) == limit
+    assert u[1::2].tolist() == odd_indicator_oracle(limit // 2)
+    assert not u[0::2].any()
+    assert np.array_equal(u, evaluate_range(catalog.inverse_pd_dfao(), limit))
+
+
+# the set recurrence grows its bound b as 1, 4, 10, 22, ..., 3 * 2^k - 2
+SET_BOUNDS = [3 * 2**k - 2 for k in range(13)]
+
+
 class TestBuilders:
-    @pytest.mark.parametrize("n", sorted({0, 1, 2, 3} | {2**k + d for k in range(2, 14) for d in (-1, 0, 1)}))
+    @pytest.mark.parametrize(
+        "n",
+        sorted(
+            {0, 1, 2, 3}
+            | {2**k + d for k in range(2, 14) for d in (-1, 0, 1)}
+            | {b + d for b in SET_BOUNDS for d in (-1, 0, 1)}
+        ),
+    )
     def test_odd_indicator_at_doubling_boundaries(self, n):
-        v = catalog.inverse_pd_odd_indicator(n)
-        assert v.tolist() == odd_indicator_oracle(n)
-        assert np.array_equal(v, evaluate_range(catalog.inverse_pd_dfao(), 2 * n)[1::2])
+        # limits 2n - 1, 2n and 2n + 1 put the set recurrence's bound at n - 1, n and n
+        for limit in range(max(2 * n - 1, 0), 2 * n + 2):
+            assert_inverse_prefix(limit)
 
     @given(st.integers(0, 5000))
     @settings(max_examples=50, deadline=None)
     def test_odd_indicator_against_recurrence_and_automaton(self, n):
-        v = catalog.inverse_pd_odd_indicator(n)
-        assert v.tolist() == odd_indicator_oracle(n)
-        assert np.array_equal(v, evaluate_range(catalog.inverse_pd_dfao(), 2 * n)[1::2])
+        assert_inverse_prefix(2 * n)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 1000, 1023, 1024, 1025, 4097])
     def test_period_doubling_and_thue_morse_per_index(self, n):
@@ -125,9 +143,14 @@ class TestBuilders:
     @pytest.mark.parametrize("n", [f + d for f in catalog.fibonacci_numbers(count=22)[6:] for d in (-1, 0, 1)])
     def test_a_definitions_agree_at_fibonacci_boundaries(self, n):
         # the ones of u below 2^k number a Fibonacci number (k odd) or one
-        # less (k even); there the indicator filter doubles its search limit
+        # less (k even); there the set recurrence doubles its limit
         assert len(catalog.sequence("a").build(n)) == n
         report = catalog.cross_check("a", n)
+        assert report.passed, str(report)
+
+    def test_a_definitions_agree_past_2_16(self):
+        # the set recurrence's limit doubles from 64 to 2^26 for these terms
+        report = catalog.cross_check("a", 1 << 17)
         assert report.passed, str(report)
 
 
@@ -193,13 +216,6 @@ class TestComplementForms:
         swapped = e(tuple(str(int(v)) for v in d))
         assert [int(c) for c in swapped] == (1 - d).tolist()
 
-    def test_odd_indicator_matches_full_sequence(self):
-        n = 100_001
-        u = catalog.sequence("u").prefix(n)
-        v = catalog.inverse_pd_odd_indicator(n // 2)
-        assert np.array_equal(v, u[1::2])
-        assert not u[0::2].any()
-
 
 class TestPositionsStructure:
     def test_ones_positions_are_odd(self):
@@ -217,7 +233,7 @@ class TestPositionsStructure:
     def test_ones_below_match_the_dense_prefix(self, limit):
         got = catalog.inverse_pd_ones_below(limit)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.flatnonzero(catalog.inverse_pd_prefix(limit)))
+        assert np.array_equal(got, np.flatnonzero(evaluate_range(catalog.inverse_pd_dfao(), limit)))
 
     def test_ones_below_powers_of_two_count_fibonacci(self):
         # the ones of u below 2^k number F(k) for odd k and F(k) - 1 for even

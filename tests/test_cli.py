@@ -3,10 +3,12 @@
 import json
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from pdseq import checks
+from pdseq import catalog, checks
 from pdseq.cli import main
 
 
@@ -260,6 +262,9 @@ class TestRefusals:
             ("ore", "up0"),
             ("ore", "up-3"),
             ("seq", "F", "25000"),
+            ("kernel", "u", "--depth", "-1"),
+            ("check", "lemma-4.5", "--horizon", "lemma-4.5=0"),
+            ("check", "lemma-4.5", "--horizon", "lemma-4.5=-5"),
         ],
         ids=[
             "seq-negative",
@@ -273,6 +278,9 @@ class TestRefusals:
             "ore-up0",
             "ore-up-3",
             "seq-F-past-digit-limit",
+            "kernel-depth-negative",
+            "check-horizon0",
+            "check-horizon-negative",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -307,6 +315,17 @@ class TestRunPaperChecks:
             checks.run_paper_checks(["not-a-check"])
         with pytest.raises(ValueError, match="unknown check id"):
             checks.run_paper_checks(["lemma-3.2"], horizons={"bogus": 5})
+
+    def test_delta_check_fails_with_the_cross_check_report(self):
+        def corrupted(n):
+            data = catalog.sequence("x").prefix(n + 2)[2:].copy()
+            data[7] ^= 1  # delta(7) = x(9) = 0
+            return data
+
+        with mock.patch.dict(catalog.sequence("delta").alternates, {"fibonacci-indicator-shift": corrupted}):
+            (result,) = checks.run_paper_checks(["sec-5-delta-x"], horizons={"sec-5-delta-x": 100})
+        assert result.status == "fail"
+        assert result.detail == "cross_check(delta, 100): FAIL\n  ('fibonacci-indicator-shift', 7, 0, 1)"
 
     def test_results_in_registry_order(self):
         results = checks.run_paper_checks(["lemma-3.2", "prop-4.2-reversion"])

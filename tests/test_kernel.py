@@ -142,6 +142,8 @@ class TestRankProfile:
             fn(prefix, 1, horizon=64)
         with pytest.raises(ValueError, match="horizon"):
             fn(prefix, 2, horizon=0)
+        with pytest.raises(ValueError, match="depth"):
+            fn(prefix, 2, max_depth=-1, horizon=64)
 
     def test_class_counts_nondecreasing_in_horizon(self):
         # a longer fingerprint can only split classes, never merge them
@@ -293,8 +295,6 @@ class TestModularRank:
             return _PrimeEchelon(q, n)
 
         with mock.patch.object(kernel, "_PrimeEchelon", spy):
-            _exact_ranks([rows], ncols)  # fills the primality cache outside the measurement
-            primes.clear()
             tracemalloc.start()
             try:
                 ranks = _exact_ranks([rows[:40], rows[40:]], ncols)

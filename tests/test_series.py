@@ -202,6 +202,27 @@ class TestConvolution:
             series._rref_mod_p(np.zeros((2, 2), dtype=np.int64), 2**61 - 1)
 
 
+class TestPrimality:
+    @given(st.integers(0, 3_037_000_500))
+    @settings(max_examples=500, deadline=None)
+    def test_against_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert series._is_prime(n) == sympy.isprime(n)
+
+    def test_small_numbers_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(-3, 5000) if series._is_prime(n)] == list(sympy.primerange(5000))
+
+    def test_strong_pseudoprime_to_2_3_5(self):
+        # 25,326,001 = 2251 * 11251 passes Miller-Rabin to the bases 2, 3 and 5; base 7 rejects it
+        assert not series._is_prime(25_326_001)
+
+    def test_size_test_comes_first(self):
+        # 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7
+        with pytest.raises(ValueError, match="too large"):
+            series._check_modulus(3_215_031_751)
+
+
 class TestMul:
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_integers_past_int64_reduce_exactly(self, p):
