@@ -127,14 +127,7 @@ class Dfao:
         Two automata are identical up to state renaming exactly when their
         canonical forms compare equal.  Unreachable states are dropped.
         """
-        rows = self.table.tolist()
-        order = [self.initial]
-        seen = {self.initial}
-        for s in order:
-            for t in rows[s]:
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
+        order = breadth_first(self.initial, self.table.tolist())
         renumber = np.zeros(self.num_states, dtype=np.int64)
         renumber[order] = np.arange(len(order))
         return type(self)(
@@ -163,6 +156,18 @@ class Dfa(Dfao):
 
     def accepts(self, word):
         return bool(self.output(word))
+
+
+def breadth_first(start, successors):
+    """The nodes reached from start in breadth-first order; successors[v] lists v's in order."""
+    order = [start]
+    seen = {start}
+    for v in order:
+        for w in successors[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
 
 
 def evaluate(m, n, numeration):
@@ -242,36 +247,26 @@ def _coaccessible(dfa):
         live = grown
 
 
-def _base_k_language(k):
-    """MSD-first acceptor of the base-k representations: empty or no leading zero."""
-    table = [[2] + [1] * (k - 1), [1] * k, [2] * k]
-    return Dfa(("start", "digits", "dead"), 0, range(k), table, (True, True, False), MSD_FIRST)
-
-
 def evaluate_range(m, count, language=None):
     """Outputs of m at indices 0..count-1, as an int64 array.
 
     Index n is represented by the n-th word of language in genealogical
     order (see genealogical_words).  With no language, n is written in base
     k = len(m.alphabet) over digits 0..k-1, without leading zeros, and fed
-    in m's own read order.  Each word length writes its outputs into the one
-    result; no word values are computed.
+    in m's own read order (see _base_k_states).  No word values are
+    computed.
     """
     outputs = np.array(m.outputs)
     if outputs.ndim != 1 or outputs.dtype.kind not in "biu":
         raise ValueError("vectorized evaluation needs integer outputs")
     outputs = outputs.astype(np.int64)
-    out = np.empty(count, dtype=np.int64)
-    k = len(m.alphabet)
     if language is None:
-        if m.alphabet != tuple(range(k)):
+        if m.alphabet != tuple(range(len(m.alphabet))):
             raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
-        if m.read_order == LSD_FIRST:
-            _evaluate_lsd(m, outputs, out)
-            return out
-        language = _base_k_language(k)
+        return _gather(outputs, _base_k_states(m, count))
     # pair state sa * |m| + sb outputs m's letter at sb
     pair_outputs = np.tile(outputs, language.num_states)
+    out = np.empty(count, dtype=np.int64)
     found = 0
     for level_states, _ in _accepted_by_length(language, m, count, False):
         end = found + len(level_states)
@@ -298,27 +293,37 @@ def _gather(source, index, out=None):
     return out
 
 
-def _evaluate_lsd(m, outputs, out):
-    """out[n] = output of m on the base-k digits of n read LSD-first, n < len(out)."""
-    count, k = len(out), len(m.alphabet)
-    if not count:
-        return
+def _base_k_states(m, count):
+    """m's state after reading n in base k, for n < count, each from a parent state.
+
+    MSD-first, n's digits are those of n // k followed by n % k, and 0 is
+    the empty word: state(n) = table[state(n // k), n % k].  LSD-first, the
+    parents are the level of all L-digit strings v < k^L, leading zeros
+    included; a new leading digit d, read last, gives n = d * k^L + v, a
+    word without leading zero exactly when d > 0.  No level is longer than
+    count.
+    """
+    k = len(m.alphabet)
     table = m.table.astype(np.min_scalar_type(m.num_states - 1))
-    # states[v], v < width = k^L, is the state after reading the L-digit
-    # string v LSD-first (leading zeros allowed); a new leading digit d is
-    # read last and gives v' = d*width + v, a word without leading zero
-    # exactly when v' >= width
-    states = np.array([m.initial], dtype=table.dtype)
-    out[0] = outputs[m.initial]
-    width = 1
+    states = np.empty(count, dtype=table.dtype)
+    states[:1] = m.initial
+    if m.read_order == MSD_FIRST:
+        states[1:k] = table[m.initial, 1:count]
+        lo = 1  # the children of parents [lo, hi) are n in [lo * k, hi * k)
+        while lo * k < count:
+            hi = min(lo * k, -(-count // k))
+            states[lo * k : hi * k] = _gather(table, states[lo:hi]).ravel()[: count - lo * k]
+            lo = hi
+        return states
+    level, width = states[:1], 1
     while width < count:
         n = min(width * k, count)
         grown = np.empty(n, dtype=table.dtype)
         for d, lo in enumerate(range(0, n, width)):
-            hi = min(lo + width, n)
-            _gather(table[:, d], states[: hi - lo], grown[lo:hi])
-        _gather(outputs, grown[width:], out[width:n])
-        states, width = grown, width * k
+            _gather(table[:, d], level[: n - lo], grown[lo : lo + width])
+        states[width:n] = grown[width:]
+        level, width = grown, width * k
+    return states
 
 
 def _pair_table(a, b):

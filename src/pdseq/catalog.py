@@ -34,7 +34,6 @@ __all__ = [
     "cross_check",
     "CrossCheckReport",
     "bfile_blocks",
-    "bfile_lines",
 ]
 
 
@@ -654,8 +653,3 @@ def bfile_blocks(name, count, offset=0):
         )
     for lo in range(0, len(values), _BFILE_SLICE):
         yield "".join(f"{i} {v}\n" for i, v in enumerate(values[lo : lo + _BFILE_SLICE].tolist(), offset + lo))
-
-
-def bfile_lines(name, count, offset=0):
-    """OEIS-style b-file lines: '<index> <value>' per term."""
-    return "".join(bfile_blocks(name, count, offset)).splitlines()

@@ -46,14 +46,15 @@ def _fail(parts):
 U_LISTING = tuple(int(c) for c in "01000101000001000100000100000101000001000")
 
 
+def _cross_checked(*horizons):
+    """One part per (name, n): whether cross_check(name, n) passed, and its report."""
+    return [(r.passed, str(r)) for r in (catalog.cross_check(name, n) for name, n in horizons)]
+
+
 def check_reversion(n=4096):
-    d_series = catalog.generating_function("d", n)
-    v = series.reversion(d_series)
-    expected = catalog.sequence("u").prefix(n)
-    parts = [
-        (bool(np.array_equal(v.coeffs, expected)), "reversion differs from the recurrence sequence"),
-        (tuple(v.coeffs[:41].tolist()) == U_LISTING, "first 41 coefficients differ from the listing"),
-    ]
+    # u's series-reversion alternate is the reversion of the period-doubling series
+    listing = tuple(catalog.sequence("u").prefix(41).tolist()) == U_LISTING
+    parts = _cross_checked(("u", n)) + [(listing, "first 41 coefficients differ from the listing")]
     return _fail(parts) + (f"N={n}",)
 
 
@@ -155,11 +156,6 @@ def check_morphism_identities(n_max=7):
     return _fail(parts) + (f"n=1..{n_max}",)
 
 
-def _cross_checked(*horizons):
-    """One part per (name, n): whether cross_check(name, n) passed, and its report."""
-    return [(r.passed, str(r)) for r in (catalog.cross_check(name, n) for name, n in horizons)]
-
-
 def check_run_length_identities(n=100_000):
     return _fail(_cross_checked(("z", n), ("o", n))) + (f"{n} terms",)
 
@@ -167,12 +163,11 @@ def check_run_length_identities(n=100_000):
 def check_complexity(n_max=15):
     fib = numeration.fibonacci_numbers(count=2 * n_max + 2)
     lprime = catalog.blocks_language_dfa()
-    lprime_counts = [row[lprime.initial] for row in automata.word_counts(lprime, 30)]
+    lprime_counts = [row[lprime.initial] for row in automata.word_counts(lprime, 2 * n_max + 1)]
     la = catalog.ones_positions_language_dfa()
     la_counts = [row[la.initial] for row in automata.word_counts(la, 2 * n_max + 1)]
     parts = []
-    for n in range(31):
-        got = lprime_counts[n]
+    for n, got in enumerate(lprime_counts):
         parts.append((got == fib[n], f"blocks language count({n})={got} != F({n})={fib[n]}"))
     boundaries = {0: 0, 1: 1, 2: 0}
     for n, want in boundaries.items():
@@ -203,8 +198,13 @@ def check_mod3_structure(limit=1 << 27):
     # residue classification of the one-positions below 2^20
     a20 = catalog.inverse_pd_ones_below(1 << 20)
     mod3 = a20 % 3
-    in_la1 = automata.evaluate_range(catalog.odd_ones_language_dfa(), 1 << 20)[a20] == 1
-    in_la2 = automata.evaluate_range(catalog.marked_block_language_dfa(), 1 << 20)[a20] == 1
+    # the words of L_a1 and L_a2 of at most 20 digits (none has a leading zero) are their members
+    # below 2^20; both sides hold distinct values, and without assume_unique np.isin imports numpy.ma
+    in_la = []
+    for dfa in (catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa()):
+        count = sum(row[dfa.initial] for row in automata.word_counts(dfa, 20))
+        in_la.append(np.isin(a20, automata.genealogical_words(dfa, count), assume_unique=True))
+    in_la1, in_la2 = in_la
     bitlen = np.frexp(a20.astype(np.float64))[1]  # exact: a20 < 2^20
     parts.append((bool(np.all(in_la1 ^ in_la2)), "positions not split between the two languages"))
     parts.append((bool(np.all((mod3 == 1) | (mod3 == 2))), "a position is divisible by 3"))
@@ -223,7 +223,7 @@ def check_mod3_structure(limit=1 << 27):
         if r != fib[i]:
             parts.append((False, f"run {i} has length {r} != F({i})={fib[i]}"))
             break
-    vals = (a_big % 3)[np.concatenate([[0], np.cumsum(runs)[:-1]])]
+    vals = (a_big % 3)[np.cumsum(runs) - runs]  # at the run starts; none without runs
     expected_vals = np.where(np.arange(len(runs)) % 2 == 0, 1, 2)
     parts.append((bool(np.array_equal(vals, expected_vals)), "run values do not alternate 1,2,1,2,..."))
     return _fail(parts) + (f"classification below 2^20, runs below 2^27 (covers 10^7), sums to n=40",)
@@ -255,10 +255,8 @@ def check_morphic_pipeline(n=100_000):
     )
     expected_bij = {"a0": "a", "a2": "b", "a3": "c", "a5": "d", "a6": "e"}
     parts.append((bij == expected_bij, f"renaming {bij} != {expected_bij}"))
-    got = morphisms.morphic_word_prefix(catalog.golden_morphism(), catalog.golden_coding(), "a", n)
-    parts.append(
-        (bool(np.array_equal(got, catalog.sequence("x").prefix(n))), "golden presentation disagrees with the indicator")
-    )
+    # x's golden-morphism alternate is the golden presentation
+    parts += _cross_checked(("x", n))
     return _fail(parts) + (f"{n} terms",)
 
 
@@ -326,14 +324,8 @@ def check_numeration(n=100_000):
     first = [la.rep(i) for i in range(4)]
     want = [(1,), (1, 0, 1), (1, 1, 1), (1, 1, 0, 1)]
     parts.append((first == want, f"first unranked words {first} != {want}"))
-    d_vals = catalog.period_doubling_prefix(n)
-    trailing_ones_parity = automata.evaluate_range(catalog.period_doubling_dfao(), n)
-    parts.append(
-        (bool(np.all(trailing_ones_parity[d_vals == 1] == 1)), "an odd-position value ends in evenly many ones")
-    )
-    parts.append(
-        (bool(np.all(trailing_ones_parity[d_vals == 0] == 0)), "a zero-position value ends in oddly many ones")
-    )
+    # d's msd-automaton alternate outputs the parity of the trailing ones
+    parts += _cross_checked(("d", n))
     return _fail(parts) + (f"n<{n}",)
 
 

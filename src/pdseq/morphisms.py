@@ -15,12 +15,13 @@ refused.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
 
 import numpy as np
+
+from .automata import breadth_first
 
 __all__ = [
     "Morphism",
@@ -525,50 +526,19 @@ def run_lengths(values):
 
 
 def equivalent_up_to_renaming(f1, g1, seed1, f2, g2, seed2):
-    """Letter bijection carrying (f1, g1, seed1) onto (f2, g2, seed2).
+    """Letter bijection carrying (f1, g1, seed1) onto (f2, g2, seed2), or None.
 
-    The bijection acts on the domain alphabet only; coding outputs must
-    match exactly.  Constraint propagation from the forced seed pairing
-    settles every letter reachable from the seed; leftovers (if any) are
-    brute-forced.  Returns the mapping dict or None.
+    A renaming maps the i-th letter of each image to the i-th letter of its
+    image, so it maps the breadth-first letter orders from the seeds onto
+    each other, as Dfao.canonical numbers states.  The two orders are
+    zipped and every image and coding output checked; coding outputs must
+    match exactly.  A letter not reached from its seed gives None.
     """
-    a1, a2 = f1.alphabet, f2.alphabet
-    if len(a1) != len(a2):
+    order1, order2 = breadth_first(seed1, f1.rules), breadth_first(seed2, f2.rules)
+    if not len(order1) == len(f1.alphabet) == len(order2) == len(f2.alphabet):
         return None
-
-    def try_complete(mapping):
-        # verify and extend a partial mapping by propagation
-        pending = list(mapping.items())
-        mapping = dict(mapping)
-        used = set(mapping.values())
-        while pending:
-            x, y = pending.pop()
-            if g1.rules.get(x, None) != g2.rules.get(y, None):
-                return None
-            w1, w2 = f1.rules[x], f2.rules[y]
-            if len(w1) != len(w2):
-                return None
-            for u, v in zip(w1, w2):
-                if u in mapping:
-                    if mapping[u] != v:
-                        return None
-                elif v in used:
-                    return None
-                else:
-                    mapping[u] = v
-                    used.add(v)
-                    pending.append((u, v))
-        return mapping
-
-    base = try_complete({seed1: seed2})
-    if base is None:
-        return None
-    rest1 = [x for x in a1 if x not in base]
-    rest2 = [y for y in a2 if y not in set(base.values())]
-    for perm in itertools.permutations(rest2):
-        candidate = dict(base)
-        candidate.update(zip(rest1, perm))
-        final = try_complete(candidate)
-        if final is not None and len(final) == len(a1):
-            return final
-    return None
+    mapping = dict(zip(order1, order2))
+    for a, b in mapping.items():
+        if f2.rules[b] != tuple(mapping[c] for c in f1.rules[a]) or g1.rules.get(a) != g2.rules.get(b):
+            return None
+    return mapping

@@ -15,6 +15,8 @@ suite, the short version being:
    only the position sequence of ones behaves as pinned.
 """
 
+import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -102,6 +104,12 @@ def test_criterion_13_rank_profiles(results):
 
 def test_criterion_14_numeration(results):
     _assert_check(results, "ans-numeration")
+
+
+def test_deterministic_report_is_pinned(results):
+    # ids, statuses, horizons and details, the two red details included
+    pinned = json.loads((pathlib.Path(__file__).parent / "check_report.json").read_text())
+    assert [r.to_json_dict() for r in results.values()] == pinned
 
 
 def test_mod3_structure_memory_budget():

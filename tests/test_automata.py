@@ -11,7 +11,6 @@ from pdseq import catalog, numeration
 from pdseq.automata import (
     Dfa,
     Dfao,
-    _base_k_language,
     evaluate,
     evaluate_range,
     genealogical_words,
@@ -99,7 +98,7 @@ class TestEvaluation:
             assert len(evaluate_range(m, 0)) == 0
         assert len(evaluate_range(catalog.fibonacci_indicator_dfao(), 0, catalog.zeckendorf_language_dfa())) == 0
 
-    @given(st.sampled_from([2, 3]), st.sampled_from(["lsd", "msd"]), st.integers(0, 700), st.data())
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from(["lsd", "msd"]), st.integers(0, 700), st.data())
     @settings(max_examples=100, deadline=None)
     def test_vectorized_matches_scalar_on_random_automata(self, k, read_order, count, data):
         m = data.draw(automata_over(Dfao, k, read_order))
@@ -129,7 +128,9 @@ class TestEvaluation:
         # the n-digit numbers end at k^n - 1; a last letter read that is the
         # leading digit (LSD-first) or the last digit (MSD-first) shows the order
         base = numeration.BaseK(k)
-        language = _base_k_language(k)
+        # the base-k representations: the empty word, or no leading zero
+        table = [[2] + [1] * (k - 1), [1] * k, [2] * k]
+        language = Dfa(("start", "digits", "dead"), 0, range(k), table, (True, True, False), "msd")
         for order in ("lsd", "msd"):
             for m in (last_letter_dfao(k, order), digit_sum_dfao(k, order)):
                 for count in (k**length - 1, k**length, k**length + 1):

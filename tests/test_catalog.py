@@ -290,7 +290,5 @@ class TestSeriesCatalog:
         assert gf == catalog.generating_function("d", 64)
 
     def test_bfile(self):
-        lines = catalog.bfile_lines("a", 4, offset=0)
-        assert lines == ["0 1", "1 5", "2 7", "3 13"]
-        lines = catalog.bfile_lines("F", 3, offset=1)
-        assert lines == ["1 1", "2 1", "3 2"]
+        assert "".join(catalog.bfile_blocks("a", 4, offset=0)) == "0 1\n1 5\n2 7\n3 13\n"
+        assert "".join(catalog.bfile_blocks("F", 3, offset=1)) == "1 1\n2 1\n3 2\n"

@@ -327,6 +327,38 @@ class TestRunPaperChecks:
         assert result.status == "fail"
         assert result.detail == "cross_check(delta, 100): FAIL\n  ('fibonacci-indicator-shift', 7, 0, 1)"
 
+    @pytest.mark.parametrize(
+        "check_id, name, label",
+        [
+            ("prop-4.2-reversion", "u", "series-reversion"),
+            ("prop-5.12-morphic-pipeline", "x", "golden-morphism"),
+            ("ans-numeration", "d", "msd-automaton"),
+        ],
+    )
+    def test_catalog_facts_fail_with_the_cross_check_report(self, check_id, name, label):
+        build = catalog.sequence(name).alternates[label]
+
+        def corrupted(n):
+            data = np.array(build(n))
+            data[7] ^= 1
+            return data
+
+        with mock.patch.dict(catalog.sequence(name).alternates, {label: corrupted}):
+            (result,) = checks.run_paper_checks([check_id], horizons={check_id: 100})
+        assert result.status == "fail"
+        assert f"cross_check({name}, 100): FAIL\n  ('{label}', 7, " in result.detail
+
+    @pytest.mark.parametrize("n_max", [1, 5, 20])
+    def test_complexity_at_any_horizon(self, n_max):
+        check_id = "lemma-5.3-prop-5.5-complexity"
+        (result,) = checks.run_paper_checks([check_id], horizons={check_id: n_max})
+        assert (result.status, result.horizon, result.detail) == ("pass", f"lengths to {2 * n_max + 1}", None)
+
+    def test_mod3_without_runs_fails_with_its_own_message(self):
+        check_id = "lemma-5.4-5.6-prop-5.7-mod3"
+        (result,) = checks.run_paper_checks([check_id], horizons={check_id: 1})
+        assert (result.status, result.detail) == ("fail", "only 0 complete runs below 1")
+
     def test_results_in_registry_order(self):
         results = checks.run_paper_checks(["lemma-3.2", "prop-4.2-reversion"])
         assert [r.check_id for r in results] == ["prop-4.2-reversion", "lemma-3.2"]

@@ -46,6 +46,32 @@ def prolongable_morphisms(draw):
     return Morphism(rules), letters[0]
 
 
+@st.composite
+def renamed_systems(draw):
+    """A prolongable morphism on 2-6 letters reaching every letter from its seed
+    0, a coding, and their copy renamed by a random permutation.
+
+    Returns (f, g, renamed f, renamed g, the permutation as a dict).  Coding
+    outputs are distinct: with two letters coded alike, swapping them could
+    undo a one-letter change of an image.
+    """
+    n = draw(st.integers(2, 6))
+    letter = st.integers(0, n - 1)
+    images = [draw(st.lists(letter, min_size=1, max_size=3)) for _ in range(n)]
+    images[0].insert(0, 0)
+    for b in range(1, n):
+        # b occurs in the image of an earlier letter, so the seed reaches it
+        a = draw(st.integers(0, b - 1))
+        images[a].insert(draw(st.integers(int(a == 0), len(images[a]))), b)
+    outputs = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+    perm = dict(enumerate(draw(st.permutations(range(n)))))
+    f = Morphism({a: w for a, w in enumerate(images)})
+    g = Morphism({a: (o,) for a, o in enumerate(outputs)})
+    renamed_f = Morphism({perm[a]: [perm[c] for c in w] for a, w in enumerate(images)})
+    renamed_g = Morphism({perm[a]: (o,) for a, o in enumerate(outputs)})
+    return f, g, renamed_f, renamed_g, perm
+
+
 class TestFixedPoints:
     def test_period_doubling_prefix(self):
         h = catalog.period_doubling_morphism()
@@ -323,3 +349,24 @@ class TestRenaming:
             fp, gp, seed, catalog.golden_morphism(), catalog.golden_coding(), "a"
         )
         assert bij == {"a0": "a", "a2": "b", "a3": "c", "a5": "d", "a6": "e"}
+
+    @given(renamed_systems(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_renaming_is_found(self, system, data):
+        f, g, f2, g2, perm = system
+        seed2 = perm[0]
+        assert equivalent_up_to_renaming(f, g, 0, f2, g2, seed2) == perm
+        # one image letter changed
+        b = data.draw(st.sampled_from(f2.alphabet))
+        i = data.draw(st.integers(0, len(f2.rules[b]) - 1))
+        other = data.draw(st.sampled_from([c for c in f2.alphabet if c != f2.rules[b][i]]))
+        changed = Morphism(f2.rules | {b: f2.rules[b][:i] + (other,) + f2.rules[b][i + 1 :]})
+        assert equivalent_up_to_renaming(f, g, 0, changed, g2, seed2) is None
+        # one coding output changed
+        recoded = Morphism(g2.rules | {b: (10,)})
+        assert equivalent_up_to_renaming(f, g, 0, f2, recoded, seed2) is None
+        # one more letter on each side, reached from neither seed
+        extra = len(perm)
+        f_more, g_more = Morphism(f.rules | {extra: (0,)}), Morphism(g.rules | {extra: (10,)})
+        f2_more, g2_more = Morphism(f2.rules | {extra: (seed2,)}), Morphism(g2.rules | {extra: (10,)})
+        assert equivalent_up_to_renaming(f_more, g_more, 0, f2_more, g2_more, seed2) is None
