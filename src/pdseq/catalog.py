@@ -326,13 +326,12 @@ def inverse_gtm_series(p, precision):
 
 def series_by_name(name, precision, p=None):
     """Series for the CLI: gf:<seq>, inv:<seq>, or u / up{p} shorthands."""
-    if name == "u":
-        return series.reversion(series.TruncatedSeries(2, period_doubling_prefix(precision)))
+    if name == "u":  # the reversion of D, over F_2 whatever p says
+        name, p = "inv:d", 2
     if name.startswith("up"):
         return inverse_gtm_series(int(name[2:]), precision)
     if name.startswith("inv:"):
-        base = generating_function(name[4:], precision, p)
-        return series.reversion(base)
+        return series.reversion(generating_function(name[4:], precision, p))
     if name.startswith("gf:"):
         return generating_function(name[3:], precision, p)
     return generating_function(name, precision, p)
@@ -425,8 +424,7 @@ def _d_via_tm_difference(count):
 
 
 def _u_via_reversion(count):
-    d_series = series.TruncatedSeries(2, period_doubling_prefix(count))
-    return series.reversion(d_series).coeffs
+    return series_by_name("u", count).coeffs
 
 
 def _u_via_dfao(count):

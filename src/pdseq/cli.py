@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -43,7 +42,7 @@ def cmd_invert(args):
     s = series.TruncatedSeries.from_json(text)
     n = s.precision
     need = series.compose_bytes(s.p, n, s.length)
-    memory = _physical_memory()
+    memory = series.physical_memory()
     if memory is not None and need > memory:
         raise MemoryError(
             f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB, "
@@ -53,18 +52,10 @@ def cmd_invert(args):
     return 0
 
 
-def _physical_memory():
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def cmd_kernel(args):
-    profile = kernel.rank_profile(
+    report = kernel.rank_profile(
         catalog.sequence(args.name).prefix, args.k, max_depth=args.depth, horizon=args.horizon
     )
-    report = profile.to_json_dict()
     report["sequence"] = args.name
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
@@ -79,8 +70,7 @@ def cmd_kernel(args):
 def cmd_dfao(args):
     machine = kernel.compute_kernel(catalog.sequence(args.name).prefix, args.k, horizon=args.horizon)
     if machine is None:
-        sys.stderr.write(f"kernel of {args.name} did not close within the depth cap\n")
-        return USAGE_ERROR
+        raise ValueError(f"kernel of {args.name} did not close within the depth cap")
     machine = automata.minimize(machine)
     if args.dot:
         sys.stdout.write(machine.to_dot(args.name) + "\n")
@@ -107,14 +97,15 @@ def cmd_complexity(args):
 def cmd_ore(args):
     s = catalog.series_by_name(args.name, args.precision, args.p)
     relation = series.power_relation_search(s, args.depth, args.deg)
-    if relation is None:
-        sys.stdout.write("none\n")
-        return 0
-    sys.stdout.write(relation.to_json() + "\n")
+    sys.stdout.write(("none" if relation is None else relation.to_json()) + "\n")
     return 0
 
 
 def cmd_check(args):
+    if args.list:
+        for check_id, (description, _) in checks.CHECKS.items():
+            sys.stdout.write(f"{check_id}: {description}\n")
+        return 0
     overrides = _parse_horizon_overrides(args.horizon)
     selection = args.ids or None
     start = time.perf_counter()
@@ -200,10 +191,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "list", False):
-        for check_id, (description, _) in checks.CHECKS.items():
-            sys.stdout.write(f"{check_id}: {description}\n")
-        return 0
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -22,7 +22,6 @@ further prime is taken only while some scale is not certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 
@@ -32,7 +31,6 @@ from .automata import Dfao
 from .series import _is_prime, _rref_mod_p
 
 __all__ = [
-    "RankProfile",
     "HorizonError",
     "compute_kernel",
     "rank_profile",
@@ -109,27 +107,6 @@ def compute_kernel(prefix, k, max_depth=10, horizon=512):
 
 
 # -- rank profiling ---------------------------------------------------------
-
-
-@dataclass
-class RankProfile:
-    k: int
-    horizon: int
-    depths: list  # per depth, as reported: dict(depth, class_count, rank, representatives)
-
-    def class_counts(self):
-        return [d["class_count"] for d in self.depths]
-
-    def ranks(self):
-        return [d["rank"] for d in self.depths]
-
-    def stabilized(self, key="class_count", tail=3):
-        vals = [d[key] for d in self.depths]
-        return len(vals) > tail and len(set(vals[-tail:])) == 1
-
-    def to_json_dict(self):
-        return {"k": self.k, "horizon": self.horizon, "depths": self.depths}
-
 
 _CHUNK = 32  # rows reduced at a time against one prime's basis
 
@@ -231,11 +208,14 @@ def _exact_ranks(blocks, ncols):
 def rank_profile(prefix, k, max_depth=8, horizon=512):
     """Distinct-class counts and exact rational ranks per kernel depth.
 
-    Counts and ranks are cumulative over scales 0..depth.  A rank that
-    stops growing is consistent with k-regularity at this horizon;
-    unbounded growth is evidence against it.  No claim is made beyond the
-    horizon: fingerprints here are horizon-relative by design.  prefix(n)
-    returns the first n terms of the sequence.
+    Returns {"k", "horizon", "depths"}, with a row {"depth", "class_count",
+    "rank", "representatives"} per depth 0..max_depth; a representative
+    {"scale", "residue", "fingerprint"} holds the first 32 terms of a class
+    new at that depth.  Counts and ranks are cumulative over scales
+    0..depth.  A rank that stops growing is consistent with k-regularity at
+    this horizon; unbounded growth is evidence against it.  No claim is made
+    beyond the horizon: fingerprints here are horizon-relative by design.
+    prefix(n) returns the first n terms of the sequence.
     """
     _check_arguments(k, max_depth, horizon)
     H = int(horizon)
@@ -254,4 +234,4 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
         depths.append({"depth": depth, "class_count": len(seen), "representatives": new_reps})
     for d, rank in zip(depths, _exact_ranks(blocks, H)):
         d["rank"] = rank
-    return RankProfile(k, H, depths)
+    return {"k": k, "horizon": H, "depths": depths}

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "relation_residual",
     "power_relation_search",
     "compose_bytes",
+    "physical_memory",
 ]
 
 _EPS = 2.0**-53
@@ -381,6 +383,14 @@ def compose_bytes(p, n, length=None):
     return 8 * n * (m + 1 + nblocks) + 8 * min(n, _COLUMNS) * nblocks * copies + _FFT_BYTES * n
 
 
+def physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _length(ac):
     """The index of the last nonzero coefficient plus one, at least 1."""
     nonzero = np.flatnonzero(ac)
@@ -501,11 +511,11 @@ def reversion(a):
     p, n = a.p, a.precision
     if int(a.coeffs[0]) != 0:
         raise ValueError("reversion needs a zero constant term")
-    a1 = int(a.coeffs[1]) if n > 1 else 0
-    if a1 % p == 0:
-        raise ValueError("reversion needs an invertible linear term")
     if n == 1:
         return TruncatedSeries.zero(p, 1)
+    a1 = int(a.coeffs[1])
+    if a1 % p == 0:
+        raise ValueError("reversion needs an invertible linear term")
 
     v = np.zeros(2, dtype=np.int64)
     v[1] = pow(a1, p - 2, p)
@@ -636,10 +646,10 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
     Sets up the Hermite-Pade style linear system on the unknown coefficient
     polynomials (degree <= max_coeff_degree) of a(X^(p^i)) for
     i <= max_frobenius_depth plus one inhomogeneous polynomial block, solves
-    it on the first half of the known coefficients and re-verifies every
-    candidate on the full precision before returning it.  Returns None when
-    no relation survives; raises when the precision cannot support the
-    number of unknowns without risking a spurious nullspace.
+    it on the first half of the known coefficients, keeps the solutions that
+    also hold on the full precision, and returns the structurally smallest.
+    Returns None when no relation survives; raises when the precision cannot
+    support the number of unknowns without risking a spurious nullspace.
     """
     p, n = a.p, a.precision
     depth = int(max_frobenius_depth)
@@ -681,7 +691,9 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
     basis2 = _nullspace_mod_p(reduced, p)
     if not basis2:
         return None
-    survivors = list(_matmul_mod(np.column_stack(basis2).T, np.stack(basis), p))
+    # each survivor is basis . c with full @ basis @ c = 0: it annihilates
+    # the whole system, so its relation has a zero residual
+    survivors = _matmul_mod(np.column_stack(basis2).T, np.stack(basis), p)
 
     def selection_key(v):
         # prefer the structurally smallest relation: fewest nonzero
@@ -693,12 +705,10 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
                 degrees[(kind, i)] = max(degrees.get((kind, i), 0), j)
         return (support, sum(degrees.values()), [int(x) for x in v])
 
-    survivors.sort(key=selection_key)
-    for v in survivors:
-        rel = _vector_to_relation(v, patterns, p, deg)
-        if relation_residual(rel, a).is_zero():
-            return rel
-    return None
+    rel = _vector_to_relation(min(survivors, key=selection_key), patterns, p, deg)
+    if not relation_residual(rel, a).is_zero():
+        raise AssertionError("relation search invariant broken: nonzero residual")
+    return rel
 
 
 def _vector_to_relation(v, patterns, p, deg):

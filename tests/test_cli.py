@@ -64,12 +64,12 @@ class TestInvertCommand:
             assert json.loads(out) == {"p": p, "coeffs": coeffs}
 
     def test_refused_beyond_physical_memory(self, capsys, tmp_path, monkeypatch):
-        from pdseq import cli, series
+        from pdseq import series
 
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"p": 65521, "coeffs": [0, 1] + [5] * 1022}))
         assert series.compose_bytes(65521, 1024) > 1 << 16
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
+        monkeypatch.setattr(series, "physical_memory", lambda: 1 << 16)
         code, out, err = run_cli(capsys, "invert", str(path))
         assert code == 2 and out == ""
         assert "physical memory" in err
@@ -77,10 +77,10 @@ class TestInvertCommand:
     def test_memory_estimate_follows_the_degree(self, capsys, tmp_path, monkeypatch):
         # a degree-2 polynomial needs 3 powers of each Newton iterate, where
         # a dense series of the same length needs 33
-        from pdseq import cli, series
+        from pdseq import series
 
         memory = 1 << 19
-        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(series, "physical_memory", lambda: memory)
         polynomial = [0, 1, 5] + [0] * 1021
         assert series.compose_bytes(65521, 1024, 3) < memory < series.compose_bytes(65521, 1024)
         path = tmp_path / "series.json"
@@ -265,6 +265,7 @@ class TestRefusals:
             ("kernel", "u", "--depth", "-1"),
             ("check", "lemma-4.5", "--horizon", "lemma-4.5=0"),
             ("check", "lemma-4.5", "--horizon", "lemma-4.5=-5"),
+            ("dfao", "a"),
         ],
         ids=[
             "seq-negative",
@@ -281,6 +282,7 @@ class TestRefusals:
             "kernel-depth-negative",
             "check-horizon0",
             "check-horizon-negative",
+            "dfao-kernel-not-closed",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -302,6 +304,15 @@ class TestRefusals:
         assert err.endswith("ask for at most 20577 terms\n")
         code, out, _ = run_cli(capsys, "seq", "F", "20577")
         assert code == 0 and out.count("\n") == 20577
+
+    def test_word_identities_beyond_physical_memory(self, capsys, monkeypatch):
+        # the words of lemma-3.2 at n = 8 have 2^17 letters, about 2^23 bytes at the peak
+        from pdseq import series
+
+        monkeypatch.setattr(series, "physical_memory", lambda: 1 << 20)
+        code, out, err = run_cli(capsys, "check", "lemma-3.2", "--horizon", "lemma-3.2=8")
+        assert (code, out) == (2, "")
+        assert err == "error: lemma-3.2 to n=8 needs about 2^23 bytes, more than the 1 MB of physical memory\n"
 
     def test_modulus_checked_before_the_terms(self, capsys):
         # the terms of a modulus p <= 1 would never fill: the check must come first
@@ -358,6 +369,22 @@ class TestRunPaperChecks:
         check_id = "lemma-5.4-5.6-prop-5.7-mod3"
         (result,) = checks.run_paper_checks([check_id], horizons={check_id: 1})
         assert (result.status, result.detail) == ("fail", "only 0 complete runs below 1")
+
+    @pytest.mark.parametrize(
+        "check_id, horizon",
+        [(c, h) for c in checks.CHECKS for h in (1, 2, 3, 40) if (c, h) != ("lemma-3.2", 40)],
+    )
+    def test_every_override_passes_or_fails_with_its_own_message(self, check_id, horizon):
+        (result,) = checks.run_paper_checks([check_id], horizons={check_id: horizon})
+        assert result.horizon != "n/a"
+        assert not (result.detail or "").startswith("exception:"), result.detail
+
+    def test_ore_form_expects_the_catalog_quartic(self):
+        check_id = "prop-4.2-ore-form"
+        with mock.patch.object(catalog, "inverse_pd_relation_quartic", catalog.inverse_pd_relation_cubic):
+            (result,) = checks.run_paper_checks([check_id])
+        assert result.status == "fail"
+        assert result.detail.startswith("unexpected relation ")
 
     def test_results_in_registry_order(self):
         results = checks.run_paper_checks(["lemma-3.2", "prop-4.2-reversion"])

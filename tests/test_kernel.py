@@ -107,30 +107,35 @@ class TestSynthesis:
         assert compute_kernel(prefix, 2, max_depth=4, horizon=64).num_states == 5
 
 
+def column(report, key):
+    """One entry of every depth row of a rank report."""
+    return [row[key] for row in report["depths"]]
+
+
 class TestRankProfile:
     def test_identity_sequence_rank_two(self):
         # every kernel row of the identity is an integer combination of
         # the index sequence and the all-ones sequence
-        prof = rank_profile(lambda n: np.arange(n, dtype=np.int64), 2, max_depth=6, horizon=128)
-        assert prof.ranks()[0] == 1
-        assert set(prof.ranks()[1:]) == {2}
+        ranks = column(rank_profile(lambda n: np.arange(n, dtype=np.int64), 2, max_depth=6, horizon=128), "rank")
+        assert ranks[0] == 1
+        assert set(ranks[1:]) == {2}
 
     def test_inverse_pd_profile_stabilizes(self):
-        prof = rank_profile(catalog.sequence("u").prefix, 2, max_depth=8, horizon=512)
-        assert prof.class_counts() == [1, 3, 4, 5, 5, 5, 5, 5, 5]
-        assert prof.ranks() == [1, 2, 3, 4, 4, 4, 4, 4, 4]
-        assert prof.stabilized("class_count") and prof.stabilized("rank")
+        report = rank_profile(catalog.sequence("u").prefix, 2, max_depth=8, horizon=512)
+        assert column(report, "class_count") == [1, 3, 4, 5, 5, 5, 5, 5, 5]
+        assert column(report, "rank") == [1, 2, 3, 4, 4, 4, 4, 4, 4]
 
     def test_positions_profile_is_full_rank(self):
-        prof = rank_profile(catalog.sequence("a").prefix, 2, max_depth=6, horizon=256)
-        assert prof.ranks() == [1, 3, 7, 15, 31, 63, 127]
-        assert prof.class_counts() == prof.ranks()
+        report = rank_profile(catalog.sequence("a").prefix, 2, max_depth=6, horizon=256)
+        assert column(report, "rank") == [1, 3, 7, 15, 31, 63, 127]
+        assert column(report, "class_count") == column(report, "rank")
 
     def test_json_report_shape(self):
-        prof = rank_profile(catalog.sequence("u").prefix, 2, max_depth=3, horizon=64)
-        report = prof.to_json_dict()
+        report = rank_profile(catalog.sequence("u").prefix, 2, max_depth=3, horizon=64)
+        assert set(report) == {"k", "horizon", "depths"}
         assert report["k"] == 2 and report["horizon"] == 64
-        assert [d["depth"] for d in report["depths"]] == [0, 1, 2, 3]
+        assert column(report, "depth") == [0, 1, 2, 3]
+        assert all(set(row) == {"depth", "class_count", "rank", "representatives"} for row in report["depths"])
         reps = report["depths"][0]["representatives"]
         assert reps[0]["scale"] == 0 and reps[0]["residue"] == 0
         assert len(reps[0]["fingerprint"]) == 32
@@ -149,8 +154,8 @@ class TestRankProfile:
         # a longer fingerprint can only split classes, never merge them
         for name in ("p", "z", "u"):
             seq = catalog.sequence(name).prefix
-            small = rank_profile(seq, 2, max_depth=6, horizon=128).class_counts()
-            large = rank_profile(seq, 2, max_depth=6, horizon=256).class_counts()
+            small = column(rank_profile(seq, 2, max_depth=6, horizon=128), "class_count")
+            large = column(rank_profile(seq, 2, max_depth=6, horizon=256), "class_count")
             assert all(s <= l for s, l in zip(small, large))
 
 

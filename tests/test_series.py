@@ -463,6 +463,13 @@ class TestReversion:
         with pytest.raises(ValueError, match="linear"):
             reversion(series_of(2, [0, 0, 1], 8))
 
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_precision_one(self, p):
+        # mod X the inverse of any series without constant term is 0
+        assert reversion(TruncatedSeries.zero(p, 1)) == TruncatedSeries.zero(p, 1)
+        with pytest.raises(ValueError, match="constant"):
+            reversion(TruncatedSeries.one(p, 1))
+
     @given(st.sampled_from([2, 3, 5, 65521, 2**31 - 1]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, p, data):
