@@ -9,20 +9,35 @@ its LSD-first automaton.  rank_profile reports, per scale, the number of
 distinct fingerprints and the exact rank of the fingerprint matrix over the
 rationals.
 
-That rank is multi-modular.  One prime q at a time, every scale's new
-fingerprints are reduced, a few rows at a time, against one row-echelon
-basis mod q, in float64 matmuls kept exact by H*(q-1)^2 < 2^53; the basis
-is dropped before the next prime.  Rank mod q never exceeds the rank over
-Q, so R = max_q rank mod q is a lower bound.  It is certified exact when it
-equals the row or column count, or when the product of the primes exceeds
-the Hadamard bound (sqrt(R+1) X)^(R+1) on every (R+1)-minor, X = max
-|entry|, since a nonzero minor cannot be divisible by a larger product.  A
-further prime is taken only while some scale is not certified.
+That rank starts from one prime q: every scale's new fingerprints are
+reduced, a few rows at a time, against one row-echelon basis mod q, in
+float64 matmuls kept exact by H*(q-1)^2 < 2^53.  Rows are fed as their first
+differences (the first term kept), a unimodular column operation: no rank
+and no dependency changes, and the entries of growing sequences stay small.
+Rank mod q never exceeds the rank over Q, so R_d, the rank mod q after
+scale d, is a lower bound, exact outright when it equals the row or column
+count.
+
+Otherwise a certificate whose size follows the actual dependencies closes
+it.  The echelon records the rows S that raised the rank and their pivot
+columns P.  Each other row m solves c S[:, P] = m[P] modulo q and one more
+prime; CRT and rational reconstruction (von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 5) turn c into an integer row Y and a denominator L,
+and L m = Y S is checked exactly in int64, with Y on rows of S from m's
+scale or earlier.  Then every row lies in the rational span of the chosen
+rows up to its scale, and R_d is the rank.  Only the exact check proves
+anything: when reconstruction fails, or the check fails or would leave
+int64, further primes are taken one at a time, each with one echelon that
+is dropped before the next, and R_d = max_q rank mod q is certified once
+the product of the primes exceeds the Hadamard bound (sqrt(R+1) X)^(R+1)
+on every (R+1)-minor, X = max |entry|, since a nonzero minor cannot be
+divisible by a larger product.  That fallback uses
+the same primes, in the same order, as a loop without the certificate.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt
 
 import numpy as np
@@ -108,15 +123,35 @@ def compute_kernel(prefix, k, max_depth=10, horizon=512):
 
 # -- rank profiling ---------------------------------------------------------
 
-_CHUNK = 32  # rows reduced at a time against one prime's basis
+_CHUNK = 32  # rows reduced, or checked, at a time
 
 
 def _mod(x, q):
-    """x mod q in [0, q) for integer-valued float64 |x| < 2^53.
+    """x mod q in [0, q), in place, for integer-valued float64 |x| < 2^53; returns x.
 
     Taken in int64, because the cost of np.fmod grows with the quotient.
     """
-    return (x.astype(np.int64) % q).astype(np.float64)
+    residues = x.astype(np.int64)
+    residues %= q
+    x[...] = residues
+    return x
+
+
+def _peak(rows):
+    """max |entry| of an int64 array, as a Python int (0 if empty)."""
+    return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+
+
+def _slices(block, differenced):
+    """(start, rows) for block's rows, _CHUNK at a time.
+
+    With differenced, rows holds first differences along each row, the first
+    entry kept: a unimodular column operation, so no rank and no dependency
+    among rows changes, while entries that grow with the index shrink.
+    """
+    for lo in range(0, len(block), _CHUNK):
+        part = block[lo : lo + _CHUNK]
+        yield lo, np.diff(part, axis=1, prepend=0) if differenced else part
 
 
 class _PrimeEchelon:
@@ -135,7 +170,8 @@ class _PrimeEchelon:
         self.pivots = []
 
     def add_block(self, rows):
-        """Add a few integer rows (int64, any sign) and return the new rank mod q.
+        """Add a few integer rows (int64, any sign); return the new rank mod q
+        and the rows, as indices into rows, that raised it.
 
         The rows are reduced against the basis and row-reduced among
         themselves once; the new pivots are then cleared in the old rows.
@@ -144,24 +180,27 @@ class _PrimeEchelon:
         basis = self.rows[:rank]
         b = np.mod(rows, q).astype(np.float64)
         if rank:
-            b = _mod(b - b[:, self.pivots] @ basis, q)
-        b = b[b.any(axis=1)]
-        if not len(b):
-            return rank
-        new, pivots = _rref_mod_p(b, q)
+            b -= b[:, self.pivots] @ basis
+            _mod(b, q)
+        live = np.flatnonzero(b.any(axis=1))
+        if not len(live):
+            return rank, []
+        # from here b holds only the new basis rows
+        b, pivots, found = _rref_mod_p(b[live], q)
+        b = b.astype(np.float64)
         # the new rows vanish at the old pivots; clear the new pivots in the old rows
-        cleared = new.astype(np.float64)
         for lo in range(0, rank, _CHUNK):
             part = basis[lo : lo + _CHUNK]
-            part[:] = _mod(part - part[:, pivots] @ cleared, q)
-        grown = rank + len(new)
+            part -= part[:, pivots] @ b
+            _mod(part, q)
+        grown = rank + len(b)
         if grown > len(self.rows):
             rows = np.empty((max(grown, 2 * rank), self.rows.shape[1]))
             rows[:rank] = basis
             self.rows = rows
-        self.rows[rank:grown] = new
+        self.rows[rank:grown] = b
         self.pivots += pivots
-        return grown
+        return grown, live[found].tolist()
 
 
 def _prime_sequence(ncols):
@@ -178,30 +217,165 @@ def _prime_sequence(ncols):
     raise ValueError(f"too few primes to certify a rank with {ncols} columns")
 
 
+def _echelon_ranks(blocks, q, ncols, differenced):
+    """One prime's pass: the rank mod q after each block, the rows that raised
+    it (per block, as indices into the block) and their pivot columns.
+
+    A single echelon takes every block, _CHUNK rows at a time, and is
+    dropped on return.
+    """
+    ech = _PrimeEchelon(q, ncols)
+    rank, ranks, chosen = 0, [], []
+    for block in blocks:
+        found = []
+        for lo, part in _slices(block, differenced):
+            rank, raised = ech.add_block(part)
+            found += [lo + i for i in raised]
+        ranks.append(rank)
+        chosen.append(found)
+    return ranks, chosen, ech.pivots
+
+
+def _rational_reconstruction(a, m):
+    """(num, den), entrywise num/den = a mod m with |num|, den <= sqrt(m/2); den = 0 where none is found.
+
+    The extended Euclidean algorithm on (m, a), stopped at the first
+    remainder below the bound (von zur Gathen-Gerhard, Modern Computer
+    Algebra, section 5.10), on every entry at once; an entry leaves the
+    working arrays when it stops.  Remainders and cofactors stay below
+    m < 2^63.
+    """
+    bound = isqrt(m // 2)
+    num, den = a.astype(np.int64), np.ones(a.shape, dtype=np.int64)
+    live = np.flatnonzero(num > bound)
+    r0, r1 = np.full(len(live), m, dtype=np.int64), num.flat[live]
+    t0, t1 = np.zeros_like(r1), np.ones_like(r1)
+    while len(live):
+        quotient = r0 // r1
+        r0, r1 = r1, r0 - quotient * r1
+        t0, t1 = t1, t0 - quotient * t1
+        done = r1 <= bound
+        num.flat[live[done]] = np.where(t1[done] < 0, -r1[done], r1[done])
+        den.flat[live[done]] = np.where(np.abs(t1[done]) <= bound, np.abs(t1[done]), 0)
+        live, r0, r1, t0, t1 = (x[~done] for x in (live, r0, r1, t0, t1))
+    return num, den
+
+
+def _dependency(part, inverses, primes, count):
+    """(Y, L) with L > 0 and Y zero past column count, from the rows' coordinates modulo two primes, or None.
+
+    The coordinates c of a row m solve c S[:, P] = m[P] modulo each prime;
+    they are combined by CRT, each entry is reconstructed as a fraction,
+    and L is the lcm of a row's denominators, so that Y = L c is integral.
+    The caller checks L m = Y S exactly: nothing here needs to be right.
+    """
+    q1, q2 = primes
+    c1, c2 = (_mod(np.mod(part, q).astype(np.float64) @ inv, q).astype(np.int64) for q, inv in zip(primes, inverses))
+    num, den = _rational_reconstruction(c1 + q1 * ((c2 - c1) * pow(q1, -1, q2) % q2), q1 * q2)
+    if not den.all():
+        return None
+    # |num| <= sqrt(m/2), so Y = num * (L / den) stays below 2^62 while L does below limit
+    limit = 2**62 // (isqrt(q1 * q2 // 2) + 1)
+    lcm = np.ones(len(part), dtype=np.int64)
+    for column in den.T:
+        lcm = lcm // np.gcd(lcm, column) * column
+        if lcm.max(initial=1) > limit:
+            return None
+    y = num * (lcm[:, None] // den)
+    # a verified Y with a later row would have that coefficient divisible by q1,
+    # beyond two primes' bound; with more primes only this test would exclude it
+    return None if y[:, count:].any() else (y[:, :count], lcm)
+
+
+def _verify(y, lcm, part, basis, peak):
+    """Whether lcm[i] * part[i] == y[i] @ basis exactly, for every row i, in int64.
+
+    Both sides are below bound = (max ||y_i||_1 + lcm_i) * peak, peak >= max
+    |entry| of part and basis, rounded up.  A bound of 2^63 or more is
+    refused, which leaves the rank to the Hadamard fallback.
+    """
+    # the float64 sum of a row's |y| is within a factor 1 + 2^-40 of the exact one
+    bound = float((np.abs(y).sum(axis=1, dtype=np.float64) + lcm).max(initial=0)) * peak * (1 + 2**-32)
+    return bound < 2**63 and np.array_equal(y @ basis, part * lcm[:, None])
+
+
+def _certified(blocks, chosen, pivots, differenced, primes):
+    """Whether every row is a rational combination of the chosen rows of its block or earlier blocks.
+
+    S holds the chosen rows, which are independent modulo the first prime,
+    and P their pivot columns there, so S[:, P] is invertible modulo it.
+    If every other row m has some L m = Y S with L > 0 and Y using only
+    chosen rows of m's block or earlier, the rank after block d is exactly
+    the number of rows chosen up to d.  Blocks are walked in place, _CHUNK
+    rows at a time; only S is copied.
+    """
+    basis = np.empty((len(pivots), blocks[0].shape[1]), dtype=np.int64)
+    at, counts = 0, []
+    for block, rows in zip(blocks, chosen):
+        for _, part in _slices(block[rows], differenced):
+            basis[at : at + len(part)] = part
+            at += len(part)
+        counts.append(at)
+    # [S[:, P] | I] has rank size; S[:, P] is invertible mod q when every
+    # pivot falls in the left half, and then the right half, in pivot order,
+    # is its inverse
+    size = len(pivots)
+    augmented = np.zeros((size, 2 * size), dtype=np.int64)
+    augmented[:, :size] = basis[:, pivots]
+    augmented[:, size:].flat[:: size + 1] = 1
+    inverses = []
+    for q in primes:
+        reduced, columns, _ = _rref_mod_p(augmented, q)
+        if max(columns, default=0) >= size:
+            return False
+        inverses.append(reduced[np.argsort(columns), size:].astype(np.float64))
+        del reduced  # before the next prime's reduction
+    del augmented
+    peak = _peak(basis)
+    for block, rows, count in zip(blocks, chosen, counts):
+        others = np.ones(len(block), dtype=bool)
+        others[rows] = False
+        for lo, part in _slices(block, differenced):
+            part = part[others[lo : lo + _CHUNK]]
+            if not len(part):
+                continue
+            dependency = _dependency(part[:, pivots], inverses, primes, count)
+            if dependency is None or not _verify(*dependency, part, basis[:count], max(peak, _peak(part))):
+                return False
+    return True
+
+
 def _exact_ranks(blocks, ncols):
     """The rank over Q of the rows of blocks[0..d] (int64, ncols columns), for each d.
 
-    One prime at a time, a single echelon takes every block, _CHUNK rows at
-    a time, and is then dropped.  Primes are added until the rank after
-    every block is certified, as the module docstring describes.
+    The first prime's ranks are certified by full rank or by _certified,
+    from one more prime; failing both, primes are added until the Hadamard
+    bound certifies every depth, as the module docstring describes.
     """
     sizes = list(accumulate(len(block) for block in blocks))
-    peaks = list(accumulate((max(int(b.max(initial=0)), -int(b.min(initial=0))) for b in blocks), max))
-    ranks = [0] * len(blocks)
-    modulus = 1
+    # first differences at most double an entry: taken while that stays in int64
+    differenced = max(map(_peak, blocks), default=0) < 2**62
     primes = _prime_sequence(ncols)
+    first = next(primes)
+    ranks, chosen, pivots = _echelon_ranks(blocks, first, ncols, differenced)
+    if all(r == min(size, ncols) for r, size in zip(ranks, sizes)):
+        return ranks
+    second = next(primes)
+    if _certified(blocks, chosen, pivots, differenced, (first, second)):
+        return ranks
+    # rank mod q is the same for the rows and for their differences: the smaller bound holds
+    raw = accumulate(map(_peak, blocks), max)
+    fed = accumulate((max((_peak(part) for _, part in _slices(b, differenced)), default=0) for b in blocks), max)
+    peaks = list(map(min, raw, fed))
+    modulus, primes = first, chain([second], primes)
     # the Hadamard bound squared, to stay in integers
     while not all(
-        (modulus > 1 and r == min(size, ncols)) or modulus**2 > (r + 1) ** (r + 1) * peak ** (2 * r + 2)
+        r == min(size, ncols) or modulus**2 > (r + 1) ** (r + 1) * peak ** (2 * r + 2)
         for r, size, peak in zip(ranks, sizes, peaks)
     ):
-        ech = _PrimeEchelon(next(primes), ncols)
-        rank = 0
-        for d, block in enumerate(blocks):
-            for lo in range(0, len(block), _CHUNK):
-                rank = ech.add_block(block[lo : lo + _CHUNK])
-            ranks[d] = max(ranks[d], rank)
-        modulus *= ech.q
+        q = next(primes)
+        ranks = [max(r, s) for r, s in zip(ranks, _echelon_ranks(blocks, q, ncols, differenced)[0])]
+        modulus *= q
     return ranks
 
 
@@ -229,7 +403,7 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
                 continue
             seen.add(key)
             new_rows.append(fp)
-            new_reps.append({"scale": depth, "residue": r, "fingerprint": [int(x) for x in fp[:32]]})
+            new_reps.append({"scale": depth, "residue": r, "fingerprint": fp[:32].tolist()})
         blocks.append(np.array(new_rows, dtype=np.int64).reshape(len(new_rows), H))
         depths.append({"depth": depth, "class_count": len(seen), "representatives": new_reps})
     for d, rank in zip(depths, _exact_ranks(blocks, H)):

@@ -1,16 +1,17 @@
 """Morphisms on finite alphabets: fixed points, codings and spectral data.
 
 The letters of one alphabet are all ints (digits) or all strings (named
-states); a Morphism maps words given as tuples of letters.  Prefixes of
-fixed points and of their codings are int or str numpy arrays, read from one
-flat table of letter images with one vectorized gather per pass.  Spectral
-radii of incidence matrices are computed from exact integer characteristic
-polynomials with Sturm-sequence root isolation; no floating-point linear
-algebra is involved.  An integer or quadratic spectral radius gets an exact
-tag, found without search: each candidate divisor is fixed by the isolated
-root.  Multiplicative independence is decided exactly, by integer division,
-for integers and for a quadratic against an integer; two quadratics are
-refused.
+states); a Morphism holds the images of single letters as tuples.  Words
+are arrays of letter indices, imaged by one vectorized gather from one flat
+table of letter images (_image_table, _apply).  Prefixes of fixed points
+and of their codings are int or str numpy arrays, read from such words.
+Spectral radii of incidence matrices are computed from exact integer
+characteristic polynomials with Sturm-sequence root isolation; no
+floating-point linear algebra is involved.  An integer or quadratic spectral
+radius gets an exact tag, found without search: each candidate divisor is
+fixed by the isolated root.  Multiplicative independence is decided
+exactly, by integer division, for integers and for a quadratic against an
+integer; two quadratics are refused.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ class Morphism:
     def alphabet(self):
         return tuple(self.rules)
 
-    def __call__(self, word):
-        out = []
-        for a in word:
-            try:
-                out.extend(self.rules[a])
-            except KeyError:
-                raise ValueError(f"letter {a!r} outside the domain alphabet") from None
-        return tuple(out)
-
     def __repr__(self):
         body = ", ".join(f"{a}->{''.join(map(str, w))}" for a, w in self.rules.items())
         return f"Morphism({body})"
@@ -73,10 +65,12 @@ class Morphism:
 
 
 def _image_table(m, domain, codomain):
-    """m's images of the letters of domain, as one flat int64 array of indices into codomain.
+    """m's images of the letters of domain, as one flat array of indices into codomain.
 
     Returns (flat, start, length): the image of domain[i] is
-    flat[start[i] : start[i] + length[i]].
+    flat[start[i] : start[i] + length[i]].  flat has the smallest unsigned
+    dtype that holds the indices, so words built from it take a byte a
+    letter on alphabets of at most 256 letters.
     """
     index = {b: j for j, b in enumerate(codomain)}
     try:
@@ -84,7 +78,7 @@ def _image_table(m, domain, codomain):
     except KeyError as exc:
         raise ValueError(f"letter {exc.args[0]!r} outside the alphabet") from None
     length = np.array([len(w) for w in images], dtype=np.int64)
-    flat = np.array([j for w in images for j in w], dtype=np.int64)
+    flat = np.array([j for w in images for j in w], dtype=np.min_scalar_type(max(len(codomain) - 1, 0)))
     return flat, np.cumsum(length) - length, length
 
 
@@ -94,7 +88,9 @@ def _apply(table, word):
     lengths = length[word]
     ends = np.cumsum(lengths)
     # letter i of the image of word[j] is flat[start[word[j]] + i], at position ends[j] - lengths[j] + i
-    return flat[np.repeat(start[word] - ends + lengths, lengths) + np.arange(lengths.sum())]
+    index = np.repeat(start[word] - ends + lengths, lengths)
+    index += np.arange(len(index))
+    return flat[index]
 
 
 def _fixed_point(m, seed, n):

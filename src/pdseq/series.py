@@ -601,15 +601,17 @@ def relation_residual(rel, a):
 
 
 def _rref_mod_p(mat, p):
-    """Reduced row-echelon form of mat over F_p, as (rows, pivots).
+    """Reduced row-echelon form of mat over F_p, as (rows, pivots, found).
 
     Row i of rows has its leading 1 in column pivots[i] and a 0 in every
-    other pivot column.  Rows come in the order mat yields them, so pivots
-    need not ascend.  Products stay below (p-1)^2, hence in int64.
+    other pivot column, and found[i] is the row of mat that raised the rank
+    to i + 1.  Rows come in the order mat yields them, so pivots need not
+    ascend.  Products stay below (p-1)^2, hence in int64.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for int64 row reduction")
-    b = np.asarray(mat).astype(np.int64) % p
+    b = np.array(mat, dtype=np.int64)
+    b %= p
     found, pivots = [], []
     for i in range(len(b)):
         nz = np.flatnonzero(b[i])
@@ -619,15 +621,16 @@ def _rref_mod_p(mat, p):
         b[i] = b[i] * pow(int(b[i, c]), p - 2, p) % p
         col = b[:, c].copy()
         col[i] = 0
-        b = (b - np.outer(col, b[i])) % p
+        b -= np.einsum("i,j->ij", col, b[i])  # np.outer would add a broadcast buffer
+        b %= p
         found.append(i)
         pivots.append(c)
-    return b[found], pivots
+    return (b if len(found) == len(b) else b[found]), pivots, found
 
 
 def _nullspace_mod_p(mat, p):
     """Basis of the right nullspace of mat over F_p, one vector per row."""
-    rows, pivots = _rref_mod_p(mat, p)
+    rows, pivots, _ = _rref_mod_p(mat, p)
     cols = mat.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = []

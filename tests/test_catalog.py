@@ -211,10 +211,10 @@ class TestComplementForms:
         assert [int(c) for c in via_morphism] == (1 - d).tolist()
 
     def test_exchange_morphism(self):
-        e = morphisms.Morphism({"0": ("1",), "1": ("0",)})
+        e = morphisms.Morphism({0: (1,), 1: (0,)})
         d = catalog.sequence("d").prefix(64)
-        swapped = e(tuple(str(int(v)) for v in d))
-        assert [int(c) for c in swapped] == (1 - d).tolist()
+        swapped = morphisms._apply(morphisms._image_table(e, (0, 1), (0, 1)), d)
+        assert swapped.tolist() == (1 - d).tolist()
 
 
 class TestPositionsStructure:

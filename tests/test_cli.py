@@ -306,7 +306,8 @@ class TestRefusals:
         assert code == 0 and out.count("\n") == 20577
 
     def test_word_identities_beyond_physical_memory(self, capsys, monkeypatch):
-        # the words of lemma-3.2 at n = 8 have 2^17 letters, about 2^23 bytes at the peak
+        # the words of lemma-3.2 at n = 8 have 2^17 letters; at 51 bytes a
+        # letter the peak is 6.7 MB, which the gate rounds up to 2^23 bytes
         from pdseq import series
 
         monkeypatch.setattr(series, "physical_memory", lambda: 1 << 20)

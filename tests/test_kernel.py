@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 import tracemalloc
 from unittest import mock
 
@@ -159,6 +159,47 @@ class TestRankProfile:
             assert all(s <= l for s, l in zip(small, large))
 
 
+def primes_drawn(run):
+    """run() and the number of primes it drew from kernel._prime_sequence."""
+    drawn = []
+    sequence = kernel._prime_sequence
+
+    def counting(ncols):
+        for q in sequence(ncols):
+            drawn.append(q)
+            yield q
+
+    with mock.patch.object(kernel, "_prime_sequence", counting):
+        return run(), len(drawn)
+
+
+class TestRankGrowth:
+    """The witness of non-regularity: at a fixed depth the rank grows with H.
+
+    For a k-regular sequence the rank of the truncated kernel is bounded at
+    every H by the rank of its kernel module (Allouche-Shallit, 1992).  The
+    depth-8 ranks of z, o and p keep growing from H = 2^9 to 2^13.
+    """
+
+    @pytest.mark.parametrize(
+        "name, ranks", [("z", [18, 20, 23, 25, 27]), ("o", [18, 20, 23, 25, 27]), ("p", [21, 23, 25, 27, 29])]
+    )
+    def test_depth_8_rank_grows_with_horizon(self, name, ranks):
+        prefix = catalog.sequence(name).prefix
+        got = [rank_profile(prefix, 2, max_depth=8, horizon=2**e)["depths"][-1]["rank"] for e in range(9, 14)]
+        assert got == ranks
+        assert all(a < b for a, b in zip(got, got[1:]))
+
+    @pytest.mark.parametrize("name", ["z", "o", "p"])
+    @pytest.mark.parametrize("horizon", [512, 1024])
+    def test_check_ranks_certified_from_two_primes(self, name, horizon):
+        # the rank check's profiles: one echelon and one more prime for the
+        # certificate
+        report, drawn = primes_drawn(lambda: rank_profile(catalog.sequence(name).prefix, 2, max_depth=8, horizon=horizon))
+        assert drawn <= 2
+        assert column(report, "rank")[:4] == [1, 3, 7, 15]
+
+
 def rational_rank(rows):
     """Oracle: the rank over Q, by sympy."""
     pytest.importorskip("sympy")
@@ -272,6 +313,22 @@ class TestModularRank:
         assert ranks[-1] == (2 if independent else 1)
         assert len(echelons) >= (3 if multiple == q0 * q1 and independent else 1)
 
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_entries_past_2_62_are_not_differenced(self, ncols, data):
+        # first differences could overflow int64 here, so the rows are fed
+        # as they are
+        huge = st.integers(-(2**63) + 1, 2**63 - 1)
+        rows = data.draw(st.lists(st.lists(huge, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+        rows.append([2**62] + [0] * (ncols - 1))
+        rows.append(list(rows[0]))
+        ranks, wants, _ = feed(ncols, [rows[:2], rows[2:]])
+        assert ranks == wants
+        # 2v's second difference is -2^63 - 2^61: wrapped in int64 it would
+        # no longer be twice v's
+        v = [2**61, -(2**61) - 2**60]
+        assert feed(2, [[v, [2 * x for x in v]]])[:2] == ([1], [1])
+
     def test_full_column_rank_needs_one_prime(self):
         ranks, _, echelons = feed(2, [[[1, 0], [0, 2**40], [5, 7]]])
         assert ranks == [2] and len(echelons) == 1
@@ -284,15 +341,17 @@ class TestModularRank:
         assert feed(3, [[], [[0, 0, 0]]])[:2] == ([0, 0], [0, 0])
 
     def test_many_primes_hold_one_echelon(self):
-        # 48 independent rows with entries near 2^40 and 16 integer
-        # combinations of them: the rank is certified by the Hadamard bound
-        # only, after about 100 primes, yet one prime's echelon is alive at
-        # a time
+        # 48 independent rows with entries near 2^20, after 16 combinations
+        # of them with coefficients near 2^20: the base rows that follow the
+        # first 48 rows are rational combinations of them whose
+        # denominators are 16x16 minors of the coefficients, far beyond
+        # what two primes reconstruct, so the rank is certified by the
+        # Hadamard bound only, after about 100 primes, yet one prime's
+        # echelon is alive at a time
         rng = np.random.default_rng(5)
         ncols, r = 64, 48
-        base = rng.integers(-(2**40), 2**40, size=(r, ncols))
-        rows = np.concatenate([base, rng.integers(-3, 4, size=(16, r)) @ base])
-        rows = rows[rng.permutation(len(rows))]
+        base = rng.integers(-(2**20), 2**20, size=(r, ncols))
+        rows = np.concatenate([rng.integers(-(2**20), 2**20, size=(16, r)) @ base, base])
         primes = []
 
         def spy(q, n):  # unlike feed's spy, keeps no echelon alive
@@ -310,6 +369,120 @@ class TestModularRank:
         assert ranks == [rational_rank(rows[:40]), rational_rank(rows)] == [40, r]
         echelon = r * ncols * 8  # float64 basis rows of one prime
         assert peak < 8 * echelon
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_dependencies_certified_from_two_primes(self, ncols, data):
+        # r rows [I | B] with entries of B up to 2^32, then integer
+        # combinations of them with coefficients up to 2^12: the rows' own
+        # coefficients reconstruct, and both sides of L m = Y S stay below
+        # 2^61, so one echelon and one more prime certify every depth
+        r = data.draw(st.integers(1, min(4, ncols - 1)))
+        big = st.integers(-(2**32), 2**32)
+        base = [[int(i == j) for j in range(r)] + data.draw(st.lists(big, min_size=ncols - r, max_size=ncols - r)) for i in range(r)]
+        coeffs = data.draw(st.lists(st.lists(st.integers(-(2**12), 2**12), min_size=r, max_size=r), min_size=1, max_size=6))
+        planted = [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(ncols)] for cs in coeffs]
+        cut = data.draw(st.integers(r, r + len(planted)))
+        rows = base + planted
+        ranks, wants, echelons = feed(ncols, [rows[:cut], rows[cut:]])
+        assert ranks == wants
+        assert len(echelons) == 1
+
+    def test_singular_modulo_the_second_prime_falls_back(self):
+        # the chosen rows' differences [1, -1, 0] and [0, q1, -q1] make
+        # S[:, P] singular modulo the second prime q1: the certificate stops
+        # before it solves for any row, and further echelons certify rank 2
+        q1 = list(islice(_prime_sequence(3), 2))[1]
+        with mock.patch.object(kernel, "_dependency", side_effect=AssertionError("solved without an inverse")):
+            ranks, wants, echelons = feed(3, [[[1, 0, 0], [0, q1, 0], [1, q1, 0]]])
+        assert ranks == wants == [2]
+        assert len(echelons) >= 2
+
+    def test_check_past_int64_falls_back(self):
+        # w = 2^25 v reconstructs, but the check's bound, 2^25 + 1 times
+        # w's differences near 2^61, passes 2^63: the check is refused and
+        # further echelons certify rank 1
+        v = [2**36, 3]
+        real, verdicts = kernel._verify, []
+
+        def verify(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        with mock.patch.object(kernel, "_verify", verify):
+            ranks, wants, echelons = feed(2, [[v, [2**25 * x for x in v]]])
+        assert ranks == wants == [1]
+        assert verdicts == [False]
+        assert len(echelons) >= 2
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unreconstructable_coefficients_fall_back(self, ncols, data):
+        # k v comes first, so v = (1/k) (k v) with k beyond the bound
+        # sqrt(q0 q1 / 2) of rational reconstruction: the certificate fails
+        # and further echelons certify the rank
+        r = data.draw(st.integers(1, ncols - 1))
+        small = st.lists(st.integers(-(2**20), 2**20), min_size=ncols, max_size=ncols)
+        base = data.draw(st.lists(small, min_size=r, max_size=r))
+        assume(any(base[0]))
+        k = data.draw(st.integers(2**30, 2**40))
+        rows = [[k * x for x in base[0]]] + data.draw(st.permutations(base))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        blocks = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+        ranks, wants, echelons = feed(ncols, blocks)
+        assert ranks == wants
+        assert len(echelons) >= 2
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reconstructed_dependency_fails_verification(self, ncols, data):
+        # w = t v + s q0 e_j, j >= 1: modulo q0, and at the pivot column 0
+        # modulo every prime, w is t v, so Y = t reconstructs; over Q the
+        # rows are independent, so L w = Y v is refused and further
+        # echelons certify rank 2
+        q0 = next(_prime_sequence(ncols))
+        v = data.draw(st.lists(st.integers(-1000, 1000), min_size=ncols, max_size=ncols))
+        assume(v[0] % q0)
+        t = data.draw(st.integers(-50, 50))
+        w = [t * x for x in v]
+        w[data.draw(st.integers(1, ncols - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2])) * q0
+        real, verdicts = kernel._verify, []
+
+        def verify(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        with mock.patch.object(kernel, "_verify", verify):
+            ranks, wants, echelons = feed(ncols, data.draw(st.sampled_from([[[v, w]], [[v], [w]]])))
+        assert ranks == wants and ranks[-1] == 2
+        assert verdicts == [False]
+        assert len(echelons) >= 2
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rational_reconstruction(self, data):
+        q0, q1 = islice(_prime_sequence(data.draw(st.integers(1, 4096))), 2)
+        m = q0 * q1
+        bound = isqrt(m // 2)
+        den = data.draw(st.integers(1, bound))
+        num = data.draw(st.integers(-bound, bound))
+        assume(gcd(num, den) == 1 and gcd(den, m) == 1)
+        got = kernel._rational_reconstruction(np.array([num * pow(den, -1, m) % m, 0]), m)
+        assert [x.tolist() for x in got] == [[num, 0], [den, 1]]
+
+    @pytest.mark.parametrize("m", [3 * 5, 11 * 13, 97 * 101])
+    def test_rational_reconstruction_every_residue(self, m):
+        # every residue mod a small product of two primes: the fraction
+        # under the bound is found when there is one, and a result is
+        # always a congruent fraction under the bound
+        bound = isqrt(m // 2)
+        fractions = {n * pow(d, -1, m) % m: (n, d) for d in range(1, bound + 1) if gcd(d, m) == 1 for n in range(-bound, bound + 1) if gcd(n, d) == 1}
+        nums, dens = kernel._rational_reconstruction(np.arange(m), m)
+        for a, (num, den) in enumerate(zip(nums.tolist(), dens.tolist())):
+            if a in fractions:
+                assert (num, den) == fractions[a]
+            elif den:
+                assert abs(num) <= bound and den <= bound and (num - den * a) % m == 0
 
     def test_prime_sequence_bound(self):
         sympy = pytest.importorskip("sympy")

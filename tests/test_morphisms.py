@@ -12,6 +12,8 @@ from pdseq import catalog
 from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
+    _apply,
+    _image_table,
     equivalent_up_to_renaming,
     fixed_point_prefix,
     morphic_word_prefix,
@@ -149,10 +151,15 @@ class TestFixedPoints:
                 ]
             )
         )
-        letters = list(m.alphabet)
-        word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=50)))
+        # the one-gather image of a word of letter indices is the
+        # concatenation of the letters' images, and so a homomorphism
+        letters = m.alphabet
+        table = _image_table(m, letters, letters)
+        word = np.array(data.draw(st.lists(st.integers(0, len(letters) - 1), max_size=50)), dtype=np.int64)
         cut = data.draw(st.integers(0, len(word)))
-        assert m(word) == m(word[:cut]) + m(word[cut:])
+        image = _apply(table, word)
+        assert [letters[i] for i in image] == [b for i in word for b in m.rules[letters[i]]]
+        assert image.tolist() == _apply(table, word[:cut]).tolist() + _apply(table, word[cut:]).tolist()
 
 
 class TestErasureRemoval:

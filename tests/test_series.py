@@ -568,7 +568,11 @@ class TestPowerRelationSearch:
         mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
         field = sympy.GF(p)
         want, want_pivots = DomainMatrix([[field(x) for x in row] for row in mat], (nrows, ncols), field).rref()
-        rows, pivots = series._rref_mod_p(np.array(mat, dtype=np.int64), p)
+        mat = np.array(mat, dtype=np.int64)
+        rows, pivots, found = series._rref_mod_p(mat, p)
         order = np.argsort(pivots)
         assert [pivots[i] for i in order] == list(want_pivots)
         assert rows[order].tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()[: len(pivots)]]
+        # the rows that raised the rank span it on their own, in the order found
+        assert found == sorted(found)
+        assert series._rref_mod_p(mat[found], p)[2] == list(range(len(found)))
