@@ -29,6 +29,12 @@ def _parse_horizon_overrides(pairs):
 
 
 def cmd_seq(args):
+    memory = series.physical_memory()
+    if memory is not None and 8 * args.count > memory:  # the least a prefix takes, 8 bytes a term
+        raise MemoryError(
+            f"{args.count} terms of {args.name} need at least {8 * args.count} bytes, "
+            f"more than the {memory >> 20} MB of physical memory"
+        )
     sys.stdout.writelines(catalog.bfile_blocks(args.name, args.count, offset=args.offset))
     return 0
 

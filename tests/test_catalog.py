@@ -292,3 +292,54 @@ class TestSeriesCatalog:
     def test_bfile(self):
         assert "".join(catalog.bfile_blocks("a", 4, offset=0)) == "0 1\n1 5\n2 7\n3 13\n"
         assert "".join(catalog.bfile_blocks("F", 3, offset=1)) == "1 1\n2 1\n3 2\n"
+
+
+_S = catalog._BFILE_SLICE
+_SPECIAL = (0, 1, -1, 9, -10, 2**63 - 1, -(2**63 - 1), -(2**63))
+
+
+class TestBfileFormatting:
+    """bfile_blocks against one f-string per term, the reference it replaced."""
+
+    @staticmethod
+    def reference(values, offset):
+        return "".join(f"{i} {v}\n" for i, v in enumerate(values.tolist(), offset))
+
+    @given(
+        count=st.integers(0, 3 * _S),
+        bits=st.integers(0, 63),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.tuples(st.integers(0, 3 * _S), st.sampled_from(_SPECIAL)), max_size=8),
+        offset=st.one_of(
+            st.integers(-2 * _S, 2 * _S),
+            st.builds(lambda k, sign, d: sign * 10**k + d, st.integers(1, 18), st.sampled_from((1, -1)), st.integers(-_S, _S)),
+            st.integers(2**63 - 4 * _S, 2**63 + 8),
+            st.integers(-(2**63), -(2**63) + 4 * _S),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_term_reference(self, count, bits, seed, specials, offset):
+        # magnitudes below 2^bits spread over every digit count, either sign, plus the extremes
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-(2**63), 2**63, count, dtype=np.int64) >> rng.integers(63 - bits, 64, count)
+        for position, value in specials:
+            if position < count:
+                values[position] = value
+        drawn = catalog.NamedSequence("drawn", "drawn int64 terms", lambda n: values)
+        with mock.patch.dict(catalog._REGISTRY, {"drawn": drawn}):
+            assert "".join(catalog.bfile_blocks("drawn", count, offset)) == self.reference(values, offset)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [9, 10, -9, -10, 0, 99, 100, -100],  # digit counts change inside the block
+            [999_999_999, -999_999_999, 0],  # 9 digits, the most that uint32 holds
+            [9_999_999_999, 2**32, -(2**32), 1],  # 10 digits, past uint32
+        ],
+    )
+    def test_digit_counts(self, terms):
+        values = np.array(terms, dtype=np.int64)
+        drawn = catalog.NamedSequence("drawn", "drawn int64 terms", lambda n: values)
+        with mock.patch.dict(catalog._REGISTRY, {"drawn": drawn}):
+            for offset in (96, -3, -100):
+                assert "".join(catalog.bfile_blocks("drawn", len(terms), offset)) == self.reference(values, offset)

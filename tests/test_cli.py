@@ -30,14 +30,43 @@ class TestSeqCommand:
         assert out.splitlines() == ["1 1", "2 1", "3 2"]
 
     def test_output_across_slices(self, capsys):
-        # more terms than one slice of catalog.bfile_blocks: one line per term, no blank line
-        from pdseq import catalog
-
-        count = 2 * catalog._BFILE_SLICE + 3
-        code, out, _ = run_cli(capsys, "seq", "u", str(count), "--offset", "2")
+        # more terms than two slices of the int64 path of catalog.bfile_blocks,
+        # and indices that pass a power of ten in the middle of the second
+        size = catalog._BFILE_SLICE
+        count = 2 * size + 3
+        decade = 10 ** len(str(2 * size))
+        offset = decade - size - size // 2
+        code, out, _ = run_cli(capsys, "seq", "z", str(count), "--offset", str(offset))
         assert code == 0
-        values = catalog.sequence("u").prefix(count).tolist()
-        assert out == "".join(f"{i + 2} {v}\n" for i, v in enumerate(values))
+        values = catalog.sequence("z").prefix(count).tolist()
+        assert out == "".join(f"{i + offset} {v}\n" for i, v in enumerate(values))
+        assert f"\n{decade - 1} " in out and f"\n{decade} " in out
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("z", "5", "--offset", "-2"), "-2 0\n-1 2\n0 3\n1 4\n2 6\n"),
+            (("u", "3", "--offset", "-5"), "-5 0\n-4 1\n-3 0\n"),
+            (("u", "3", "--offset", str(2**63 - 3)), "9223372036854775805 0\n9223372036854775806 1\n9223372036854775807 0\n"),
+            (("u", "3", "--offset", str(2**63 - 2)), "9223372036854775806 0\n9223372036854775807 1\n9223372036854775808 0\n"),
+            (("u", "0"), ""),
+        ],
+    )
+    def test_pinned_output(self, capsys, argv, want):
+        # signs, the last index int64 holds and one past it, and no terms
+        assert run_cli(capsys, "seq", *argv) == (0, want, "")
+
+    def test_refused_beyond_physical_memory(self, capsys, monkeypatch):
+        # 8 bytes a term is the least any prefix takes: 2^17 terms fit in 1 MB
+        from pdseq import series
+
+        monkeypatch.setattr(series, "physical_memory", lambda: 1 << 20)
+        with mock.patch.object(catalog, "sequence", side_effect=AssertionError("built")):
+            code, out, err = run_cli(capsys, "seq", "u", str((1 << 17) + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: 131073 terms of u need at least 1048584 bytes, more than the 1 MB of physical memory\n"
+        code, out, _ = run_cli(capsys, "seq", "u", str(1 << 17))
+        assert code == 0 and out.count("\n") == 1 << 17
 
 
 class TestInvertCommand:
@@ -302,6 +331,9 @@ class TestRefusals:
         _, _, err = run_cli(capsys, "seq", "F", "25000", "--offset", "1")
         assert err.startswith("error: term 20578 of F has more than 4300 decimal digits")
         assert err.endswith("ask for at most 20577 terms\n")
+        # the named index is a Python int: it does not wrap past int64
+        _, _, err = run_cli(capsys, "seq", "F", "25000", "--offset", str(2**63 - 2))
+        assert err.startswith(f"error: term {2**63 - 2 + 20577} of F has")
         code, out, _ = run_cli(capsys, "seq", "F", "20577")
         assert code == 0 and out.count("\n") == 20577
 
