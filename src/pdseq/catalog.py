@@ -630,7 +630,7 @@ def cross_check(name, n):
     return CrossCheckReport(name, n, not failures, failures)
 
 
-_BFILE_SLICE = 1 << 14  # terms a block on the int64 path; per-term lines, F's up to 4300 digits, come 4096 at a time
+_BFILE_SLICE = 4096  # terms a block
 
 
 def _ascii_digits(x, out):
@@ -638,8 +638,6 @@ def _ascii_digits(x, out):
     '-' in column 0 where negative, the decimal digits right-aligned, NUL
     elsewhere.  out needs a column more than the longest term has digits."""
     m = np.abs(x).view(np.uint64)  # |-2^63| too
-    if out.shape[1] <= 10:  # at most 9 digits: uint32 divides faster
-        m = m.astype(np.uint32)
     out[:, 0] = (x < 0) * ord("-")
     q = m // 10
     out[:, -1] = m - 10 * q + ord("0")
@@ -651,13 +649,14 @@ def _ascii_digits(x, out):
 def bfile_blocks(name, count, offset=0):
     """OEIS-style b-file text, '<index> <value>\\n' per term, one string per slice of terms.
 
-    An int64 prefix whose indices stay in int64 is written without a loop
-    over terms: each slice of _BFILE_SLICE terms fills one NUL-padded byte
-    matrix, digit column by digit column, and drops the NULs.  A slice adds
-    50-80 bytes a term to the peak memory, 0.8-1.3 MB (tracemalloc, u, z
-    and a).  Other prefixes (F's Python ints) and indices past int64 take
-    one f-string per term, 4096 at a time.  A term longer than Python prints
-    (sys.get_int_max_str_digits) is refused before the first line.
+    Terms come _BFILE_SLICE at a time.  An int64 prefix whose indices stay
+    in int64 is written without a loop over terms: each slice fills one
+    NUL-padded byte matrix, digit column by digit column, and drops the
+    NULs.  A slice adds 65-85 bytes a term to the peak memory, 0.26-0.33 MB
+    (tracemalloc, u, z and a).  Other prefixes (F's Python ints) and
+    indices past int64 take one f-string per term.  A term longer than
+    Python prints (sys.get_int_max_str_digits) is refused before the first
+    line.
     """
     values = sequence(name).prefix(count)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
@@ -668,9 +667,8 @@ def bfile_blocks(name, count, offset=0):
             f"term {offset + i} of {name} has more than {limit} decimal digits, too many to print; ask for at most {i} terms"
         )
     fast = values.dtype == np.int64 and -(2**63) <= offset and offset + len(values) <= 2**63
-    step = _BFILE_SLICE if fast else 4096
-    for lo in range(0, len(values), step):
-        terms = values[lo : lo + step]
+    for lo in range(0, len(values), _BFILE_SLICE):
+        terms = values[lo : lo + _BFILE_SLICE]
         if not fast:
             yield "".join(f"{i} {v}\n" for i, v in enumerate(terms.tolist(), offset + lo))
             continue

@@ -147,11 +147,8 @@ def check_kernel_relations(n=100_000):
 def check_morphism_identities(n_max=7):
     # by tracemalloc the check peaks at 51 bytes per letter of h^(2n+1)(0), 2^(2n+1) of them:
     # 2^(2n+6.7) bytes, here rounded up
-    log2_need, memory = 2 * n_max + 7, series.physical_memory()
-    if memory is not None and log2_need >= memory.bit_length():  # 2^log2_need > memory
-        raise MemoryError(
-            f"lemma-3.2 to n={n_max} needs about 2^{log2_need} bytes, more than the {memory >> 20} MB of physical memory"
-        )
+    log2_need = 2 * n_max + 7
+    series.require_memory(1 << log2_need, f"lemma-3.2 to n={n_max} needs about 2^{log2_need} bytes")
     h = catalog.period_doubling_morphism()
     f = catalog.doubled_run_length_morphism()
     g = catalog.doubled_run_length_coding()

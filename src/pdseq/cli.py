@@ -29,12 +29,8 @@ def _parse_horizon_overrides(pairs):
 
 
 def cmd_seq(args):
-    memory = series.physical_memory()
-    if memory is not None and 8 * args.count > memory:  # the least a prefix takes, 8 bytes a term
-        raise MemoryError(
-            f"{args.count} terms of {args.name} need at least {8 * args.count} bytes, "
-            f"more than the {memory >> 20} MB of physical memory"
-        )
+    need = 8 * args.count  # the least a prefix takes, 8 bytes a term
+    series.require_memory(need, f"{args.count} terms of {args.name} need at least {need} bytes")
     sys.stdout.writelines(catalog.bfile_blocks(args.name, args.count, offset=args.offset))
     return 0
 
@@ -48,12 +44,7 @@ def cmd_invert(args):
     s = series.TruncatedSeries.from_json(text)
     n = s.precision
     need = series.compose_bytes(s.p, n, s.length)
-    memory = series.physical_memory()
-    if memory is not None and need > memory:
-        raise MemoryError(
-            f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB, "
-            f"more than the {memory >> 20} MB of physical memory"
-        )
+    series.require_memory(need, f"inverting {n} terms over F_{s.p} needs about {need >> 20} MB")
     sys.stdout.write(series.reversion(s).to_json() + "\n")
     return 0
 

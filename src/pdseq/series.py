@@ -46,6 +46,7 @@ __all__ = [
     "power_relation_search",
     "compose_bytes",
     "physical_memory",
+    "require_memory",
 ]
 
 _EPS = 2.0**-53
@@ -389,6 +390,14 @@ def physical_memory():
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def require_memory(need, what):
+    """Raise MemoryError, '<what>, more than the ... MB of physical memory',
+    when need bytes exceed physical memory; pass where the platform does not say."""
+    memory = physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(f"{what}, more than the {memory >> 20} MB of physical memory")
 
 
 def _length(ac):

@@ -333,8 +333,8 @@ class TestBfileFormatting:
         "terms",
         [
             [9, 10, -9, -10, 0, 99, 100, -100],  # digit counts change inside the block
-            [999_999_999, -999_999_999, 0],  # 9 digits, the most that uint32 holds
-            [9_999_999_999, 2**32, -(2**32), 1],  # 10 digits, past uint32
+            [999_999_999, -999_999_999, 0],  # 9 digits
+            [9_999_999_999, 2**32, -(2**32), 1],  # 10 digits, and past 2^32
         ],
     )
     def test_digit_counts(self, terms):
