@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Dfao",
     "Dfa",
-    "evaluate",
     "evaluate_range",
     "genealogical_words",
     "product",
@@ -72,20 +71,6 @@ class Dfao:
     @property
     def num_states(self):
         return len(self.labels)
-
-    def step(self, state, letter):
-        try:
-            j = self.alphabet.index(letter)
-        except ValueError:
-            raise ValueError(f"letter {letter!r} outside the input alphabet") from None
-        return int(self.table[state, j])
-
-    def output(self, word):
-        """Output letter after feeding word in the automaton's own order."""
-        s = self.initial
-        for c in word:
-            s = self.step(s, c)
-        return self.outputs[s]
 
     # -- serialization --------------------------------------------------
 
@@ -154,9 +139,6 @@ class Dfa(Dfao):
         outputs = tuple(bool(x) for x in accepting)
         super().__init__(labels, initial, alphabet, table, outputs, read_order)
 
-    def accepts(self, word):
-        return bool(self.output(word))
-
 
 def breadth_first(start, successors):
     """The nodes reached from start in breadth-first order; successors[v] lists v's in order."""
@@ -168,18 +150,6 @@ def breadth_first(start, successors):
                 seen.add(w)
                 order.append(w)
     return order
-
-
-def evaluate(m, n, numeration):
-    """Value of the automatic sequence generated by m at index n.
-
-    The numeration system supplies the representation of n most-significant
-    digit first; it is reversed here when the automaton reads LSD-first.
-    """
-    word = numeration.rep(n)
-    if m.read_order == LSD_FIRST:
-        word = tuple(reversed(word))
-    return m.output(word)
 
 
 def genealogical_words(language, count):

@@ -25,7 +25,6 @@ import numpy as np
 from . import automata, series
 from .automata import Dfa, Dfao
 from .morphisms import Morphism, fixed_point_prefix, morphic_word_prefix, run_lengths
-from .numeration import fibonacci_numbers
 
 __all__ = [
     "NamedSequence",
@@ -408,6 +407,19 @@ def _x_build(count):
 
 def _x_via_zeckendorf(count):
     return automata.evaluate_range(fibonacci_indicator_dfao(), count, zeckendorf_language_dfa())
+
+
+def fibonacci_numbers(limit=None, count=None):
+    """The sequence 1, 1, 2, 3, 5, ... as Python ints: those up to limit, or the first count."""
+    fs = [1, 1]
+    while (limit is not None and fs[-1] <= limit) or (count is not None and len(fs) < count):
+        fs.append(fs[-1] + fs[-2])
+    if limit is not None:
+        while fs and fs[-1] > limit:
+            fs.pop()
+    if count is not None:
+        fs = fs[:count]
+    return fs
 
 
 def _fib_build(count):

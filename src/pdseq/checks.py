@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import automata, catalog, kernel, morphisms, numeration, series
+from . import automata, catalog, kernel, morphisms, series
 
 __all__ = ["CheckResult", "CHECKS", "run_paper_checks"]
 
@@ -178,7 +178,7 @@ def check_run_length_identities(n=100_000):
 
 
 def check_complexity(n_max=15):
-    fib = numeration.fibonacci_numbers(count=2 * n_max + 2)
+    fib = catalog.fibonacci_numbers(count=2 * n_max + 2)
     lprime = catalog.blocks_language_dfa()
     lprime_counts = [row[lprime.initial] for row in automata.word_counts(lprime, 2 * n_max + 1)]
     la = catalog.ones_positions_language_dfa()
@@ -203,7 +203,7 @@ def check_complexity(n_max=15):
 
 def check_mod3_structure(limit=1 << 27):
     parts = []
-    fib = numeration.fibonacci_numbers(count=90)
+    fib = catalog.fibonacci_numbers(count=90)
     # summation identities on the Fibonacci numbers
     for n in range(1, 41):
         lhs = sum(fib[2 * ell] for ell in range(n))
@@ -333,14 +333,14 @@ def check_numeration(n=100_000):
     # the i-th word of L_F has Zeckendorf value i exactly when it is the
     # greedy representation of i (Zeckendorf's theorem)
     words = automata.genealogical_words(catalog.zeckendorf_language_dfa(), n)
-    weights = numeration.fibonacci_numbers(count=int(words.max(initial=0)).bit_length() + 1)[1:]
+    weights = catalog.fibonacci_numbers(count=int(words.max(initial=0)).bit_length() + 1)[1:]
     values = sum(((words >> j) & 1) * w for j, w in enumerate(weights))
     bad = next(iter(np.flatnonzero(values != np.arange(n))), None)
     parts.append((bad is None, f"unrank and greedy differ first at {bad}"))
-    la = numeration.Ans(catalog.ones_positions_language_dfa())
-    first = [la.rep(i) for i in range(4)]
-    want = [(1,), (1, 0, 1), (1, 1, 1), (1, 1, 0, 1)]
-    parts.append((first == want, f"first unranked words {first} != {want}"))
+    # the first words of L_a are 1, 101, 111 and 1101
+    first = automata.genealogical_words(catalog.ones_positions_language_dfa(), 4).tolist()
+    want = [1, 5, 7, 13]
+    parts.append((first == want, f"first words of the one-positions language {first} != {want}"))
     # d's msd-automaton alternate outputs the parity of the trailing ones
     parts += _cross_checked(("d", n))
     return _fail(parts) + (f"n<{n}",)

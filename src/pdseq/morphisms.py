@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import floor, inf, isqrt
 
 import numpy as np
 
@@ -317,25 +317,6 @@ def _sign_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree(p):
-    d = _poly_deriv(p)
-    g = _poly_gcd(p, d)
-    if len(g) == 1:
-        return _poly_trim(list(p))
-    q, _ = _poly_divmod(p, g)
-    return q
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
 _ROOT_WIDTH = Fraction(1, 10**14)  # of the interval largest_real_root returns
 
 
@@ -345,8 +326,11 @@ def largest_real_root(int_poly):
     int_poly has integer coefficients, lowest degree first; it must have at
     least one real root.  Returns (lo, hi).
     """
-    p = _squarefree([Fraction(c) for c in int_poly])
-    chain = _sturm_chain(p)
+    chain = _sturm_chain([Fraction(c) for c in int_poly])
+    g = chain[-1]  # gcd(p, p') up to a constant
+    if len(g) > 1:  # repeated roots: count on the squarefree part instead
+        chain = _sturm_chain(_poly_divmod(chain[0], g)[0])
+    p = chain[0]
     lead = p[-1]
     bound = Fraction(1) + max(abs(c / lead) for c in p)
     lo, hi = -bound, bound
@@ -396,12 +380,10 @@ def _exact_tag(int_poly, lo, hi):
     below 1/2 for every b in range.
     """
     p = [Fraction(c) for c in int_poly]
-    # integer candidates inside the interval
-    k = int(hi) + 1
-    while k >= int(lo) - 1:
-        if lo < k <= hi and _poly_eval(p, Fraction(k)) == 0:
-            return ExactEigenvalue.integer(k)
-        k -= 1
+    # the interval is narrower than 1, so floor(hi) is the one integer candidate
+    k = floor(hi)
+    if lo < k and _poly_eval(p, Fraction(k)) == 0:
+        return ExactEigenvalue.integer(k)
     # monic quadratic divisors x^2 + b x + c with the isolated root inside
     bound = int(hi) + 1
     mid = (lo + hi) / 2

@@ -1,17 +1,16 @@
 """Automata: evaluation, product, minimization, counting, serialization."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pdseq import catalog, numeration
+from oracles import Ans, BaseK, accepts, all_words, brute_count, evaluate, output
+from pdseq import catalog
 from pdseq.automata import (
     Dfa,
     Dfao,
-    evaluate,
     evaluate_range,
     genealogical_words,
     minimize,
@@ -19,15 +18,6 @@ from pdseq.automata import (
     union,
     word_counts,
 )
-
-
-def all_words(length, k=2):
-    """Every word of the given length over the letters 0..k-1, in lexicographic order."""
-    return itertools.product(range(k), repeat=length)
-
-
-def brute_count(dfa, length):
-    return sum(1 for w in all_words(length, len(dfa.alphabet)) if dfa.accepts(w))
 
 
 def from_state(m, s):
@@ -65,29 +55,29 @@ def automata_over(draw, cls, k, read_order):
 class TestEvaluation:
     def test_pd_automaton_values(self):
         m = catalog.period_doubling_dfao()
-        base2 = numeration.BaseK(2)
+        base2 = BaseK(2)
         assert evaluate(m, 9, base2) == 1
         d = catalog.sequence("d").prefix(64)
         assert [evaluate(m, n, base2) for n in range(64)] == [int(v) for v in d]
 
     def test_inverse_pd_automaton_values(self):
         m = catalog.inverse_pd_dfao()
-        base2 = numeration.BaseK(2)
+        base2 = BaseK(2)
         assert evaluate(m, 9, base2) == 0
         u = catalog.sequence("u").prefix(64)
         assert [evaluate(m, n, base2) for n in range(64)] == [int(v) for v in u]
 
     def test_empty_representation_gives_initial_output(self):
         for m in (catalog.period_doubling_dfao(), catalog.inverse_pd_dfao(), catalog.fibonacci_indicator_dfao()):
-            assert m.output(()) == m.outputs[m.initial]
+            assert output(m, ()) == m.outputs[m.initial]
 
     def test_letter_outside_alphabet(self):
         m = catalog.period_doubling_dfao()
         with pytest.raises(ValueError, match="alphabet"):
-            m.output((0, 2))
+            output(m, (0, 2))
 
     def test_vectorized_matches_scalar(self):
-        base2 = numeration.BaseK(2)
+        base2 = BaseK(2)
         for m in (catalog.period_doubling_dfao(), catalog.inverse_pd_dfao()):
             got = evaluate_range(m, 300)
             want = [evaluate(m, n, base2) for n in range(300)]
@@ -102,7 +92,7 @@ class TestEvaluation:
     @settings(max_examples=100, deadline=None)
     def test_vectorized_matches_scalar_on_random_automata(self, k, read_order, count, data):
         m = data.draw(automata_over(Dfao, k, read_order))
-        base = numeration.BaseK(k)
+        base = BaseK(k)
         assert evaluate_range(m, count).tolist() == [evaluate(m, n, base) for n in range(count)]
 
     @given(st.sampled_from([2, 3]), st.integers(0, 700), st.data())
@@ -111,7 +101,7 @@ class TestEvaluation:
         language = data.draw(automata_over(Dfa, k, "msd"))
         m = data.draw(automata_over(Dfao, k, "msd"))
         try:
-            ans = numeration.Ans(language)
+            ans = Ans(language)
         except ValueError:
             assume(False)  # unranking is defined on infinite languages only
         words = [ans.rep(n) for n in range(count)]
@@ -127,7 +117,7 @@ class TestEvaluation:
     def test_counts_at_base_k_length_boundaries(self, k, length):
         # the n-digit numbers end at k^n - 1; a last letter read that is the
         # leading digit (LSD-first) or the last digit (MSD-first) shows the order
-        base = numeration.BaseK(k)
+        base = BaseK(k)
         # the base-k representations: the empty word, or no leading zero
         table = [[2] + [1] * (k - 1), [1] * k, [2] * k]
         language = Dfa(("start", "digits", "dead"), 0, range(k), table, (True, True, False), "msd")
@@ -139,18 +129,18 @@ class TestEvaluation:
                     if order == "msd":
                         assert genealogical_words(language, count).tolist() == list(range(count))
 
-    @pytest.mark.parametrize("count", sorted({f + d for f in numeration.fibonacci_numbers(count=15)[2:] for d in (-1, 0, 1)}))
+    @pytest.mark.parametrize("count", sorted({f + d for f in catalog.fibonacci_numbers(count=15)[2:] for d in (-1, 0, 1)}))
     def test_counts_at_fibonacci_boundaries(self, count):
         # the words of L_F up to a length, and the ones of u (the words of L_a)
         # below a power of two, number a Fibonacci number or one less
         lf, x = catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao()
-        ans = numeration.Ans(lf)
+        ans = Ans(lf)
         words = [ans.rep(n) for n in range(count)]
         values = genealogical_words(lf, count)
         assert values.tolist() == [int("".join(map(str, w)) or "0", 2) for w in words]
         assert evaluate_range(x, count, lf).tolist() == [evaluate(x, n, ans) for n in range(count)]
         la = catalog.ones_positions_language_dfa()
-        ans = numeration.Ans(la)
+        ans = Ans(la)
         values = genealogical_words(la, count)
         words = [ans.rep(n) for n in range(count)]
         assert values.tolist() == [int("".join(map(str, w)), 2) for w in words]
@@ -245,10 +235,10 @@ class TestMinimize:
         m = data.draw(automata_over(Dfao, k, read_order))
         mini = minimize(m)
         words = [w for length in range(7) for w in all_words(length, k)]
-        assert [mini.output(w) for w in words] == [m.output(w) for w in words]
+        assert [output(mini, w) for w in words] == [output(m, w) for w in words]
         # minimal: some word shorter than the state count tells any two states apart
         short = [w for length in range(mini.num_states) for w in all_words(length, k)]
-        behaviours = {tuple(from_state(mini, s).output(w) for w in short) for s in range(mini.num_states)}
+        behaviours = {tuple(output(from_state(mini, s), w) for w in short) for s in range(mini.num_states)}
         assert len(behaviours) == mini.num_states
         # canonical: a renumbered copy, its initial state moved with it, minimizes identically
         perm = np.array(data.draw(st.permutations(range(m.num_states))))
@@ -309,7 +299,7 @@ class TestCounting:
     def test_ones_positions_small_counts(self):
         la = catalog.ones_positions_language_dfa()
         assert language_counts(la, 5)[4:] == [1, 4]  # 1101; 11111, 11101, 10001, 10111
-        accepted = [w for w in all_words(5) if la.accepts(w)]
+        accepted = [w for w in all_words(5) if accepts(la, w)]
         as_strings = {"".join(map(str, w)) for w in accepted}
         assert as_strings == {"11111", "11101", "10001", "10111"}
 
@@ -326,7 +316,7 @@ class TestCounting:
         # total accepted words of length <= n is the rank of the first
         # accepted word of length n+1 in genealogical order
         dfa = catalog.zeckendorf_language_dfa()
-        ans = numeration.Ans(dfa)
+        ans = Ans(dfa)
         counts = language_counts(dfa, 11)
         for n in range(0, 12):
             total = sum(counts[: n + 1])
@@ -338,7 +328,7 @@ class TestCounting:
         dfa = catalog.zeckendorf_language_dfa()
         table = dfa.table
         acc = np.array([bool(o) for o in dfa.outputs])
-        assert dfa.accepts(())
+        assert accepts(dfa, ())
         for length in range(1, 21):
             v = np.arange(1 << length, dtype=np.int64)
             states = np.full(len(v), dfa.initial, dtype=np.int64)

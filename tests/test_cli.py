@@ -1,13 +1,18 @@
 """Command-line interface and check-suite plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import pdseq
 from pdseq import catalog, checks
 from pdseq.cli import main
 
@@ -428,3 +433,27 @@ class TestRunPaperChecks:
         assert result.status == "pass"
         assert result.elapsed >= 0
         assert result.to_json_dict()["id"] == "lemma-3.2"
+
+
+# functions of src/pdseq that no command or cross-check calls, each with why it stays
+UNREACHED = {
+    "morphisms._kept_prefix_length": "the refusal path of a coding that erases every recurring letter",
+    "morphisms.Morphism.__repr__": "display only",
+    "series.TruncatedSeries.__repr__": "display only",
+    "series.TruncatedSeries.__eq__": "value equality for callers; the package compares coefficient arrays",
+    "series.TruncatedSeries.identity": "the series X, a constructor for callers",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11 on")
+def test_every_package_function_is_reached(tmp_path):
+    # a fresh interpreter, so that the trace also sees what importing pdseq calls
+    script = Path(__file__).with_name("reachability.py")
+    path = os.pathsep.join([str(Path(pdseq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    # equality both ways: a listed function that becomes reachable leaves the list
+    assert json.loads(run.stdout) == sorted(UNREACHED)

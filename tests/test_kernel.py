@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import output
 from pdseq import catalog, kernel
 from pdseq.automata import Dfao, evaluate_range, minimize
 from pdseq.kernel import (
@@ -79,7 +80,7 @@ class TestSynthesis:
     def test_constant_sequence_single_state(self):
         machine = compute_kernel(lambda n: np.full(n, 7, dtype=np.int64), 2, horizon=64)
         assert machine.num_states == 1
-        assert machine.output((0, 1, 1, 0)) == 7
+        assert output(machine, (0, 1, 1, 0)) == 7
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

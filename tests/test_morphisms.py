@@ -225,6 +225,10 @@ class TestSpectra:
         pf = pf_eigenvalue(catalog.run_length_morphism().incidence_matrix())
         assert pf.tag == ExactEigenvalue.integer(4)
         assert pf.value == 4.0
+        # (x - 2)^2: the repeated root is isolated on the squarefree part
+        pf = pf_eigenvalue([[2, 1], [0, 2]])
+        assert pf.tag == ExactEigenvalue.integer(2)
+        assert pf.value == 2.0
 
     def test_block_triangular_takes_component_max(self):
         m = np.array([[1, 5, 5], [0, 0, 2], [0, 1, 0]], dtype=np.int64)

@@ -2,24 +2,9 @@
 
 import pytest
 
+from oracles import Ans, BaseK, Zeckendorf, accepts, all_words, evaluate, genealogical_words
 from pdseq import catalog
-from pdseq.automata import evaluate
-from pdseq.numeration import Ans, BaseK, Zeckendorf, fibonacci_numbers
-
-
-def genealogical_words(dfa, count):
-    """Oracle: enumerate accepted words by brute force in genealogical order."""
-    out = []
-    length = 0
-    while len(out) < count:
-        for v in range(1 << length):
-            word = tuple((v >> (length - 1 - i)) & 1 for i in range(length))
-            if dfa.accepts(word):
-                out.append(word)
-                if len(out) == count:
-                    return out
-        length += 1
-    return out
+from pdseq.catalog import fibonacci_numbers
 
 
 class TestBaseK:
@@ -75,12 +60,7 @@ class TestAns:
         for name in ("la", "lprime", "lf"):
             dfa = catalog.language(name)
             ans = Ans(dfa)
-            words = []
-            for length in range(15):
-                for v in range(1 << length):
-                    w = tuple((v >> (length - 1 - i)) & 1 for i in range(length))
-                    if dfa.accepts(w):
-                        words.append(w)
+            words = [w for length in range(15) for w in all_words(length) if accepts(dfa, w)]
             assert [ans.rep(n) for n in range(len(words))] == words
             assert len(words) > 200
 
