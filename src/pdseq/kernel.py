@@ -23,16 +23,17 @@ it.  The echelon records the rows S that raised the rank and their pivot
 columns P.  Each other row m solves c S[:, P] = m[P] modulo q and one more
 prime; CRT and rational reconstruction (von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 5) turn c into an integer row Y and a denominator L,
-and L m = Y S is checked exactly in int64, with Y on rows of S from m's
-scale or earlier.  Then every row lies in the rational span of the chosen
-rows up to its scale, and R_d is the rank.  Only the exact check proves
-anything: when reconstruction fails, or the check fails or would leave
-int64, further primes are taken one at a time, each with one echelon that
-is dropped before the next, and R_d = max_q rank mod q is certified once
-the product of the primes exceeds the Hadamard bound (sqrt(R+1) X)^(R+1)
-on every (R+1)-minor, X = max |entry|, since a nonzero minor cannot be
-divisible by a larger product.  That fallback uses
-the same primes, in the same order, as a loop without the certificate.
+and L m = Y S is checked exactly, in float64 while its bound stays below
+2^53 and in int64 below 2^63, with Y on rows of S from m's scale or
+earlier.  Then every row lies in the rational span of the chosen rows up to
+its scale, and R_d is the rank.  Only the exact check proves anything: when
+reconstruction fails, or the check fails or would leave int64, further
+primes are taken one at a time, each with one echelon that is dropped
+before the next, and R_d = max_q rank mod q is certified once the product
+of the primes exceeds the Hadamard bound (sqrt(R+1) X)^(R+1) on every
+(R+1)-minor, X = max |entry|, since a nonzero minor cannot be divisible by
+a larger product.  That fallback uses the same primes, in the same order,
+as a loop without the certificate.
 """
 
 from __future__ import annotations
@@ -127,13 +128,18 @@ _CHUNK = 32  # rows reduced, or checked, at a time
 
 
 def _mod(x, q):
-    """x mod q in [0, q), in place, for integer-valued float64 |x| < 2^53; returns x.
+    """x mod q in [0, q), in place, for integer-valued float64 x with |x| + q <= 2^53; returns x.
 
-    Taken in int64, because the cost of np.fmod grows with the quotient.
+    x - q floor(x * (1/q)): the quotient is off by at most one either way,
+    one correction each way fixes it, and every step is exact below |x| + q.
+    The callers' sums stay below ncols (q-1)^2 < 2^53 - (2q-1) (_prime_sequence).
     """
-    residues = x.astype(np.int64)
-    residues %= q
-    x[...] = residues
+    quotient = x * (1 / q)
+    np.floor(quotient, out=quotient)
+    quotient *= q
+    x -= quotient
+    np.add(x, q, out=x, where=x < 0)
+    np.subtract(x, q, out=x, where=x >= q)
     return x
 
 
@@ -288,14 +294,17 @@ def _dependency(part, inverses, primes, count):
 
 
 def _verify(y, lcm, part, basis, peak):
-    """Whether lcm[i] * part[i] == y[i] @ basis exactly, for every row i, in int64.
+    """Whether lcm[i] * part[i] == y[i] @ basis exactly, for every row i.
 
-    Both sides are below bound = (max ||y_i||_1 + lcm_i) * peak, peak >= max
-    |entry| of part and basis, rounded up.  A bound of 2^63 or more is
-    refused, which leaves the rank to the Hadamard fallback.
+    Both sides and every partial sum are below bound = (max ||y_i||_1 +
+    lcm_i) * peak, peak >= max |entry| of part and basis, rounded up: the
+    product is taken in float64 below 2^53, in int64 below 2^63, and a larger
+    bound is refused, which leaves the rank to the Hadamard fallback.
     """
     # the float64 sum of a row's |y| is within a factor 1 + 2^-40 of the exact one
     bound = float((np.abs(y).sum(axis=1, dtype=np.float64) + lcm).max(initial=0)) * peak * (1 + 2**-32)
+    if bound < 2**53:
+        y, basis = y.astype(np.float64), basis.astype(np.float64)
     return bound < 2**63 and np.array_equal(y @ basis, part * lcm[:, None])
 
 

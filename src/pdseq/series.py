@@ -615,26 +615,33 @@ def _rref_mod_p(mat, p):
     Row i of rows has its leading 1 in column pivots[i] and a 0 in every
     other pivot column, and found[i] is the row of mat that raised the rank
     to i + 1.  Rows come in the order mat yields them, so pivots need not
-    ascend.  Products stay below (p-1)^2, hence in int64.
+    ascend.  Each step reduces only the pivot row and column mod p, so it
+    subtracts at most (p-1)^2 from an entry; the whole block is reduced every
+    (2^63 - p) // (p-1)^2 steps, before int64 could wrap, and at the end.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for int64 row reduction")
     b = np.array(mat, dtype=np.int64)
     b %= p
+    interval = (2**63 - p) // (p - 1) ** 2
     found, pivots = [], []
     for i in range(len(b)):
+        b[i] %= p
         nz = np.flatnonzero(b[i])
         if not len(nz):
             continue
         c = int(nz[0])
         b[i] = b[i] * pow(int(b[i, c]), p - 2, p) % p
-        col = b[:, c].copy()
+        col = b[:, c] % p
         col[i] = 0
         b -= np.einsum("i,j->ij", col, b[i])  # np.outer would add a broadcast buffer
-        b %= p
         found.append(i)
         pivots.append(c)
-    return (b if len(found) == len(b) else b[found]), pivots, found
+        if len(found) % interval == 0:
+            b %= p
+    b = b if len(found) == len(b) else b[found]
+    b %= p
+    return b, pivots, found
 
 
 def _nullspace_mod_p(mat, p):

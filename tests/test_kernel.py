@@ -485,6 +485,59 @@ class TestModularRank:
             elif den:
                 assert abs(num) <= bound and den <= bound and (num - den * a) % m == 0
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_mod_against_python(self, data):
+        # every x with |x| + q <= 2^53, the precondition of _mod, at the
+        # echelon's primes: the ends of the range, multiples of q and their
+        # neighbours, multiples of q - 1, and values in between.  Quotients
+        # near the top are drawn apart, since hypothesis favours small
+        # integers and the rounding that the corrections undo grows with them
+        q = next(_prime_sequence(data.draw(st.integers(1, 4096))))
+        bound = 2**53 - q
+
+        def multiples(d):
+            top = bound // d
+            near_top = st.integers(top - 2**12, top)
+            return st.one_of(st.integers(-top, top), near_top, near_top.map(lambda j: -j)).map(lambda j: j * d)
+
+        x = st.one_of(
+            st.sampled_from([-bound, bound, 0, 1, -1, q - 1, q, 1 - q, -q]),
+            st.tuples(multiples(q), st.sampled_from([-1, 0, 1, q - 1])).map(sum).filter(lambda v: abs(v) <= bound),
+            multiples(q - 1),
+            st.integers(-bound, bound),
+        )
+        xs = data.draw(st.lists(x, min_size=1, max_size=50))
+        got = kernel._mod(np.array(xs, dtype=np.float64), q)
+        assert got.tolist() == [v % q for v in xs]
+
+    @pytest.mark.parametrize(
+        "y, basis",
+        [
+            # partial sums near 2^52 that cancel: y @ basis = [0, A, A]
+            ([[2**26 - 1, 1 - 2**26]], [[2**26 - 1, 2**26 - 1, 1], [2**26 - 1, 2**26 - 2, 0]]),
+            # a product near 2^52 itself, where float64 still holds every integer
+            ([[1]], [[2**52 - 2**21 - 1, 2**52 - 2**21 - 2]]),
+            # entries past 2^53, where float64 would round 2^53 + 1 to 2^53:
+            # the bound passes 2^54 and the product is taken in int64
+            ([[1]], [[2**53 + 1, 3]]),
+        ],
+    )
+    def test_verify_near_2_53(self, y, basis):
+        # the exact row is accepted and a planted error of 1 in any entry
+        # refused, on either side of the float64 limit
+        y, basis = np.array(y, dtype=np.int64), np.array(basis, dtype=np.int64)
+        lcm = np.ones(1, dtype=np.int64)
+        exact = y @ basis
+        for j in range(basis.shape[1]):
+            for error in (0, -1, 1):
+                part = exact.copy()
+                part[0, j] += error
+                peak = max(kernel._peak(part), kernel._peak(basis))
+                bound = (int(np.abs(y).sum()) + 1) * peak * (1 + 2**-32)
+                assert (bound < 2**53) == (int(basis.max()) < 2**53)
+                assert kernel._verify(y, lcm, part, basis, peak) == (error == 0)
+
     def test_prime_sequence_bound(self):
         sympy = pytest.importorskip("sympy")
         for ncols in (1, 2, 512, 1024, 3000):

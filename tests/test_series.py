@@ -556,23 +556,36 @@ class TestPowerRelationSearch:
         with pytest.raises(ValueError, match="precision"):
             power_relation_search(small, 3, 8)
 
-    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 6), st.integers(1, 6), st.data())
+    @given(st.sampled_from([2, 3, 65521, 2**31 - 1, 3_037_000_493]), st.integers(1, 12), st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rref_against_sympy(self, p, nrows, ncols, data):
-        # oracle: sympy's reduced row-echelon form over GF(p); ours holds the
-        # same nonzero rows in the order their pivots were found
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.matrices import DomainMatrix
-
-        entry = st.one_of(st.integers(0, 2), st.integers(-(2**40), 2**40))
+        # at the two largest primes the whole block is reduced every 2
+        # pivots and every pivot
+        entry = st.one_of(st.integers(-2, 2), st.integers(-(2**40), 2**40))
         mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
-        field = sympy.GF(p)
-        want, want_pivots = DomainMatrix([[field(x) for x in row] for row in mat], (nrows, ncols), field).rref()
-        mat = np.array(mat, dtype=np.int64)
-        rows, pivots, found = series._rref_mod_p(mat, p)
-        order = np.argsort(pivots)
-        assert [pivots[i] for i in order] == list(want_pivots)
-        assert rows[order].tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()[: len(pivots)]]
-        # the rows that raised the rank span it on their own, in the order found
-        assert found == sorted(found)
-        assert series._rref_mod_p(mat[found], p)[2] == list(range(len(found)))
+        assert_rref_matches_sympy(np.array(mat, dtype=np.int64), p)
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 3_037_000_493])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rref_uniform_residues(self, p, seed):
+        # uniform residues make the products of lazy elimination near
+        # (p-1)^2, so one pivot more between full reductions would wrap int64
+        # in the rows that become pivot rows late, past the last pivot column
+        assert_rref_matches_sympy(np.random.default_rng(seed).integers(0, p, size=(12, 24)), p)
+
+
+def assert_rref_matches_sympy(mat, p):
+    """Oracle: sympy's reduced row-echelon form over GF(p); ours holds the
+    same nonzero rows in the order their pivots were found."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.GF(p)
+    want, want_pivots = DomainMatrix([[field(int(x)) for x in row] for row in mat], mat.shape, field).rref()
+    rows, pivots, found = series._rref_mod_p(mat, p)
+    order = np.argsort(pivots)
+    assert [pivots[i] for i in order] == list(want_pivots)
+    assert rows[order].tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()[: len(pivots)]]
+    # the rows that raised the rank span it on their own, in the order found
+    assert found == sorted(found)
+    assert series._rref_mod_p(mat[found], p)[2] == list(range(len(found)))
