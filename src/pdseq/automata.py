@@ -163,8 +163,12 @@ def genealogical_words(language, count):
     language has fewer than count words or one longer than int64 values
     allow.
     """
-    levels = [values for _, values in _accepted_by_length(language, language, count, True)]
-    return np.concatenate(levels)
+    out = np.empty(count, dtype=np.int64)
+    found = 0
+    for _, values in _accepted_by_length(language, language, count, True):
+        out[found : found + len(values)] = values
+        found += len(values)
+    return out
 
 
 def _accepted_by_length(language, m, count, with_values):
@@ -184,6 +188,8 @@ def _accepted_by_length(language, m, count, with_values):
     table = table.astype(np.min_scalar_type(len(table) - 1))
     accepting = np.repeat(np.array(language.outputs, dtype=bool), nm)
     live = np.repeat(_coaccessible(language), nm)
+    # per state, its accepted and its live one-letter extensions
+    accepted_next, live_next = accepting[table].sum(axis=1), live[table].sum(axis=1)
     states = np.array([language.initial * nm + m.initial], dtype=table.dtype)
     values = np.zeros(1, dtype=np.int64) if with_values else None
     found = length = 0
@@ -197,14 +203,44 @@ def _accepted_by_length(language, m, count, with_values):
         length += 1
         if k**length > 1 << 63:
             raise ValueError(f"words of length {length} overflow int64 values")
-        # every live word extended by each letter, still in lexicographic order
-        states = _gather(table, states).ravel()
-        keep = _gather(live, states)
-        states = states[keep]
-        if with_values:
-            values = (values[:, None] * k + np.arange(k)).ravel()[keep]
-        if not len(states):
+        # every live word extended by each letter, still in lexicographic order,
+        # a slice of words at a time into arrays of the exact size.  At the last
+        # length only the accepted extensions of the words that hold the
+        # count - found still asked for: the rest would be cut from its hits.
+        stop, size, last = _extension_size(accepted_next, live_next, states, count - found)
+        if not size:
             raise ValueError(f"the language has only {found} words, fewer than {count}")
+        wanted = accepting if last else live
+        grown = np.empty(size, dtype=states.dtype)
+        grown_values = np.empty(size, dtype=np.int64) if with_values else None
+        end = 0
+        for lo in range(0, stop, _GATHER):
+            hi = min(lo + _GATHER, stop)
+            extended = _gather(table, states[lo:hi]).ravel()
+            keep = _gather(wanted, extended)
+            n = np.count_nonzero(keep)
+            np.compress(keep, extended, out=grown[end : end + n])
+            if with_values:
+                np.compress(keep, (values[lo:hi, None] * k + np.arange(k)).ravel(), out=grown_values[end : end + n])
+            end += n
+        states, values = grown, grown_values
+
+
+def _extension_size(accepted_next, live_next, states, need):
+    """(stop, size, last): whether the one-letter extensions of states hold need
+    accepted words; if so, the fewest leading states that do and their accepted
+    extensions, else all states and their live extensions."""
+    accepted = live = 0
+    for lo in range(0, len(states), _GATHER):
+        part = states[lo : lo + _GATHER]
+        counts = np.bincount(part, minlength=len(live_next))
+        if accepted + counts @ accepted_next >= need:
+            ends = np.cumsum(_gather(accepted_next, part)) + accepted
+            stop = int(np.searchsorted(ends, need)) + 1
+            return lo + stop, int(ends[stop - 1]), True
+        accepted += int(counts @ accepted_next)
+        live += int(counts @ live_next)
+    return len(states), live, False
 
 
 def _coaccessible(dfa):

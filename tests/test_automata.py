@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import Ans, BaseK, accepts, all_words, brute_count, evaluate, output
-from pdseq import catalog
+from pdseq import automata, catalog
 from pdseq.automata import (
     Dfa,
     Dfao,
@@ -95,9 +95,10 @@ class TestEvaluation:
         base = BaseK(k)
         assert evaluate_range(m, count).tolist() == [evaluate(m, n, base) for n in range(count)]
 
-    @given(st.sampled_from([2, 3]), st.integers(0, 700), st.data())
+    @given(st.sampled_from([2, 3]), st.integers(0, 700), st.sampled_from([1, 2, 7, automata._GATHER]), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_enumeration_matches_unranking(self, k, count, data):
+    def test_enumeration_matches_unranking(self, k, count, gather, data):
+        # each length's words are counted, extended and cut a slice of gather words at a time
         language = data.draw(automata_over(Dfa, k, "msd"))
         m = data.draw(automata_over(Dfao, k, "msd"))
         try:
@@ -105,13 +106,16 @@ class TestEvaluation:
         except ValueError:
             assume(False)  # unranking is defined on infinite languages only
         words = [ans.rep(n) for n in range(count)]
-        if words and k ** len(words[-1]) > 1 << 63:
-            with pytest.raises(ValueError, match="overflow"):
-                genealogical_words(language, count)
-            return
-        values = genealogical_words(language, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automata, "_GATHER", gather)
+            if words and k ** len(words[-1]) > 1 << 63:
+                with pytest.raises(ValueError, match="overflow"):
+                    genealogical_words(language, count)
+                return
+            values = genealogical_words(language, count)
+            outputs = evaluate_range(m, count, language)
         assert values.tolist() == [sum(d * k**i for i, d in enumerate(reversed(w))) for w in words]
-        assert evaluate_range(m, count, language).tolist() == [evaluate(m, n, ans) for n in range(count)]
+        assert outputs.tolist() == [evaluate(m, n, ans) for n in range(count)]
 
     @pytest.mark.parametrize("k, length", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
     def test_counts_at_base_k_length_boundaries(self, k, length):
@@ -145,6 +149,18 @@ class TestEvaluation:
         words = [ans.rep(n) for n in range(count)]
         assert values.tolist() == [int("".join(map(str, w)), 2) for w in words]
         assert values.tolist() == catalog.inverse_pd_ones_below(values[-1] + 1).tolist()
+
+    def test_memory_budget_of_an_enumeration(self):
+        # the 2.4 MB result, the words of the two longest lengths and a slice's
+        # temporaries; extending every word of the last length took 6 times the result
+        count = 300_000
+        tracemalloc.start()
+        try:
+            genealogical_words(catalog.ones_positions_language_dfa(), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * count, f"peak {peak / 2**20:.1f} MB"
 
     def test_non_integer_outputs_refused(self):
         pairs = product(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
