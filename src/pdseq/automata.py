@@ -163,43 +163,39 @@ def genealogical_words(language, count):
     language has fewer than count words or one longer than int64 values
     allow.
     """
-    out = np.empty(count, dtype=np.int64)
-    found = 0
-    for _, values in _accepted_by_length(language, language, count, True):
-        out[found : found + len(values)] = values
-        found += len(values)
-    return out
+    return _enumerate(language, np.array(language.outputs, dtype=bool), count)
 
 
-def _accepted_by_length(language, m, count, with_values):
-    """Per word length, the accepted words of language among its first count.
+def _enumerate(m, accepting, count, letters=None):
+    """The first count words of the MSD-first automaton m that end in an
+    accepting state, in genealogical order, as an int64 array.
 
-    Yields (pair states, base-k values or None): the state of the pair
-    automaton (language, m), numbered sa * |m| + sb, and with_values the
-    value of each word.  States are held in the smallest unsigned dtype of
-    the pair table, and a length yields no more words than count still asks.
+    Returns each word's base-k value, or with letters (one per state) the
+    letter at the state each word ends in.  States are held in the smallest
+    unsigned dtype of the table, and a length keeps no more words than count
+    still asks.
     """
-    if (language.read_order, m.read_order) != (MSD_FIRST, MSD_FIRST):
+    if m.read_order != MSD_FIRST:
         raise ValueError("genealogical enumeration reads words MSD-first")
-    if m.alphabet != language.alphabet:
-        raise ValueError("alphabet mismatch between the language and the automaton")
-    k, nm = len(language.alphabet), m.num_states
-    table = _pair_table(language, m)
-    table = table.astype(np.min_scalar_type(len(table) - 1))
-    accepting = np.repeat(np.array(language.outputs, dtype=bool), nm)
-    live = np.repeat(_coaccessible(language), nm)
+    k = len(m.alphabet)
+    table = m.table.astype(np.min_scalar_type(m.num_states - 1))
+    live = _coaccessible(table, accepting)
     # per state, its accepted and its live one-letter extensions
     accepted_next, live_next = accepting[table].sum(axis=1), live[table].sum(axis=1)
-    states = np.array([language.initial * nm + m.initial], dtype=table.dtype)
-    values = np.zeros(1, dtype=np.int64) if with_values else None
+    states = np.array([m.initial], dtype=table.dtype)
+    values = np.zeros(1, dtype=np.int64) if letters is None else None
+    out = np.empty(count, dtype=np.int64)
     found = length = 0
     while True:
         acc = _gather(accepting, states)
-        hits = states[acc][: count - found]
-        yield hits, (values[acc][: len(hits)] if with_values else None)
+        hits = out[found : min(found + int(np.count_nonzero(acc)), count)]
+        if letters is None:
+            hits[:] = values[acc][: len(hits)]
+        else:
+            _gather(letters, states[acc][: len(hits)], hits)
         found += len(hits)
         if found == count:
-            return
+            return out
         length += 1
         if k**length > 1 << 63:
             raise ValueError(f"words of length {length} overflow int64 values")
@@ -212,7 +208,7 @@ def _accepted_by_length(language, m, count, with_values):
             raise ValueError(f"the language has only {found} words, fewer than {count}")
         wanted = accepting if last else live
         grown = np.empty(size, dtype=states.dtype)
-        grown_values = np.empty(size, dtype=np.int64) if with_values else None
+        grown_values = np.empty(size, dtype=np.int64) if letters is None else None
         end = 0
         for lo in range(0, stop, _GATHER):
             hi = min(lo + _GATHER, stop)
@@ -220,7 +216,7 @@ def _accepted_by_length(language, m, count, with_values):
             keep = _gather(wanted, extended)
             n = np.count_nonzero(keep)
             np.compress(keep, extended, out=grown[end : end + n])
-            if with_values:
+            if letters is None:
                 np.compress(keep, (values[lo:hi, None] * k + np.arange(k)).ravel(), out=grown_values[end : end + n])
             end += n
         states, values = grown, grown_values
@@ -243,11 +239,11 @@ def _extension_size(accepted_next, live_next, states, need):
     return len(states), live, False
 
 
-def _coaccessible(dfa):
+def _coaccessible(table, accepting):
     """Boolean mask of the states from which some accepting state is reachable."""
-    live = np.array(dfa.outputs, dtype=bool)
+    live = accepting
     while True:
-        grown = live | live[dfa.table].any(axis=1)
+        grown = live | live[table].any(axis=1)
         if np.array_equal(grown, live):
             return live
         live = grown
@@ -265,20 +261,14 @@ def evaluate_range(m, count, language=None):
     outputs = np.array(m.outputs)
     if outputs.ndim != 1 or outputs.dtype.kind not in "biu":
         raise ValueError("vectorized evaluation needs integer outputs")
-    outputs = outputs.astype(np.int64)
     if language is None:
         if m.alphabet != tuple(range(len(m.alphabet))):
             raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
-        return _gather(outputs, _base_k_states(m, count))
-    # pair state sa * |m| + sb outputs m's letter at sb
-    pair_outputs = np.tile(outputs, language.num_states)
-    out = np.empty(count, dtype=np.int64)
-    found = 0
-    for level_states, _ in _accepted_by_length(language, m, count, False):
-        end = found + len(level_states)
-        _gather(pair_outputs, level_states, out[found:end])
-        found = end
-    return out
+        return _gather(outputs.astype(np.int64), _base_k_states(m, count))
+    # the words of language are the accepted words of the pair automaton
+    pairs = product(language, m)
+    accepting, letters = np.array(pairs.outputs, dtype=np.int64).T
+    return _enumerate(pairs, accepting.astype(bool), count, letters)
 
 
 _GATHER = 1 << 16  # indices gathered per call of np.take
@@ -332,22 +322,19 @@ def _base_k_states(m, count):
     return states
 
 
-def _pair_table(a, b):
-    """Transition table on pairs: state (sa, sb) is numbered sa * |b| + sb."""
-    return (a.table[:, None, :] * b.num_states + b.table[None, :, :]).reshape(-1, len(a.alphabet))
-
-
 def product(a, b):
     """Reachable product automaton; outputs are (output_a, output_b) pairs."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch in product")
     if a.read_order != b.read_order:
         raise ValueError("read-order mismatch in product")
+    # state (sa, sb) is numbered sa * |b| + sb
     pairs = [(sa, sb) for sa in range(a.num_states) for sb in range(b.num_states)]
     labels = [f"({a.labels[sa]},{b.labels[sb]})" for sa, sb in pairs]
     outputs = [(a.outputs[sa], b.outputs[sb]) for sa, sb in pairs]
     start = a.initial * b.num_states + b.initial
-    return Dfao(labels, start, a.alphabet, _pair_table(a, b), outputs, a.read_order).canonical()
+    table = (a.table[:, None, :] * b.num_states + b.table[None, :, :]).reshape(-1, len(a.alphabet))
+    return Dfao(labels, start, a.alphabet, table, outputs, a.read_order).canonical()
 
 
 def union(a, b):

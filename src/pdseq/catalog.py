@@ -96,19 +96,11 @@ def inverse_pd_prefix(n):
     return u
 
 
-def thue_morse_prefix(n):
-    return digit_sum_mod_prefix(n, 2)
-
-
 # -- morphisms of the catalog -----------------------------------------------
 
 
 def period_doubling_morphism():
     return Morphism({0: (0, 1), 1: (0, 0)})
-
-
-def thue_morse_morphism():
-    return Morphism({0: (0, 1), 1: (1, 0)})
 
 
 def run_length_morphism():
@@ -498,8 +490,8 @@ def _build_registry():
         NamedSequence(
             "t",
             "Thue-Morse sequence",
-            thue_morse_prefix,
-            alternates={"uniform-morphism": _fixed_point(thue_morse_morphism, 0)},
+            partial(digit_sum_mod_prefix, p=2),
+            alternates={"uniform-morphism": _fixed_point(partial(generalized_tm_morphism, 2), 0)},
         )
     )
     _register(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, inf, isqrt
+from math import floor, isqrt
 
 import numpy as np
 
@@ -127,27 +127,6 @@ def fixed_point_prefix(m, seed, n):
     return np.array(m.alphabet)[_fixed_point(m, seed, n)]
 
 
-def _kept_prefix_length(f, g, seed):
-    """A prefix length of f's fixed point past which g erases every letter, or inf.
-
-    With f(seed) = seed w the fixed point is seed w f(w) f^2(w) ...  A letter
-    of f^j(w), j >= len(alphabet), ends a path through a cycle of the letter
-    graph, so it and every letter it leads to recur without end.  If g
-    erases all of those, the letters it keeps lie in f^len(alphabet)(seed).
-    """
-    recurring = set(f.rules[seed][1:])
-    for _ in f.alphabet:
-        recurring = {b for a in recurring for b in f.rules[a]}
-    for _ in f.alphabet:
-        recurring |= {b for a in recurring for b in f.rules[a]}
-    if any(g.rules[a] for a in recurring):
-        return inf
-    lengths = dict.fromkeys(f.alphabet, 1)
-    for _ in f.alphabet:
-        lengths = {a: sum(lengths[b] for b in w) for a, w in f.rules.items()}
-    return lengths[seed]
-
-
 def morphic_word_prefix(f, g, seed, n):
     """First n letters of g(f^omega(seed)), as a numpy array; g may erase letters.
 
@@ -157,12 +136,24 @@ def morphic_word_prefix(f, g, seed, n):
     """
     codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
     coding = _image_table(g, f.alphabet, codomain)
+    # E, the largest set of letters that g erases and f maps into E*: the
+    # erased letters, shrunk until closed
+    erased = {a for a in f.alphabet if not g.rules[a]}
+    while (closed := {a for a in erased if erased.issuperset(f.rules[a])}) != erased:
+        erased = closed
+    in_closed = np.array([a in erased for a in f.alphabet])
+    lengths = np.array([len(f.rules[a]) for a in f.alphabet])
     size = n
     while True:
-        word = _apply(coding, _fixed_point(f, seed, size))
+        prefix = _fixed_point(f, seed, size)
+        word = _apply(coding, prefix)
         if len(word) >= n:
             return np.array(codomain)[word[:n]]
-        if size >= _kept_prefix_length(f, g, seed):
+        # the images of the first j letters lie in the prefix; f is non-erasing and
+        # prolongable, so each later letter comes from prefix[j:] or a later one,
+        # and once prefix[j:] lies in E, so does every letter after it
+        j = np.searchsorted(np.cumsum(lengths[prefix]), size, side="right")
+        if in_closed[prefix[j:]].all():
             raise ValueError(f"the coding keeps {len(word)} letters of the fixed point, fewer than {n}")
         size *= 2
 

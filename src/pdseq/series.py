@@ -587,24 +587,17 @@ class PolyRelation:
         )
 
 
-def _apply_pattern(a, pattern):
-    kind, e = pattern
-    if kind == "pow":
-        return a.pow(e)
-    return a.frobenius(e)
-
-
 def relation_residual(rel, a):
     """Left-hand side of the relation evaluated at a, as a truncated series."""
     if rel.p != a.p:
         raise ValueError(f"modulus mismatch: {rel.p} != {a.p}")
     n = a.precision
     total = np.zeros(n, dtype=np.int64)
-    for coeffs, pattern in rel.terms:
+    for coeffs, (kind, e) in rel.terms:
         poly = np.asarray(coeffs, dtype=np.int64)
         if not poly.any():
             continue
-        term = _apply_pattern(a, pattern)
+        term = a.pow(e) if kind == "pow" else a.frobenius(e)
         total = (total + _conv_mod(poly, term.coeffs, a.p, n)) % a.p
     return TruncatedSeries(a.p, total)
 

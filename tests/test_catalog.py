@@ -116,7 +116,7 @@ class TestBuilders:
             return (m & -m).bit_length() - 1
 
         assert catalog.period_doubling_prefix(n).tolist() == [nu2(m + 1) % 2 for m in range(n)]
-        assert catalog.thue_morse_prefix(n).tolist() == [bin(m).count("1") % 2 for m in range(n)]
+        assert catalog.digit_sum_mod_prefix(n, 2).tolist() == [bin(m).count("1") % 2 for m in range(n)]
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", [0, 1, 2, 48, 49, 50, 343, 1000])

@@ -437,7 +437,6 @@ class TestRunPaperChecks:
 
 # functions of src/pdseq that no command or cross-check calls, each with why it stays
 UNREACHED = {
-    "morphisms._kept_prefix_length": "the refusal path of a coding that erases every recurring letter",
     "morphisms.Morphism.__repr__": "display only",
     "series.TruncatedSeries.__repr__": "display only",
     "series.TruncatedSeries.__eq__": "value equality for callers; the package compares coefficient arrays",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pdseq import catalog
+from pdseq import catalog, morphisms
 from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
@@ -139,13 +139,53 @@ class TestFixedPoints:
             morphic_word_prefix(f, g, "a", 3)
 
     @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_coding_against_the_iterates(self, data):
+        # f on up to 4 letters, prolongable on 0, and a coding that may erase:
+        # the coding of each f^j(0), j <= 10, is a prefix of the coded word
+        k = data.draw(st.integers(1, 4))
+        letter = st.integers(0, k - 1)
+        rules = {a: tuple(data.draw(st.lists(letter, min_size=1, max_size=3))) for a in range(k)}
+        rules[0] = (0, *data.draw(st.lists(letter, min_size=1, max_size=2)))
+        f = Morphism(rules)
+        g = Morphism({a: tuple(data.draw(st.lists(st.sampled_from("xy"), max_size=2))) for a in range(k)})
+        n = data.draw(st.integers(0, 40))
+        iterates = [[0]]
+        for _ in range(10):
+            iterates.append([b for a in iterates[-1] for b in f.rules[a]])
+        coded = [[b for a in w for b in g.rules[a]] for w in iterates]
+        # the doubling reaches n letters below twice |f^10(0)| if f^10(0) codes them;
+        # a coding that keeps too few letters for n only there is not followed further
+        bound, fixed_point = 2 * len(iterates[-1]), morphisms._fixed_point
+
+        def bounded(m, seed, size):
+            if size > bound:
+                raise OverflowError
+            return fixed_point(m, seed, size)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(morphisms, "_fixed_point", bounded)
+            try:
+                got = morphic_word_prefix(f, g, 0, n).tolist()
+            except ValueError as exc:
+                # the kept letters all lie in f^|A|(0), so f^10(0) holds every one
+                assert all(len(c) < n for c in coded)
+                assert str(exc) == f"the coding keeps {len(coded[-1])} letters of the fixed point, fewer than {n}"
+                return
+            except OverflowError:
+                assert len(coded[-1]) < n
+                return
+        for c in coded:
+            assert got[: len(c)] == c[:n]
+
+    @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_homomorphism_property(self, data):
         m = data.draw(
             st.sampled_from(
                 [
                     catalog.period_doubling_morphism(),
-                    catalog.thue_morse_morphism(),
+                    catalog.generalized_tm_morphism(2),
                     catalog.run_length_morphism(),
                     catalog.golden_morphism(),
                 ]
@@ -212,7 +252,7 @@ class TestSpectra:
 
     def test_uniform_morphisms_give_the_arity(self):
         assert pf_eigenvalue(catalog.period_doubling_morphism().incidence_matrix()).tag == ExactEigenvalue.integer(2)
-        assert pf_eigenvalue(catalog.thue_morse_morphism().incidence_matrix()).tag == ExactEigenvalue.integer(2)
+        assert pf_eigenvalue(catalog.generalized_tm_morphism(2).incidence_matrix()).tag == ExactEigenvalue.integer(2)
         assert pf_eigenvalue(catalog.generalized_tm_morphism(3).incidence_matrix()).tag == ExactEigenvalue.integer(3)
         assert pf_eigenvalue(catalog.generalized_tm_morphism(5).incidence_matrix()).tag == ExactEigenvalue.integer(5)
 
@@ -347,7 +387,7 @@ class TestRenaming:
 
     def test_distinct_morphisms_fail(self):
         h = catalog.period_doubling_morphism()
-        tau = catalog.thue_morse_morphism()
+        tau = catalog.generalized_tm_morphism(2)
         ident = Morphism({0: (0,), 1: (1,)})
         assert equivalent_up_to_renaming(h, ident, 0, tau, ident, 0) is None
 
