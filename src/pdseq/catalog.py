@@ -3,9 +3,9 @@ morphisms, generating functions and algebraic relations.
 
 Every sequence is registered under the short name used throughout the
 package (d, t, p, u, o, z, a, b, delta, x, F, tp2, tp3, ...).  The primary
-definition is the cheapest exact one; alternates are independent
-constructions (morphic, automaton, series) that cross_check compares
-termwise.  A known fact about a sequence is stated the same way, as one
+definition is one exact construction (d is read by its automaton, t by
+digit sums); alternates are independent constructions (morphic,
+automaton, series) that cross_check compares termwise.  A known fact about a sequence is stated the same way, as one
 more definition: 1 - d is the first difference of Thue-Morse mod 2, and
 the gaps of z and o are the run-length fixed points.  Position sequences
 o, z and b are filters over their base sequences; a is enumerated from the
@@ -37,23 +37,6 @@ __all__ = [
 
 
 # -- low-level vectorized builders -----------------------------------------
-
-
-def period_doubling_prefix(n):
-    """d(m) = (exponent of 2 in m+1) mod 2, for m < n.
-
-    m + 1 is odd for even m, and 2(j+1) for m = 2j+1, so d(2j) = 0 and
-    d(2j+1) = 1 - d(j).  Filled by doubling in the result itself: the odd
-    indices of [lo, hi), hi <= 2*lo, read only the prefix below lo.
-    """
-    d = np.zeros(n, dtype=np.int64)
-    lo = 1
-    while lo < n:
-        hi = min(2 * lo, n)
-        odd = lo | 1
-        np.subtract(1, d[odd // 2 : hi // 2], out=d[odd:hi:2])
-        lo = hi
-    return d
 
 
 def digit_sum_mod_prefix(n, p):
@@ -418,7 +401,9 @@ def _fib_build(count):
     return np.array(fibonacci_numbers(count=count), dtype=object)
 
 
-def _d_via_dfao(count):
+def _d_build(count):
+    """d(m) = (exponent of 2 in m+1) mod 2, for m < count: the parity of the
+    trailing ones of m, read by d's MSD automaton."""
     return automata.evaluate_range(period_doubling_dfao(), count)
 
 
@@ -477,10 +462,9 @@ def _build_registry():
         NamedSequence(
             "d",
             "period-doubling sequence",
-            period_doubling_prefix,
+            _d_build,
             alternates={
                 "uniform-morphism": _fixed_point(period_doubling_morphism, 0),
-                "msd-automaton": _d_via_dfao,
                 "coded-run-length-morphism": _morphic_word(doubled_run_length_morphism, doubled_run_length_coding, 2),
                 "tm-first-difference": _d_via_tm_difference,
             },
@@ -520,7 +504,7 @@ def _build_registry():
         NamedSequence(
             "z",
             "positions of zeros in the period-doubling sequence",
-            _positions(period_doubling_prefix, 0),
+            _positions(_d_build, 0),
             alternates={
                 "tm-alternation-positions": _z_via_tm_alternations,
                 "run-length-gaps": _z_via_run_lengths,
@@ -531,7 +515,7 @@ def _build_registry():
         NamedSequence(
             "o",
             "positions of ones in the period-doubling sequence",
-            _positions(period_doubling_prefix, 1),
+            _positions(_d_build, 1),
             alternates={"run-length-gaps": _o_via_run_length_gaps},
         )
     )

@@ -341,7 +341,8 @@ def check_numeration(n=100_000):
     first = automata.genealogical_words(catalog.ones_positions_language_dfa(), 4).tolist()
     want = [1, 5, 7, 13]
     parts.append((first == want, f"first words of the one-positions language {first} != {want}"))
-    # d's msd-automaton alternate outputs the parity of the trailing ones
+    # d's primary, its MSD automaton, outputs the parity of the trailing ones;
+    # cross_check compares it with the recurrence d(2j) = 0, d(2j+1) = 1 - d(j)
     parts += _cross_checked(("d", n))
     return _fail(parts) + (f"n<{n}",)
 

@@ -148,16 +148,10 @@ def _peak(rows):
     return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
 
 
-def _slices(block, differenced):
-    """(start, rows) for block's rows, _CHUNK at a time.
-
-    With differenced, rows holds first differences along each row, the first
-    entry kept: a unimodular column operation, so no rank and no dependency
-    among rows changes, while entries that grow with the index shrink.
-    """
+def _slices(block):
+    """(start, rows) for block's rows, _CHUNK at a time, as views."""
     for lo in range(0, len(block), _CHUNK):
-        part = block[lo : lo + _CHUNK]
-        yield lo, np.diff(part, axis=1, prepend=0) if differenced else part
+        yield lo, block[lo : lo + _CHUNK]
 
 
 class _PrimeEchelon:
@@ -223,7 +217,7 @@ def _prime_sequence(ncols):
     raise ValueError(f"too few primes to certify a rank with {ncols} columns")
 
 
-def _echelon_ranks(blocks, q, ncols, differenced):
+def _echelon_ranks(blocks, q, ncols):
     """One prime's pass: the rank mod q after each block, the rows that raised
     it (per block, as indices into the block) and their pivot columns.
 
@@ -234,7 +228,7 @@ def _echelon_ranks(blocks, q, ncols, differenced):
     rank, ranks, chosen = 0, [], []
     for block in blocks:
         found = []
-        for lo, part in _slices(block, differenced):
+        for lo, part in _slices(block):
             rank, raised = ech.add_block(part)
             found += [lo + i for i in raised]
         ranks.append(rank)
@@ -308,7 +302,7 @@ def _verify(y, lcm, part, basis, peak):
     return bound < 2**63 and np.array_equal(y @ basis, part * lcm[:, None])
 
 
-def _certified(blocks, chosen, pivots, differenced, primes):
+def _certified(blocks, chosen, pivots, primes):
     """Whether every row is a rational combination of the chosen rows of its block or earlier blocks.
 
     S holds the chosen rows, which are independent modulo the first prime,
@@ -318,13 +312,8 @@ def _certified(blocks, chosen, pivots, differenced, primes):
     the number of rows chosen up to d.  Blocks are walked in place, _CHUNK
     rows at a time; only S is copied.
     """
-    basis = np.empty((len(pivots), blocks[0].shape[1]), dtype=np.int64)
-    at, counts = 0, []
-    for block, rows in zip(blocks, chosen):
-        for _, part in _slices(block[rows], differenced):
-            basis[at : at + len(part)] = part
-            at += len(part)
-        counts.append(at)
+    basis = np.concatenate([block[rows] for block, rows in zip(blocks, chosen)])
+    counts = accumulate(map(len, chosen))
     # [S[:, P] | I] has rank size; S[:, P] is invertible mod q when every
     # pivot falls in the left half, and then the right half, in pivot order,
     # is its inverse
@@ -344,7 +333,7 @@ def _certified(blocks, chosen, pivots, differenced, primes):
     for block, rows, count in zip(blocks, chosen, counts):
         others = np.ones(len(block), dtype=bool)
         others[rows] = False
-        for lo, part in _slices(block, differenced):
+        for lo, part in _slices(block):
             part = part[others[lo : lo + _CHUNK]]
             if not len(part):
                 continue
@@ -357,25 +346,28 @@ def _certified(blocks, chosen, pivots, differenced, primes):
 def _exact_ranks(blocks, ncols):
     """The rank over Q of the rows of blocks[0..d] (int64, ncols columns), for each d.
 
-    The first prime's ranks are certified by full rank or by _certified,
-    from one more prime; failing both, primes are added until the Hadamard
-    bound certifies every depth, as the module docstring describes.
+    Every row is first overwritten, in place, by its first differences (the
+    first entry kept), when every entry is below 2^62 so that no difference
+    leaves int64.  The first prime's ranks are certified by full rank or by _certified, from one
+    more prime; failing both, primes are added until the Hadamard bound
+    certifies every depth, as the module docstring describes.
     """
     sizes = list(accumulate(len(block) for block in blocks))
-    # first differences at most double an entry: taken while that stays in int64
-    differenced = max(map(_peak, blocks), default=0) < 2**62
+    raw = list(map(_peak, blocks))
+    if max(raw, default=0) < 2**62:
+        for block in blocks:
+            for _, part in _slices(block):
+                part[:, 1:] = np.diff(part, axis=1)
     primes = _prime_sequence(ncols)
     first = next(primes)
-    ranks, chosen, pivots = _echelon_ranks(blocks, first, ncols, differenced)
+    ranks, chosen, pivots = _echelon_ranks(blocks, first, ncols)
     if all(r == min(size, ncols) for r, size in zip(ranks, sizes)):
         return ranks
     second = next(primes)
-    if _certified(blocks, chosen, pivots, differenced, (first, second)):
+    if _certified(blocks, chosen, pivots, (first, second)):
         return ranks
     # rank mod q is the same for the rows and for their differences: the smaller bound holds
-    raw = accumulate(map(_peak, blocks), max)
-    fed = accumulate((max((_peak(part) for _, part in _slices(b, differenced)), default=0) for b in blocks), max)
-    peaks = list(map(min, raw, fed))
+    peaks = list(map(min, accumulate(raw, max), accumulate(map(_peak, blocks), max)))
     modulus, primes = first, chain([second], primes)
     # the Hadamard bound squared, to stay in integers
     while not all(
@@ -383,7 +375,7 @@ def _exact_ranks(blocks, ncols):
         for r, size, peak in zip(ranks, sizes, peaks)
     ):
         q = next(primes)
-        ranks = [max(r, s) for r, s in zip(ranks, _echelon_ranks(blocks, q, ncols, differenced)[0])]
+        ranks = [max(r, s) for r, s in zip(ranks, _echelon_ranks(blocks, q, ncols)[0])]
         modulus *= q
     return ranks
 

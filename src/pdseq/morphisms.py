@@ -22,6 +22,7 @@ from math import floor, isqrt
 
 import numpy as np
 
+from . import series
 from .automata import breadth_first
 
 __all__ = [
@@ -132,7 +133,8 @@ def morphic_word_prefix(f, g, seed, n):
 
     The fixed-point prefix that g codes doubles until its image holds n
     letters.  If g erases all but finitely many letters of the fixed point
-    and fewer than n are left, ValueError is raised.
+    and fewer than n are left, ValueError is raised; MemoryError is raised
+    before a prefix whose pass would need more than physical memory.
     """
     codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
     coding = _image_table(g, f.alphabet, codomain)
@@ -145,6 +147,9 @@ def morphic_word_prefix(f, g, seed, n):
     lengths = np.array([len(f.rules[a]) for a in f.alphabet])
     size = n
     while True:
+        # at its peak a pass holds about 25 bytes a letter of the prefix (measured)
+        need = 32 * size
+        series.require_memory(need, f"{n} letters need a fixed-point prefix of {size} letters, about {need >> 20} MB")
         prefix = _fixed_point(f, seed, size)
         word = _apply(coding, prefix)
         if len(word) >= n:

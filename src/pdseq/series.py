@@ -638,18 +638,13 @@ def _rref_mod_p(mat, p):
 
 
 def _nullspace_mod_p(mat, p):
-    """Basis of the right nullspace of mat over F_p, one vector per row."""
+    """Basis of the right nullspace of mat over F_p, a list of vectors (empty at full column rank)."""
     rows, pivots, _ = _rref_mod_p(mat, p)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = (-row[fc]) % p
-        basis.append(v)
-    return basis
+    free = np.delete(np.arange(mat.shape[1]), pivots)
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rows[:, free].T % p
+    return list(basis)
 
 
 def power_relation_search(a, max_frobenius_depth, max_coeff_degree):

@@ -18,6 +18,7 @@ from pdseq.automata import (
     union,
     word_counts,
 )
+from pdseq.morphisms import fixed_point_prefix
 
 
 def from_state(m, s):
@@ -193,7 +194,7 @@ class TestEvaluation:
         # the two-state machine computes nu_2(n+1) mod 2 for every index
         limit = 1 << 20
         got = evaluate_range(catalog.period_doubling_dfao(), limit)
-        assert np.array_equal(got, catalog.period_doubling_prefix(limit))
+        assert np.array_equal(got, fixed_point_prefix(catalog.period_doubling_morphism(), 0, limit))
 
 
 class TestProduct:

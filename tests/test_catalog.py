@@ -115,7 +115,7 @@ class TestBuilders:
         def nu2(m):
             return (m & -m).bit_length() - 1
 
-        assert catalog.period_doubling_prefix(n).tolist() == [nu2(m + 1) % 2 for m in range(n)]
+        assert catalog.sequence("d").build(n).tolist() == [nu2(m + 1) % 2 for m in range(n)]
         assert catalog.digit_sum_mod_prefix(n, 2).tolist() == [bin(m).count("1") % 2 for m in range(n)]
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -177,7 +177,7 @@ class TestCrossChecks:
 
     def test_corrupted_definition_detected(self):
         def corrupted(n):
-            data = catalog.period_doubling_prefix(n).copy()
+            data = catalog.sequence("d").build(n).copy()
             if n > 137:
                 data[137] ^= 1
             return data

@@ -381,7 +381,7 @@ class TestRunPaperChecks:
         [
             ("prop-4.2-reversion", "u", "series-reversion"),
             ("prop-5.12-morphic-pipeline", "x", "golden-morphism"),
-            ("ans-numeration", "d", "msd-automaton"),
+            ("ans-numeration", "d", "uniform-morphism"),
         ],
     )
     def test_catalog_facts_fail_with_the_cross_check_report(self, check_id, name, label):

@@ -359,10 +359,11 @@ class TestModularRank:
             primes.append(q)
             return _PrimeEchelon(q, n)
 
+        blocks = [rows[:40].copy(), rows[40:].copy()]  # _exact_ranks overwrites its blocks
         with mock.patch.object(kernel, "_PrimeEchelon", spy):
             tracemalloc.start()
             try:
-                ranks = _exact_ranks([rows[:40], rows[40:]], ncols)
+                ranks = _exact_ranks(blocks, ncols)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

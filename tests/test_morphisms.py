@@ -1,6 +1,7 @@
 """Morphism algebra: fixed points, erasure removal, spectra, renamings."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pdseq import catalog, morphisms
+from pdseq import catalog, morphisms, series
 from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
@@ -104,7 +105,7 @@ class TestFixedPoints:
         h = catalog.period_doubling_morphism()
         n = 1 << 18
         got = fixed_point_prefix(h, 0, n)
-        assert np.array_equal(got, catalog.period_doubling_prefix(n))
+        assert np.array_equal(got, catalog.sequence("d").build(n))
 
     @given(prolongable_morphisms(), st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
@@ -137,6 +138,23 @@ class TestFixedPoints:
         assert morphic_word_prefix(f, g, "a", 2).tolist() == [1, 2]
         with pytest.raises(ValueError, match="keeps 2 letters"):
             morphic_word_prefix(f, g, "a", 3)
+
+    def test_thinning_coding_refused_past_physical_memory(self, monkeypatch):
+        # 0 -> 012, 1 -> 1, 2 -> 22 has the fixed point 0 1 2 1 2^2 1 2^4 ...:
+        # keeping only 1, n letters need a prefix of about 2^n letters
+        f = Morphism({0: (0, 1, 2), 1: (1,), 2: (2, 2)})
+        g = Morphism({0: (), 1: (1,), 2: ()})
+        memory = 16 << 20
+        monkeypatch.setattr(series, "physical_memory", lambda: memory)
+        assert morphic_word_prefix(f, g, 0, 16).tolist() == [1] * 16
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="24 letters need a fixed-point prefix of .* physical memory"):
+                morphic_word_prefix(f, g, 0, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < memory
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

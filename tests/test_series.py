@@ -573,6 +573,26 @@ class TestPowerRelationSearch:
         # in the rows that become pivot rows late, past the last pivot column
         assert_rref_matches_sympy(np.random.default_rng(seed).integers(0, p, size=(12, 24)), p)
 
+    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_against_sympy_rank(self, p, nrows, ncols, data):
+        # cols - rank vectors, each annihilated by every row in Python ints,
+        # and independent over GF(p)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        entry = st.one_of(st.integers(-2, 2), st.integers(0, p - 1))
+        mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        basis = series._nullspace_mod_p(np.array(mat, dtype=np.int64), p)
+        field = sympy.GF(p)
+
+        def rank(rows):
+            return DomainMatrix([[field(int(x)) for x in row] for row in rows], (len(rows), ncols), field).rank()
+
+        assert len(basis) == ncols - rank(mat)
+        assert all(sum(a * int(x) for a, x in zip(row, v)) % p == 0 for v in basis for row in mat)
+        assert not basis or rank(basis) == len(basis)
+
 
 def assert_rref_matches_sympy(mat, p):
     """Oracle: sympy's reduced row-echelon form over GF(p); ours holds the
