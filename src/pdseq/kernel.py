@@ -18,28 +18,25 @@ Rank mod q never exceeds the rank over Q, so R_d, the rank mod q after
 scale d, is a lower bound, exact outright when it equals the row or column
 count.
 
-Otherwise a certificate whose size follows the actual dependencies closes
-it.  The echelon records the rows S that raised the rank and their pivot
-columns P.  Each other row m solves c S[:, P] = m[P] modulo q and one more
-prime; CRT and rational reconstruction (von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 5) turn c into an integer row Y and a denominator L,
-and L m = Y S is checked exactly, in float64 while its bound stays below
-2^53 and in int64 below 2^63, with Y on rows of S from m's scale or
-earlier.  Then every row lies in the rational span of the chosen rows up to
-its scale, and R_d is the rank.  Only the exact check proves anything: when
-reconstruction fails, or the check fails or would leave int64, further
-primes are taken one at a time, each with one echelon that is dropped
-before the next, and R_d = max_q rank mod q is certified once the product
-of the primes exceeds the Hadamard bound (sqrt(R+1) X)^(R+1) on every
-(R+1)-minor, X = max |entry|, since a nonzero minor cannot be divisible by
-a larger product.  That fallback uses the same primes, in the same order,
-as a loop without the certificate.
+Otherwise the same prime's echelon proves it (Dixon's p-adic lifting,
+Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
+and their pivot columns P, so S[:, P] is invertible modulo q.  The
+coordinates x of every other row m, m = x S, are lifted one q-adic digit at
+a time, with a division by q that must be exact, and reconstructed as
+fractions Y / L modulo q^j at j = 2, 4, 8, ... (von zur Gathen-Gerhard,
+Modern Computer Algebra, ch. 5).  Then L m = Y S modulo q^j, and exactly
+once q^j > (L + ||Y||_1) X, X = max |entry|.  When every row is so proved
+with Y on rows of S from m's scale or earlier, R_d is the rank.  A division
+that is not exact, or a Y on a later scale's row, proves q unlucky: its
+rank is below the rank over Q.  The next prime's echelon is then taken,
+one echelon alive at a time, and a prime is unlucky only if it divides a
+nonzero minor.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-from math import isqrt
+from itertools import accumulate
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -124,7 +121,8 @@ def compute_kernel(prefix, k, max_depth=10, horizon=512):
 
 # -- rank profiling ---------------------------------------------------------
 
-_CHUNK = 32  # rows reduced, or checked, at a time
+_CHUNK = 32  # rows reduced, or lifted in float64, at a time
+_OBJECT_CHUNK = 2  # rows lifted at a time in Python ints, whose coordinates reach q^j
 
 
 def _mod(x, q):
@@ -148,10 +146,10 @@ def _peak(rows):
     return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
 
 
-def _slices(block):
-    """(start, rows) for block's rows, _CHUNK at a time, as views."""
-    for lo in range(0, len(block), _CHUNK):
-        yield lo, block[lo : lo + _CHUNK]
+def _slices(block, step):
+    """(start, rows) for block's rows, step at a time, as views."""
+    for lo in range(0, len(block), step):
+        yield lo, block[lo : lo + step]
 
 
 class _PrimeEchelon:
@@ -228,7 +226,7 @@ def _echelon_ranks(blocks, q, ncols):
     rank, ranks, chosen = 0, [], []
     for block in blocks:
         found = []
-        for lo, part in _slices(block):
+        for lo, part in _slices(block, _CHUNK):
             rank, raised = ech.add_block(part)
             found += [lo + i for i in raised]
         ranks.append(rank)
@@ -241,14 +239,13 @@ def _rational_reconstruction(a, m):
 
     The extended Euclidean algorithm on (m, a), stopped at the first
     remainder below the bound (von zur Gathen-Gerhard, Modern Computer
-    Algebra, section 5.10), on every entry at once; an entry leaves the
-    working arrays when it stops.  Remainders and cofactors stay below
-    m < 2^63.
+    Algebra, section 5.10), on every entry at once, in Python ints; an
+    entry leaves the working arrays when it stops.
     """
     bound = isqrt(m // 2)
-    num, den = a.astype(np.int64), np.ones(a.shape, dtype=np.int64)
+    num, den = a.astype(object), np.ones(a.shape, dtype=object)
     live = np.flatnonzero(num > bound)
-    r0, r1 = np.full(len(live), m, dtype=np.int64), num.flat[live]
+    r0, r1 = np.full(len(live), m, dtype=object), num.flat[live]
     t0, t1 = np.zeros_like(r1), np.ones_like(r1)
     while len(live):
         quotient = r0 // r1
@@ -261,85 +258,102 @@ def _rational_reconstruction(a, m):
     return num, den
 
 
-def _dependency(part, inverses, primes, count):
-    """(Y, L) with L > 0 and Y zero past column count, from the rows' coordinates modulo two primes, or None.
+def _reconstruct(x, m, start):
+    """(Y, L) per row of x (Python ints): Y = L x mod m with |Y| <= sqrt(m/2), or L = 0 where none is found.
 
-    The coordinates c of a row m solve c S[:, P] = m[P] modulo each prime;
-    they are combined by CRT, each entry is reconstructed as a fraction,
-    and L is the lcm of a row's denominators, so that Y = L c is integral.
-    The caller checks L m = Y S exactly: nothing here needs to be right.
+    One running denominator per row, from start up to sqrt(m/2): a row's
+    entries are scaled by its L, and only the first entry that L leaves
+    above the bound is reconstructed (_rational_reconstruction), multiplying
+    L by its denominator, at least 2.
     """
-    q1, q2 = primes
-    c1, c2 = (_mod(np.mod(part, q).astype(np.float64) @ inv, q).astype(np.int64) for q, inv in zip(primes, inverses))
-    num, den = _rational_reconstruction(c1 + q1 * ((c2 - c1) * pow(q1, -1, q2) % q2), q1 * q2)
-    if not den.all():
-        return None
-    # |num| <= sqrt(m/2), so Y = num * (L / den) stays below 2^62 while L does below limit
-    limit = 2**62 // (isqrt(q1 * q2 // 2) + 1)
-    lcm = np.ones(len(part), dtype=np.int64)
-    for column in den.T:
-        lcm = lcm // np.gcd(lcm, column) * column
-        if lcm.max(initial=1) > limit:
-            return None
-    y = num * (lcm[:, None] // den)
-    # a verified Y with a later row would have that coefficient divisible by q1,
-    # beyond two primes' bound; with more primes only this test would exclude it
-    return None if y[:, count:].any() else (y[:, :count], lcm)
+    bound = isqrt(m // 2)
+    y, den = np.zeros_like(x), np.full(len(x), start, dtype=object)
+    live = np.arange(len(x))
+    while len(live):
+        t = x[live] * den[live, None] % m
+        t[t > m // 2] -= m
+        large = np.abs(t) > bound
+        wide = large.any(axis=1)
+        y[live[~wide]] = t[~wide]
+        if not wide.any():
+            break
+        t, large, live = t[wide], large[wide], live[wide]
+        _, found = _rational_reconstruction(t[np.arange(len(t)), large.argmax(axis=1)] % m, m)
+        den[live] *= found
+        failed = (found == 0) | (den[live] > bound)
+        den[live[failed]] = 0
+        live = live[~failed]
+    return y, den
 
 
-def _verify(y, lcm, part, basis, peak):
-    """Whether lcm[i] * part[i] == y[i] @ basis exactly, for every row i.
-
-    Both sides and every partial sum are below bound = (max ||y_i||_1 +
-    lcm_i) * peak, peak >= max |entry| of part and basis, rounded up: the
-    product is taken in float64 below 2^53, in int64 below 2^63, and a larger
-    bound is refused, which leaves the rank to the Hadamard fallback.
-    """
-    # the float64 sum of a row's |y| is within a factor 1 + 2^-40 of the exact one
-    bound = float((np.abs(y).sum(axis=1, dtype=np.float64) + lcm).max(initial=0)) * peak * (1 + 2**-32)
-    if bound < 2**53:
-        y, basis = y.astype(np.float64), basis.astype(np.float64)
-    return bound < 2**63 and np.array_equal(y @ basis, part * lcm[:, None])
-
-
-def _certified(blocks, chosen, pivots, primes):
+def _lifted(blocks, chosen, pivots, q):
     """Whether every row is a rational combination of the chosen rows of its block or earlier blocks.
 
-    S holds the chosen rows, which are independent modulo the first prime,
-    and P their pivot columns there, so S[:, P] is invertible modulo it.
-    If every other row m has some L m = Y S with L > 0 and Y using only
-    chosen rows of m's block or earlier, the rank after block d is exactly
-    the number of rows chosen up to d.  Blocks are walked in place, _CHUNK
-    rows at a time; only S is copied.
+    A = S[:, P] is invertible modulo q.  Each lift takes the other rows R,
+    first the rows m themselves, to c = R[:, P] A^-1 mod q and
+    R <- (R - c S) / q, so that m - x S = q^j R after j lifts, x = sum c_i
+    q^i.  False, q unlucky, when a division is not exact or a proved Y (see
+    the module docstring) uses a chosen row of a later block than m's;
+    ArithmeticError, which theory rules out, when a row outlives the cap.
     """
     basis = np.concatenate([block[rows] for block, rows in zip(blocks, chosen)])
-    counts = accumulate(map(len, chosen))
-    # [S[:, P] | I] has rank size; S[:, P] is invertible mod q when every
-    # pivot falls in the left half, and then the right half, in pivot order,
-    # is its inverse
-    size = len(pivots)
+    size, peak = len(pivots), max(map(_peak, blocks))
+    # [A | I] reduces to [I | A^-1], rows in pivot order: A's columns hold every pivot
     augmented = np.zeros((size, 2 * size), dtype=np.int64)
     augmented[:, :size] = basis[:, pivots]
     augmented[:, size:].flat[:: size + 1] = 1
-    inverses = []
-    for q in primes:
-        reduced, columns, _ = _rref_mod_p(augmented, q)
-        if max(columns, default=0) >= size:
-            return False
-        inverses.append(reduced[np.argsort(columns), size:].astype(np.float64))
-        del reduced  # before the next prime's reduction
-    del augmented
-    peak = _peak(basis)
-    for block, rows, count in zip(blocks, chosen, counts):
+    reduced, columns, _ = _rref_mod_p(augmented, q)
+    inverse = reduced[np.argsort(columns), size:].astype(np.float64)
+    del augmented, reduced
+    # |R| <= size X and |R - c S| < (size + 1) q X: below 2^52 float64 holds both
+    # exactly, and R / q, below 2^52 / q, rounds a remainder of 1/q to no integer
+    exact = (peak + 1) * q * (size + 1) < 2**52
+    if exact:
+        basis = basis.astype(np.float64)
+    else:
+        # R in Python ints; c S from signed float64 limbs of S: exact BLAS products, not Python-int terms
+        width = (2**53 // (max(size, 1) * q)).bit_length() - 1
+        shifts = range(0, peak.bit_length(), width)
+        limbs = [(np.sign(basis) * (np.abs(basis) >> s & (1 << width) - 1)).astype(np.float64) for s in shifts]
+        del basis
+    # every minor is at most H = (sqrt(size + 1) X)^(size + 1) (Hadamard), so past
+    # q^j > 2 H^2 each row has reconstructed, and been proved, or failed a division
+    cap = 2 * (size + 1) ** (size + 1) * peak ** (2 * size + 2)
+    start = 1
+    for block, rows, count in zip(blocks, chosen, accumulate(map(len, chosen))):
         others = np.ones(len(block), dtype=bool)
         others[rows] = False
-        for lo, part in _slices(block):
-            part = part[others[lo : lo + _CHUNK]]
-            if not len(part):
-                continue
-            dependency = _dependency(part[:, pivots], inverses, primes, count)
-            if dependency is None or not _verify(*dependency, part, basis[:count], max(peak, _peak(part))):
-                return False
+        for lo, part in _slices(block, _CHUNK if exact else _OBJECT_CHUNK):
+            rest = part[others[lo : lo + len(part)]].astype(np.float64 if exact else object)
+            x, modulus, lifts = 0, 1, 0
+            while len(rest):
+                c = _mod(np.mod(rest[:, pivots], q).astype(np.float64) @ inverse, q)
+                digit = c.astype(np.int64).astype(object)
+                if exact:
+                    rest -= c @ basis
+                    rest /= q
+                    if not np.array_equal(np.rint(rest), rest):
+                        return False
+                else:
+                    rest -= sum((c @ limb).astype(np.int64).astype(object) << s for s, limb in zip(shifts, limbs))
+                    if (rest % q).any():
+                        return False
+                    rest //= q
+                x = x + modulus * digit
+                modulus *= q
+                lifts += 1
+                if lifts < 2 or lifts & (lifts - 1):
+                    continue
+                y, den = _reconstruct(x, modulus, start)
+                proved = (den > 0) & ((den + np.abs(y).sum(axis=1)) * peak < modulus)
+                y, den = y[proved], den[proved]
+                if y[:, count:].any():
+                    return False
+                # a proved row's least denominator divides det A: later rows start from their lcm
+                start = lcm(start, *(den // np.gcd(den, np.gcd.reduce(y, axis=1))))
+                rest, x = rest[~proved], x[~proved]
+                if len(rest) and modulus > cap:
+                    raise ArithmeticError(f"rows neither proved nor refused after {lifts} lifts modulo {q}")
     return True
 
 
@@ -348,36 +362,19 @@ def _exact_ranks(blocks, ncols):
 
     Every row is first overwritten, in place, by its first differences (the
     first entry kept), when every entry is below 2^62 so that no difference
-    leaves int64.  The first prime's ranks are certified by full rank or by _certified, from one
-    more prime; failing both, primes are added until the Hadamard bound
-    certifies every depth, as the module docstring describes.
+    leaves int64.  A prime's ranks are certified by full rank or by
+    _lifted on its own echelon; a failed lift proves the prime unlucky, and
+    the next prime's echelon is taken, one echelon alive at a time.
     """
     sizes = list(accumulate(len(block) for block in blocks))
-    raw = list(map(_peak, blocks))
-    if max(raw, default=0) < 2**62:
+    if max(map(_peak, blocks), default=0) < 2**62:
         for block in blocks:
-            for _, part in _slices(block):
+            for _, part in _slices(block, _CHUNK):
                 part[:, 1:] = np.diff(part, axis=1)
-    primes = _prime_sequence(ncols)
-    first = next(primes)
-    ranks, chosen, pivots = _echelon_ranks(blocks, first, ncols)
-    if all(r == min(size, ncols) for r, size in zip(ranks, sizes)):
-        return ranks
-    second = next(primes)
-    if _certified(blocks, chosen, pivots, (first, second)):
-        return ranks
-    # rank mod q is the same for the rows and for their differences: the smaller bound holds
-    peaks = list(map(min, accumulate(raw, max), accumulate(map(_peak, blocks), max)))
-    modulus, primes = first, chain([second], primes)
-    # the Hadamard bound squared, to stay in integers
-    while not all(
-        r == min(size, ncols) or modulus**2 > (r + 1) ** (r + 1) * peak ** (2 * r + 2)
-        for r, size, peak in zip(ranks, sizes, peaks)
-    ):
-        q = next(primes)
-        ranks = [max(r, s) for r, s in zip(ranks, _echelon_ranks(blocks, q, ncols)[0])]
-        modulus *= q
-    return ranks
+    for q in _prime_sequence(ncols):
+        ranks, chosen, pivots = _echelon_ranks(blocks, q, ncols)
+        if all(r == min(size, ncols) for r, size in zip(ranks, sizes)) or _lifted(blocks, chosen, pivots, q):
+            return ranks
 
 
 def rank_profile(prefix, k, max_depth=8, horizon=512):
@@ -407,6 +404,7 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
             new_reps.append({"scale": depth, "residue": r, "fingerprint": fp[:32].tolist()})
         blocks.append(np.array(new_rows, dtype=np.int64).reshape(len(new_rows), H))
         depths.append({"depth": depth, "class_count": len(seen), "representatives": new_reps})
+    del seen  # the blocks hold the same rows
     for d, rank in zip(depths, _exact_ranks(blocks, H)):
         d["rank"] = rank
     return {"k": k, "horizon": H, "depths": depths}

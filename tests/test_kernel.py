@@ -1,8 +1,10 @@
 """Kernel closure, DFAO synthesis, and rank profiles."""
 
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, isqrt, lcm
+import time
 import tracemalloc
 from unittest import mock
 
@@ -174,6 +176,25 @@ def primes_drawn(run):
         return run(), len(drawn)
 
 
+@contextmanager
+def recorded(name, keep=lambda args, result: result):
+    """kernel.<name> patched to append keep(args, result) of each call to the yielded list."""
+    calls, real = [], getattr(kernel, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append(keep(args, result))
+        return result
+
+    with mock.patch.object(kernel, name, wrapper):
+        yield calls
+
+
+def moduli():
+    """kernel._reconstruct recording its moduli q^j: j lifts were taken."""
+    return recorded("_reconstruct", lambda args, _: args[1])
+
+
 class TestRankGrowth:
     """The witness of non-regularity: at a fixed depth the rank grows with H.
 
@@ -193,12 +214,34 @@ class TestRankGrowth:
 
     @pytest.mark.parametrize("name", ["z", "o", "p"])
     @pytest.mark.parametrize("horizon", [512, 1024])
-    def test_check_ranks_certified_from_two_primes(self, name, horizon):
-        # the rank check's profiles: one echelon and one more prime for the
-        # certificate
+    def test_check_ranks_certified_from_one_prime(self, name, horizon):
+        # the rank check's profiles: one echelon, whose lift certifies it
         report, drawn = primes_drawn(lambda: rank_profile(catalog.sequence(name).prefix, 2, max_depth=8, horizon=horizon))
-        assert drawn <= 2
+        assert drawn == 1
         assert column(report, "rank")[:4] == [1, 3, 7, 15]
+
+
+class TestPositionsOfZeros:
+    """b, the positions of the zeros of u (the paper's open problem): its
+    dependencies need Y and L of well over a hundred bits, certified by one
+    prime's lift."""
+
+    @pytest.mark.parametrize(
+        "k, depth, horizon, ranks, budget",
+        [
+            (2, 8, 512, [1, 3, 7, 15, 31, 63, 127, 255, 371], 1.0),
+            (3, 6, 243, [1, 4, 13, 40, 121, 227, 243], 1.0),
+            (3, 6, 729, [1, 4, 13, 40, 121, 340, 560], 3.0),
+        ],
+    )
+    def test_b_ranks(self, k, depth, horizon, ranks, budget):
+        prefix = catalog.sequence("b").prefix
+        prefix(k**depth * horizon)  # built, or cached by an earlier test, outside the budget
+        start = time.perf_counter()
+        report, drawn = primes_drawn(lambda: rank_profile(prefix, k, max_depth=depth, horizon=horizon))
+        assert time.perf_counter() - start < budget
+        assert column(report, "rank") == ranks
+        assert drawn == 1
 
 
 def rational_rank(rows):
@@ -285,9 +328,9 @@ class TestModularRank:
 
     @pytest.mark.parametrize("nprimes", [1, 2])
     def test_determinant_a_product_of_first_primes(self, nprimes):
-        # entries near sqrt(det): the rank over Q is 2, the rank modulo
-        # each of the first primes is 1, and the product of those primes
-        # alone is below the Hadamard bound 2 X^2
+        # entries near sqrt(det): the rank over Q is 2 and the rank modulo
+        # each of the first primes is 1, so each of their lifts fails and
+        # the next prime's echelon is taken
         primes = list(islice(_prime_sequence(2), nprimes + 1))
         det = int(np.prod(primes[:nprimes], dtype=object))
         a = isqrt(det)
@@ -341,14 +384,13 @@ class TestModularRank:
         # all-zero rows need no prime at all
         assert feed(3, [[], [[0, 0, 0]]])[:2] == ([0, 0], [0, 0])
 
-    def test_many_primes_hold_one_echelon(self):
+    def test_deep_dependencies_hold_one_echelon(self):
         # 48 independent rows with entries near 2^20, after 16 combinations
         # of them with coefficients near 2^20: the base rows that follow the
         # first 48 rows are rational combinations of them whose
-        # denominators are 16x16 minors of the coefficients, far beyond
-        # what two primes reconstruct, so the rank is certified by the
-        # Hadamard bound only, after about 100 primes, yet one prime's
-        # echelon is alive at a time
+        # denominators are 16x16 minors of the coefficients, about 2^350,
+        # so the lift runs on Python ints to q^32.  One echelon certifies
+        # the rank, in the memory of a few echelons
         rng = np.random.default_rng(5)
         ncols, r = 64, 48
         base = rng.integers(-(2**20), 2**20, size=(r, ncols))
@@ -360,25 +402,25 @@ class TestModularRank:
             return _PrimeEchelon(q, n)
 
         blocks = [rows[:40].copy(), rows[40:].copy()]  # _exact_ranks overwrites its blocks
-        with mock.patch.object(kernel, "_PrimeEchelon", spy):
+        with mock.patch.object(kernel, "_PrimeEchelon", spy), moduli() as reached:
             tracemalloc.start()
             try:
                 ranks = _exact_ranks(blocks, ncols)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert len(primes) >= 10
+        assert primes == [next(_prime_sequence(ncols))]
+        assert max(reached) > primes[0] ** 2
         assert ranks == [rational_rank(rows[:40]), rational_rank(rows)] == [40, r]
         echelon = r * ncols * 8  # float64 basis rows of one prime
         assert peak < 8 * echelon
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_integer_dependencies_certified_from_two_primes(self, ncols, data):
+    def test_integer_dependencies_certified_by_one_echelon(self, ncols, data):
         # r rows [I | B] with entries of B up to 2^32, then integer
-        # combinations of them with coefficients up to 2^12: the rows' own
-        # coefficients reconstruct, and both sides of L m = Y S stay below
-        # 2^61, so one echelon and one more prime certify every depth
+        # combinations of them with coefficients up to 2^12: one echelon
+        # certifies every depth
         r = data.draw(st.integers(1, min(4, ncols - 1)))
         big = st.integers(-(2**32), 2**32)
         base = [[int(i == j) for j in range(r)] + data.draw(st.lists(big, min_size=ncols - r, max_size=ncols - r)) for i in range(r)]
@@ -390,39 +432,92 @@ class TestModularRank:
         assert ranks == wants
         assert len(echelons) == 1
 
-    def test_singular_modulo_the_second_prime_falls_back(self):
-        # the chosen rows' differences [1, -1, 0] and [0, q1, -q1] make
-        # S[:, P] singular modulo the second prime q1: the certificate stops
-        # before it solves for any row, and further echelons certify rank 2
+    @given(st.integers(5, 7), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_denominators_past_q0_squared(self, r, extra, seed, data):
+        # r combinations C B of r random rows B in more than r columns, then
+        # B itself: B = C^-1 (C B), whose rows' denominators, divisors of
+        # det C, pass q0^2, so the chosen rows C B certify the rank only
+        # after more than two lifts
+        pytest.importorskip("sympy")
+        from sympy import QQ, ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        ncols = r + extra
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-16, 17, size=(r, ncols))
+        coeffs = rng.integers(-(2**14), 2**14 + 1, size=(r, r))
+        q0 = next(_prime_sequence(ncols))
+        c = DomainMatrix([[ZZ(int(x)) for x in row] for row in coeffs], (r, r), ZZ).convert_to(QQ)
+        assume(c.det() != 0)
+        assume(max(lcm(*(int(x.denominator) for x in row)) for row in c.inv().to_list()) > q0**2)
+        rows = (coeffs @ base).tolist() + base.tolist()
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        blocks = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+        with moduli() as reached:
+            ranks, wants, echelons = feed(ncols, blocks)
+        assert ranks == wants
+        assert len(echelons) == 1
+        assert max(reached) > q0**2
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unlucky_at_an_earlier_depth_only(self, ncols, data):
+        # w = t v + q0 u with u in the next block: modulo q0 the first
+        # block has rank 1, below its rank 2 over Q, yet w lies in the span
+        # of the chosen rows v and u, so every division is exact; only Y's
+        # coefficient q0 on u, a row of a later block, proves q0 unlucky
+        q0 = next(_prime_sequence(ncols))
+        row = st.lists(st.integers(-1000, 1000), min_size=ncols, max_size=ncols)
+        v, u = data.draw(row), data.draw(row)
+        assume(any(v[i] * u[j] != v[j] * u[i] for i in range(ncols) for j in range(i)))
+        t = data.draw(st.integers(-50, 50))
+        w = [t * a + q0 * b for a, b in zip(v, u)]
+        with recorded("_lifted") as verdicts:
+            ranks, wants, echelons = feed(ncols, [[v, w], [u]])
+        assert ranks == wants == [2, 2]
+        # the next prime's rank 2 is full in two columns, and lifted past them
+        assert verdicts == [False] + [True] * (ncols > 2)
+        assert len(echelons) == 2
+
+    def test_rows_singular_modulo_the_second_prime(self):
+        # the chosen rows' differences [1, -1, 0] and [0, q1, -q1] are
+        # singular modulo the second prime q1; the first prime's echelon
+        # alone certifies rank 2
         q1 = list(islice(_prime_sequence(3), 2))[1]
-        with mock.patch.object(kernel, "_dependency", side_effect=AssertionError("solved without an inverse")):
-            ranks, wants, echelons = feed(3, [[[1, 0, 0], [0, q1, 0], [1, q1, 0]]])
+        ranks, wants, echelons = feed(3, [[[1, 0, 0], [0, q1, 0], [1, q1, 0]]])
         assert ranks == wants == [2]
-        assert len(echelons) >= 2
+        assert len(echelons) == 1
 
-    def test_check_past_int64_falls_back(self):
-        # w = 2^25 v reconstructs, but the check's bound, 2^25 + 1 times
-        # w's differences near 2^61, passes 2^63: the check is refused and
-        # further echelons certify rank 1
+    def test_dependency_past_int64_lifts_on_python_ints(self):
+        # w = 2^25 v: L w = Y v holds with Y = 2^25, L = 1, but the proof
+        # needs q^j > (2^25 + 1) times w's differences near 2^61, past
+        # int64: the lift runs on Python ints, and one echelon certifies
+        # rank 1 after four lifts
         v = [2**36, 3]
-        real, verdicts = kernel._verify, []
-
-        def verify(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
-
-        with mock.patch.object(kernel, "_verify", verify):
+        with recorded("_lifted") as verdicts, moduli() as reached:
             ranks, wants, echelons = feed(2, [[v, [2**25 * x for x in v]]])
         assert ranks == wants == [1]
-        assert verdicts == [False]
-        assert len(echelons) >= 2
+        assert verdicts == [True]
+        assert [e.q for e in echelons] == [next(_prime_sequence(2))]
+        assert max(reached) == echelons[0].q ** 4
+
+    def test_lift_that_never_proves_raises(self):
+        # a reconstruction that never succeeds, as a defect would: the lift
+        # raises once q^j passes 2 H^2, H the Hadamard bound, instead of
+        # lifting forever
+        def never(x, m, start):
+            return np.zeros_like(x), np.zeros(len(x), dtype=object)
+
+        with mock.patch.object(kernel, "_reconstruct", never), pytest.raises(ArithmeticError, match="after 2 lifts"):
+            feed(2, [[[1, 2], [2, 4]]])
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_unreconstructable_coefficients_fall_back(self, ncols, data):
-        # k v comes first, so v = (1/k) (k v) with k beyond the bound
-        # sqrt(q0 q1 / 2) of rational reconstruction: the certificate fails
-        # and further echelons certify the rank
+    def test_large_denominators_need_more_lifts(self, ncols, data):
+        # k v comes first, so v = (1/k) (k v) with k of 30 to 40 bits: the
+        # proof needs q^j > (k + 1) X with X >= k, past q0^2, and one
+        # echelon certifies the rank after more than two lifts
         r = data.draw(st.integers(1, ncols - 1))
         small = st.lists(st.integers(-(2**20), 2**20), min_size=ncols, max_size=ncols)
         base = data.draw(st.lists(small, min_size=r, max_size=r))
@@ -431,34 +526,30 @@ class TestModularRank:
         rows = [[k * x for x in base[0]]] + data.draw(st.permutations(base))
         cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
         blocks = [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
-        ranks, wants, echelons = feed(ncols, blocks)
+        with moduli() as reached:
+            ranks, wants, echelons = feed(ncols, blocks)
         assert ranks == wants
-        assert len(echelons) >= 2
+        assert len(echelons) == 1
+        assert max(reached) > echelons[0].q ** 2
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_reconstructed_dependency_fails_verification(self, ncols, data):
+    def test_off_by_q0_column_fails_the_lift(self, ncols, data):
         # w = t v + s q0 e_j, j >= 1: modulo q0, and at the pivot column 0
-        # modulo every prime, w is t v, so Y = t reconstructs; over Q the
-        # rows are independent, so L w = Y v is refused and further
-        # echelons certify rank 2
+        # over Q, w is t v, but the lift's second division by q0 leaves
+        # s e_j's differences, which q0 does not divide: q0 is unlucky, and
+        # the next prime's echelon gives rank 2
         q0 = next(_prime_sequence(ncols))
         v = data.draw(st.lists(st.integers(-1000, 1000), min_size=ncols, max_size=ncols))
         assume(v[0] % q0)
         t = data.draw(st.integers(-50, 50))
         w = [t * x for x in v]
         w[data.draw(st.integers(1, ncols - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2])) * q0
-        real, verdicts = kernel._verify, []
-
-        def verify(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
-
-        with mock.patch.object(kernel, "_verify", verify):
+        with recorded("_lifted") as verdicts:
             ranks, wants, echelons = feed(ncols, data.draw(st.sampled_from([[[v, w]], [[v], [w]]])))
         assert ranks == wants and ranks[-1] == 2
         assert verdicts == [False]
-        assert len(echelons) >= 2
+        assert [len(e.pivots) for e in echelons] == [1, 2]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -512,32 +603,24 @@ class TestModularRank:
         got = kernel._mod(np.array(xs, dtype=np.float64), q)
         assert got.tolist() == [v % q for v in xs]
 
-    @pytest.mark.parametrize(
-        "y, basis",
-        [
-            # partial sums near 2^52 that cancel: y @ basis = [0, A, A]
-            ([[2**26 - 1, 1 - 2**26]], [[2**26 - 1, 2**26 - 1, 1], [2**26 - 1, 2**26 - 2, 0]]),
-            # a product near 2^52 itself, where float64 still holds every integer
-            ([[1]], [[2**52 - 2**21 - 1, 2**52 - 2**21 - 2]]),
-            # entries past 2^53, where float64 would round 2^53 + 1 to 2^53:
-            # the bound passes 2^54 and the product is taken in int64
-            ([[1]], [[2**53 + 1, 3]]),
-        ],
-    )
-    def test_verify_near_2_53(self, y, basis):
-        # the exact row is accepted and a planted error of 1 in any entry
-        # refused, on either side of the float64 limit
-        y, basis = np.array(y, dtype=np.int64), np.array(basis, dtype=np.int64)
-        lcm = np.ones(1, dtype=np.int64)
-        exact = y @ basis
-        for j in range(basis.shape[1]):
-            for error in (0, -1, 1):
-                part = exact.copy()
-                part[0, j] += error
-                peak = max(kernel._peak(part), kernel._peak(basis))
-                bound = (int(np.abs(y).sum()) + 1) * peak * (1 + 2**-32)
-                assert (bound < 2**53) == (int(basis.max()) < 2**53)
-                assert kernel._verify(y, lcm, part, basis, peak) == (error == 0)
+    @pytest.mark.parametrize("side", ["float64", "Python ints"])
+    @pytest.mark.parametrize("error", [0, -1, 1])
+    def test_lift_on_either_side_of_the_float64_bound(self, side, error):
+        # rows with differences v = [1, a] and w = [1, a + error q0], a just
+        # below or just past the float64 bound (X + 1) q0 (|S| + 1) < 2^52
+        # of the lift.  Modulo q0 they agree, so the first prime's lift
+        # runs: w = v is certified by it, and a planted error of 1 in the
+        # second q0-adic digit of w's non-pivot entry fails it, leaving
+        # rank 2 to the next prime
+        q0 = next(_prime_sequence(2))
+        a = 2**51 // q0 + (-q0 - 3 if side == "float64" else 1)
+        v, w = [1, a], [1, a + error * q0]
+        assert ((max(a, a + error * q0) + 1) * q0 * 2 < 2**52) == (side == "float64")
+        with recorded("_lifted") as verdicts:
+            ranks, wants, echelons = feed(2, [[list(accumulate(v)), list(accumulate(w))]])
+        assert ranks == wants == [1 if error == 0 else 2]
+        assert verdicts == [error == 0]
+        assert len(echelons) == (1 if error == 0 else 2)
 
     def test_prime_sequence_bound(self):
         sympy = pytest.importorskip("sympy")
