@@ -27,6 +27,7 @@ __all__ = [
     "union",
     "minimize",
     "word_counts",
+    "letter_dtype",
 ]
 
 LSD_FIRST = "lsd"
@@ -168,12 +169,12 @@ def genealogical_words(language, count):
 
 def _enumerate(m, accepting, count, letters=None):
     """The first count words of the MSD-first automaton m that end in an
-    accepting state, in genealogical order, as an int64 array.
+    accepting state, in genealogical order, as an array.
 
-    Returns each word's base-k value, or with letters (one per state) the
-    letter at the state each word ends in.  States are held in the smallest
-    unsigned dtype of the table, and a length keeps no more words than count
-    still asks.
+    Returns each word's base-k value as int64, or with letters (an array,
+    one per state) the letter at the state each word ends in, in letters'
+    dtype.  States are held in the smallest unsigned dtype of the table, and
+    a length keeps no more words than count still asks.
     """
     if m.read_order != MSD_FIRST:
         raise ValueError("genealogical enumeration reads words MSD-first")
@@ -184,7 +185,7 @@ def _enumerate(m, accepting, count, letters=None):
     accepted_next, live_next = accepting[table].sum(axis=1), live[table].sum(axis=1)
     states = np.array([m.initial], dtype=table.dtype)
     values = np.zeros(1, dtype=np.int64) if letters is None else None
-    out = np.empty(count, dtype=np.int64)
+    out = np.empty(count, dtype=np.int64 if letters is None else letters.dtype)
     found = length = 0
     while True:
         acc = _gather(accepting, states)
@@ -249,8 +250,17 @@ def _coaccessible(table, accepting):
         live = grown
 
 
+def letter_dtype(letters):
+    """np.int8 when every letter (an int) fits in one signed byte, else np.int64.
+
+    An array of letters from an alphabet fixed before it is built takes this
+    dtype from the alphabet, never from the letters a prefix happens to hold.
+    """
+    return np.int8 if all(-128 <= int(c) <= 127 for c in letters) else np.int64
+
+
 def evaluate_range(m, count, language=None):
-    """Outputs of m at indices 0..count-1, as an int64 array.
+    """Outputs of m at indices 0..count-1, as an array of letter_dtype(m.outputs).
 
     Index n is represented by the n-th word of language in genealogical
     order (see genealogical_words).  With no language, n is written in base
@@ -261,14 +271,15 @@ def evaluate_range(m, count, language=None):
     outputs = np.array(m.outputs)
     if outputs.ndim != 1 or outputs.dtype.kind not in "biu":
         raise ValueError("vectorized evaluation needs integer outputs")
+    outputs = outputs.astype(letter_dtype(m.outputs))
     if language is None:
         if m.alphabet != tuple(range(len(m.alphabet))):
             raise ValueError("base-k evaluation needs alphabet (0, ..., k-1)")
-        return _gather(outputs.astype(np.int64), _base_k_states(m, count))
+        return _gather(outputs, _base_k_states(m, count))
     # the words of language are the accepted words of the pair automaton
     pairs = product(language, m)
     accepting, letters = np.array(pairs.outputs, dtype=np.int64).T
-    return _enumerate(pairs, accepting.astype(bool), count, letters)
+    return _enumerate(pairs, accepting.astype(bool), count, letters.astype(outputs.dtype))
 
 
 _GATHER = 1 << 16  # indices gathered per call of np.take

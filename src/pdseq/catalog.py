@@ -40,17 +40,22 @@ __all__ = [
 
 
 def digit_sum_mod_prefix(n, p):
-    """s_p(m) mod p for m < n (generalized Thue-Morse values).
+    """s_p(m) mod p for m < n (generalized Thue-Morse values), as letters
+    of the alphabet 0..p-1: int8 for p <= 128, else int64.
 
     Built by p-fold doubling: the block for m = j*p^k + r, r < p^k, is
     (j + s[r]) mod p, one broadcast per power of p over the blocks j that
-    the first n values reach.
+    the first n values reach.  The sums j + s[r] reach 2(p - 1), so for
+    64 < p <= 128 they are taken in int64, where int8 would wrap.
     """
-    s = np.zeros(1, dtype=np.int64)
+    out, acc = (automata.letter_dtype((0, top)) for top in (p - 1, 2 * (p - 1)))
+    s = np.zeros(1, dtype=acc)
     while len(s) < n:
         blocks = min(p, -(-n // len(s)))
-        s = ((np.arange(blocks, dtype=np.int64)[:, None] + s) % p).ravel()
-    return s[:n]
+        s = np.arange(blocks, dtype=acc)[:, None] + s
+        s %= p
+        s = s.ravel()
+    return s[:n].astype(out, copy=False)
 
 
 def inverse_pd_ones_below(limit):
@@ -73,8 +78,8 @@ def inverse_pd_ones_below(limit):
 
 
 def inverse_pd_prefix(n):
-    """u(m) for m < n: 1 at the positions inverse_pd_ones_below(n), else 0."""
-    u = np.zeros(n, dtype=np.int64)
+    """u(m) for m < n as an int8 array: 1 at the positions inverse_pd_ones_below(n), else 0."""
+    u = np.zeros(n, dtype=np.int8)
     u[inverse_pd_ones_below(n)] = 1
     return u
 
@@ -316,6 +321,8 @@ def series_by_name(name, precision, p=None):
 
 @dataclass
 class NamedSequence:
+    """A named sequence: prefix(n) caches the array build returns, in its own dtype."""
+
     name: str
     description: str
     build: callable
@@ -370,11 +377,11 @@ def _a_via_set_recurrence(count):
 
 def _delta_build(count):
     a = sequence("a").prefix(count + 1)
-    return ((np.diff(a) % 3) != 0).astype(np.int64)
+    return ((np.diff(a) % 3) != 0).astype(np.int8)
 
 
 def _x_build(count):
-    out = np.zeros(count, dtype=np.int64)
+    out = np.zeros(count, dtype=np.int8)
     for f in fibonacci_numbers(limit=count - 1):
         out[f] = 1
     return out
@@ -637,14 +644,14 @@ def _ascii_digits(x, out):
 def bfile_blocks(name, count, offset=0):
     """OEIS-style b-file text, '<index> <value>\\n' per term, one string per slice of terms.
 
-    Terms come _BFILE_SLICE at a time.  An int64 prefix whose indices stay
-    in int64 is written without a loop over terms: each slice fills one
-    NUL-padded byte matrix, digit column by digit column, and drops the
-    NULs.  A slice adds 65-85 bytes a term to the peak memory, 0.26-0.33 MB
-    (tracemalloc, u, z and a).  Other prefixes (F's Python ints) and
-    indices past int64 take one f-string per term.  A term longer than
-    Python prints (sys.get_int_max_str_digits) is refused before the first
-    line.
+    Terms come _BFILE_SLICE at a time.  A signed-integer prefix (int8 or
+    int64) whose indices stay in int64 is written without a loop over
+    terms: each slice, widened to int64, fills one NUL-padded byte matrix,
+    digit column by digit column, and drops the NULs.  A slice adds 65-85
+    bytes a term to the peak memory, 0.26-0.33 MB (tracemalloc, u, z and
+    a).  Other prefixes (F's Python ints) and indices past int64 take one
+    f-string per term.  A term longer than Python prints
+    (sys.get_int_max_str_digits) is refused before the first line.
     """
     values = sequence(name).prefix(count)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
@@ -654,12 +661,13 @@ def bfile_blocks(name, count, offset=0):
         raise ValueError(
             f"term {offset + i} of {name} has more than {limit} decimal digits, too many to print; ask for at most {i} terms"
         )
-    fast = values.dtype == np.int64 and -(2**63) <= offset and offset + len(values) <= 2**63
+    fast = values.dtype.kind == "i" and -(2**63) <= offset and offset + len(values) <= 2**63
     for lo in range(0, len(values), _BFILE_SLICE):
         terms = values[lo : lo + _BFILE_SLICE]
         if not fast:
             yield "".join(f"{i} {v}\n" for i, v in enumerate(terms.tolist(), offset + lo))
             continue
+        terms = terms.astype(np.int64, copy=False)
         index = np.arange(len(terms), dtype=np.int64) + (offset + lo)
         wi, wv = (len(str(max(-int(c.min()), int(c.max())))) + 1 for c in (index, terms))
         lines = np.zeros((len(terms), wi + wv + 2), np.uint8)

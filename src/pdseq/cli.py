@@ -29,7 +29,7 @@ def _parse_horizon_overrides(pairs):
 
 
 def cmd_seq(args):
-    need = 8 * args.count  # the least a prefix takes, 8 bytes a term
+    need = 8 * args.count  # an int64 prefix's 8 bytes a term, also for one-byte letters
     series.require_memory(need, f"{args.count} terms of {args.name} need at least {need} bytes")
     sys.stdout.writelines(catalog.bfile_blocks(args.name, args.count, offset=args.offset))
     return 0

@@ -4,7 +4,8 @@ The letters of one alphabet are all ints (digits) or all strings (named
 states); a Morphism holds the images of single letters as tuples.  Words
 are arrays of letter indices, imaged by one vectorized gather from one flat
 table of letter images (_image_table, _apply).  Prefixes of fixed points
-and of their codings are int or str numpy arrays, read from such words.
+and of their codings are int or str numpy arrays, read from such words;
+int letters take automata.letter_dtype, one byte where the alphabet fits.
 Spectral radii of incidence matrices are computed from exact integer
 characteristic polynomials with Sturm-sequence root isolation; no
 floating-point linear algebra is involved.  An integer or quadratic spectral
@@ -23,7 +24,7 @@ from math import floor, isqrt
 import numpy as np
 
 from . import series
-from .automata import breadth_first
+from .automata import breadth_first, letter_dtype
 
 __all__ = [
     "Morphism",
@@ -123,9 +124,15 @@ def _fixed_point(m, seed, n):
     return w[:n]
 
 
+def _letters(alphabet):
+    """The alphabet as an array that words of letter indices index into."""
+    letters = np.array(alphabet)
+    return letters.astype(letter_dtype(alphabet)) if letters.dtype.kind == "i" else letters
+
+
 def fixed_point_prefix(m, seed, n):
     """First n letters of the fixed point of m starting with seed, as a numpy array."""
-    return np.array(m.alphabet)[_fixed_point(m, seed, n)]
+    return _letters(m.alphabet)[_fixed_point(m, seed, n)]
 
 
 def morphic_word_prefix(f, g, seed, n):
@@ -153,7 +160,7 @@ def morphic_word_prefix(f, g, seed, n):
         prefix = _fixed_point(f, seed, size)
         word = _apply(coding, prefix)
         if len(word) >= n:
-            return np.array(codomain)[word[:n]]
+            return _letters(codomain)[word[:n]]
         # the images of the first j letters lie in the prefix; f is non-erasing and
         # prolongable, so each later letter comes from prefix[j:] or a later one,
         # and once prefix[j:] lies in E, so does every letter after it

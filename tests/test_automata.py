@@ -89,6 +89,17 @@ class TestEvaluation:
             assert len(evaluate_range(m, 0)) == 0
         assert len(evaluate_range(catalog.fibonacci_indicator_dfao(), 0, catalog.zeckendorf_language_dfa())) == 0
 
+    @pytest.mark.parametrize(
+        "outputs, dtype", [((0, 1), np.int8), ((-128, 127), np.int8), ((0, 128), np.int64), ((-129, 0), np.int64)]
+    )
+    def test_outputs_take_one_byte_where_they_fit(self, outputs, dtype):
+        # the dtype follows the output alphabet, on the base-k path and the language path
+        lf = catalog.zeckendorf_language_dfa()
+        m = Dfao(("even", "odd"), 0, (0, 1), [[0, 1], [1, 0]], outputs, "msd")
+        for got, numeration in ((evaluate_range(m, 300), BaseK(2)), (evaluate_range(m, 300, lf), Ans(lf))):
+            assert got.dtype == dtype
+            assert got.tolist() == [evaluate(m, n, numeration) for n in range(300)]
+
     @given(st.sampled_from([2, 3, 4]), st.sampled_from(["lsd", "msd"]), st.integers(0, 700), st.data())
     @settings(max_examples=100, deadline=None)
     def test_vectorized_matches_scalar_on_random_automata(self, k, read_order, count, data):
@@ -181,7 +192,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("m", [catalog.inverse_pd_dfao(), catalog.odd_ones_language_dfa()], ids=["lsd", "msd"])
     def test_memory_budget_of_a_range(self, m):
-        # the 8 MB result, and per-length state arrays of a byte per state
+        # the result and the per-length state arrays, a byte a term each
         tracemalloc.start()
         try:
             evaluate_range(m, 1 << 20)

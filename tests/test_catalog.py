@@ -1,13 +1,15 @@
 """The sequence registry: listings, cross-checks, and derived structure."""
 
+import dataclasses
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdseq import catalog, morphisms
+from pdseq import catalog, morphisms, series
 from pdseq.automata import evaluate_range
 
 # frozen leading terms of the named sequences
@@ -81,7 +83,7 @@ def odd_indicator_oracle(n):
 def assert_inverse_prefix(limit):
     """u below limit: its odd part by the recurrences and by the automaton, its even part zero."""
     u = catalog.inverse_pd_prefix(limit)
-    assert u.dtype == np.int64 and len(u) == limit
+    assert u.dtype == np.int8 and len(u) == limit
     assert u[1::2].tolist() == odd_indicator_oracle(limit // 2)
     assert not u[0::2].any()
     assert np.array_equal(u, evaluate_range(catalog.inverse_pd_dfao(), limit))
@@ -118,7 +120,7 @@ class TestBuilders:
         assert catalog.sequence("d").build(n).tolist() == [nu2(m + 1) % 2 for m in range(n)]
         assert catalog.digit_sum_mod_prefix(n, 2).tolist() == [bin(m).count("1") % 2 for m in range(n)]
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 61, 67, 101, 127, 131, 65521])
     @pytest.mark.parametrize("n", [0, 1, 2, 48, 49, 50, 343, 1000])
     def test_digit_sum_mod_per_index(self, p, n):
         def digit_sum(m):
@@ -129,6 +131,18 @@ class TestBuilders:
             return s
 
         assert catalog.digit_sum_mod_prefix(n, p).tolist() == [digit_sum(m) % p for m in range(n)]
+
+    @pytest.mark.parametrize("p", [61, 67, 101, 127, 131, 65521])
+    def test_digit_sums_past_one_byte(self, p):
+        # a block sum j + s[r] reaches 2(p - 1) at m = p^2 - 1: past 127, int8 would wrap
+        n = min(p * p, 1 << 17)
+        got = catalog.digit_sum_mod_prefix(n, p)
+        assert got.dtype == (np.int8 if p <= 128 else np.int64)
+        assert np.array_equal(got, digit_sums_mod(n, p))
+
+    def test_inverse_gtm_series_past_one_byte_sums(self):
+        want = series.reversion(series.TruncatedSeries(67, digit_sums_mod(8192, 67)))
+        assert catalog.series_by_name("up67", 8192) == want
 
     def test_digit_sum_mod_memory_follows_the_count(self):
         # a broadcast over all p digit rows would hold p * 8 bytes for n = 10
@@ -152,6 +166,76 @@ class TestBuilders:
         # the set recurrence's limit doubles from 64 to 2^26 for these terms
         report = catalog.cross_check("a", 1 << 17)
         assert report.passed, str(report)
+
+
+def digit_sums_mod(n, p):
+    """s_p(m) mod p for m < n, digit by digit in int64."""
+    m, s = np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    while m.any():
+        s += m % p
+        m //= p
+    return s % p
+
+
+def fibonacci_indicator(n):
+    fibs, (f, g) = {1}, (1, 2)
+    while f < n:
+        fibs.add(f)
+        f, g = g, f + g
+    return np.array([m in fibs for m in range(n)], dtype=np.int64)
+
+
+def inverse_pd_reference(n):
+    u = np.zeros(n, dtype=np.int64)
+    u[1::2] = odd_indicator_oracle(n // 2)
+    return u
+
+
+# an int64 reference for each sequence over an alphabet of one-byte letters
+LETTER_REFERENCES = {
+    "u": inverse_pd_reference,
+    "d": lambda n: np.log2(np.arange(1, n + 1) & -np.arange(1, n + 1)).astype(np.int64) % 2,  # nu_2(m + 1) mod 2
+    "t": partial(digit_sums_mod, p=2),
+    "p": lambda n: morphisms.run_lengths(digit_sums_mod(4 * n + 16, 2))[:n],
+    "x": fibonacci_indicator,
+    "delta": lambda n: fibonacci_indicator(n + 2)[2:],
+    **{f"tp{p}": partial(digit_sums_mod, p=p) for p in (2, 3, 5, 7)},
+}
+WIDE_DTYPES = {"z": np.int64, "o": np.int64, "a": np.int64, "b": np.int64, "F": object}
+
+
+class TestLetterDtypes:
+    def test_every_sequence_is_classified(self):
+        assert sorted(LETTER_REFERENCES.keys() | WIDE_DTYPES.keys()) == catalog.sequence_names()
+
+    @pytest.mark.parametrize("name", sorted(LETTER_REFERENCES))
+    def test_letters_are_held_at_one_byte(self, name):
+        # a fresh cache: 0, 1 and 64 terms come from its first build of 64, 65 and 10^5 from rebuilds
+        seq = dataclasses.replace(catalog.sequence(name), _cache=None)
+        for n in (0, 1, 64, 65, 10**5):
+            got, want = seq.prefix(n), LETTER_REFERENCES[name](n)
+            assert len(seq._cache) == max(n, 64)
+            assert got.dtype == np.int8 and want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(WIDE_DTYPES))
+    def test_positions_and_values_keep_their_dtype(self, name):
+        # a short prefix of z fits in a byte, yet 2z + 1 must not wrap
+        seq = dataclasses.replace(catalog.sequence(name), _cache=None)
+        for n in (1, 65, 1000):
+            assert seq.prefix(n).dtype == WIDE_DTYPES[name]
+
+    @pytest.mark.parametrize("name", ["u", "d", "t", "x"])
+    def test_one_byte_builds_peak_below_three_bytes_a_term(self, name):
+        # in int64 they peaked at 8.3 (u), 9.5 (d), 20.0 (t) and 8.0 (x) bytes a term
+        build, n = catalog.sequence(name).build, 1 << 20
+        tracemalloc.start()
+        try:
+            build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n, f"{peak / n:.1f} bytes a term"
 
 
 # cross-check horizons other than the default 4096
@@ -328,6 +412,21 @@ class TestBfileFormatting:
         drawn = catalog.NamedSequence("drawn", "drawn int64 terms", lambda n: values)
         with mock.patch.dict(catalog._REGISTRY, {"drawn": drawn}):
             assert "".join(catalog.bfile_blocks("drawn", count, offset)) == self.reference(values, offset)
+
+    @pytest.mark.parametrize("offset", [0, 1, -5, 2**63 - (2 * _S + 3)])
+    def test_one_byte_terms_take_the_vectorized_path(self, offset):
+        narrow = np.random.default_rng(offset % 1000).integers(-128, 128, 2 * _S + 3, dtype=np.int8)
+        narrow[:4] = (-128, 127, 0, -1)
+        texts = []
+        for values in (narrow, narrow.astype(np.int64)):
+            drawn = catalog.NamedSequence("drawn", "drawn terms", lambda n, values=values: values)
+            with (
+                mock.patch.dict(catalog._REGISTRY, {"drawn": drawn}),
+                mock.patch.object(catalog, "_ascii_digits", wraps=catalog._ascii_digits) as digits,
+            ):
+                texts.append("".join(catalog.bfile_blocks("drawn", len(values), offset)))
+            assert digits.call_count == 2 * 3  # indices and terms of each of three slices
+        assert texts[0] == texts[1] == self.reference(narrow, offset)
 
     @pytest.mark.parametrize(
         "terms",
