@@ -8,6 +8,7 @@ Exit codes: 0 all requested work succeeded, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -123,7 +124,9 @@ def cmd_check(args):
     return CHECK_FAILURE if any(r.status == "fail" for r in results) else 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pdseq",
         description="automatic sequences, F_p power series, and the period-doubling formal inverse",

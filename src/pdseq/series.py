@@ -15,10 +15,14 @@ while Percival's bound on the rounding error of a radix-2 complex FFT
 Percival proves it for k = log2(length) and a radix-2 complex transform; that
 one level more covers numpy's real-data transform is an assumption, checked
 by the tests on all-(p-1) operands but not proven.  Operands enter as signed
-residues in [-p//2, p//2].  Where they fail either test, both are split into
-two balanced base-2^s limbs, and the three limb products are recombined mod
-p; where the limbs fail too, the product raises `ValueError`.  Float64
-matrix products (`_matmul_mod`) are guarded the same way by 2^53.
+residues in [-p//2, p//2].  Where they fail either test, the multiplier b
+alone is split into two balanced base-2^s limbs, and the two products of the
+whole operand with them are recombined mod p: with b's transforms cached, a
+product then costs one forward and two inverse transforms, against one and
+one on whole residues.  Where that split fails too, both operands are split
+and the three limb products recombined (two forward and three inverse
+transforms); past that the product raises `ValueError`.  Float64 matrix
+products (`_matmul_mod`) are guarded by 2^53 and split both operands.
 
 `compose(a, b)` uses Bernstein's characteristic-p recursion (J. Symbolic
 Comput. 26, 1998) when a cost model in p, N and the length of a (up to its
@@ -159,9 +163,12 @@ def _recombine(product, count, p, s):
 
 
 def _plan(la, lb, p, batched=False):
-    """(nfft, s) for a product of operands of la and lb coefficients: nfft is
-    the FFT length, 0 for the direct path, and s the limb width of
-    `_limb_split`.
+    """(nfft, sa, sb) for a product of operands a and b of la and lb
+    coefficients: nfft is the FFT length, 0 for the direct path, and sa, sb
+    the limb widths of a and b.  Past whole residues b alone is split into
+    the limbs of `_limb_split` where each product of whole a with one limb,
+    terms of at most (p//2) 2^(s-1), is exact; else both are split, and the
+    product is refused exactly where `_limb_split` refuses.
 
     The FFT runs when it is cheaper than la*lb direct multiplications, or for
     a batch of rows.  Raises `ValueError` when no exact path exists.
@@ -169,25 +176,32 @@ def _plan(la, lb, p, batched=False):
     if batched or la * lb > 64 * (la + lb):
         nfft = 1 << (la + lb - 2).bit_length()
         bound = math.sqrt(la * lb) * _fft_error(nfft)
-        return nfft, _limb_split(p, lambda c: c * bound < 0.5)
-    return 0, _limb_split(p, lambda c: min(la, lb) * c < 1 << 63)
+        exact = lambda c: c * bound < 0.5
+    else:
+        nfft, exact = 0, lambda c: min(la, lb) * c < 1 << 63
+    s = _limb_split(p, exact)
+    if s and exact((p // 2) << (s - 1)):
+        return nfft, 0, s
+    return nfft, s, s
 
 
 class _Multiplier:
     """Multiplication by one fixed reduced series b, truncated to out_len,
     of operands of at most `la` coefficients.
 
-    The path is fixed here by `_plan`.  The transforms of b's limbs are
-    computed once, so repeated products with the same b share them.  With `batched` the operands are 2-D, one series per
-    row.
+    The path and the limb widths are fixed here by `_plan`.  The transforms
+    of b's limbs are computed once, so a product with the same b costs one
+    forward transform of each of a's limbs and one inverse per limb product:
+    1 + 1 on whole residues, 1 + 2 where b alone is split, 2 + 3 where both
+    are.  With `batched` the operands are 2-D, one series per row.
     """
 
     def __init__(self, b, p, out_len, la=None, batched=False):
         b = np.asarray(b[:out_len], dtype=np.int64)
         la = out_len if la is None else min(la, out_len)
         self.p, self.out_len = p, out_len
-        self.nfft, self.s = _plan(la, len(b), p, batched)
-        self.b = _limbs(b, p, self.s)
+        self.nfft, self.sa, self.sb = _plan(la, len(b), p, batched)
+        self.b = _limbs(b, p, self.sb)
         if self.nfft:
             self.b = [np.fft.rfft(x, self.nfft) for x in self.b]
 
@@ -196,7 +210,7 @@ class _Multiplier:
         out = np.zeros(a.shape[:-1] + (self.out_len,), dtype=np.int64)
         if a.shape[-1] == 0 or len(self.b[0]) == 0:
             return out
-        xs = _limbs(a, self.p, self.s)
+        xs = _limbs(a, self.p, self.sa)
         if self.nfft:
             spectra = [np.fft.rfft(x, self.nfft) for x in xs]
 
@@ -208,7 +222,7 @@ class _Multiplier:
             def product(t):
                 return _limb_product(xs, self.b, t, lambda x, y: np.convolve(x, y)[: self.out_len])
 
-        c = _recombine(product, len(xs) + len(self.b) - 1, self.p, self.s)
+        c = _recombine(product, len(xs) + len(self.b) - 1, self.p, self.sb)
         out[..., : c.shape[-1]] = c
         return out
 
@@ -540,8 +554,9 @@ def reversion(a):
             raise AssertionError("Newton invariant broken: low-order residual")
         w = vs.derivative().coeffs[:m].copy()
         w[m - 1] = -m * int(e[m]) * int(v[1]) % p
-        h = _conv_mod(e, w, p, m2)
-        v = (vpad - h) % p
+        # e vanishes below X^m, so the correction e w is X^m e[m:] w
+        vpad[m:] = -_conv_mod(e[m:], w, p, m2 - m) % p
+        v = vpad
     return TruncatedSeries(p, v)
 
 

@@ -8,7 +8,8 @@ the package is imported and these are run:
 - `pdseq check` (text, --format json and --list);
 - `seq`, `kernel` and `dfao` on every catalog name, at small sizes;
 - `complexity` on every language, `ore` on u and on a generalized
-  Thue-Morse inverse, and `invert` on a series and on the shortest one;
+  Thue-Morse inverse, and `invert` on a series, on the shortest one and on
+  -X/(1-X) at p = 1000003, whose products split a limb;
 - `catalog.cross_check(name, 100)` for every name.
 
 Run as `python tests/reachability.py TMPDIR` with pdseq importable; the
@@ -44,9 +45,10 @@ def run_product(tmp_dir):
     from pdseq.cli import main
 
     tmp_dir = pathlib.Path(tmp_dir)
-    d_series, shortest = tmp_dir / "d.json", tmp_dir / "shortest.json"
+    d_series, shortest, large_p = tmp_dir / "d.json", tmp_dir / "shortest.json", tmp_dir / "large_p.json"
     d_series.write_text(catalog.generating_function("d", 64).to_json())
     shortest.write_text(json.dumps({"p": 2, "coeffs": [0]}))
+    large_p.write_text(json.dumps({"p": 1000003, "coeffs": [0] + [1000002] * 199}))
     runs = [
         ["check"],
         ["check", "--format", "json", "ans-numeration"],
@@ -55,6 +57,7 @@ def run_product(tmp_dir):
         ["ore", "up2", "--precision", "64"],
         ["invert", str(d_series)],
         ["invert", str(shortest)],
+        ["invert", str(large_p)],
         ["dfao", "d", "--dot"],
     ]
     for name in catalog.sequence_names():

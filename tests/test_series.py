@@ -73,14 +73,14 @@ ADVERSARIAL_PRIMES = [2, 3, 65521, 1000003, 2**31 - 1]
 
 def switch_lengths(p, limit=10300):
     """Lengths L where the plan for two operands of L coefficients changes
-    (direct/FFT, limb split, refusal), with their neighbours."""
+    (direct/FFT, limb split of b or of both, refusal), with their neighbours."""
 
     def plan(n):
         try:
-            nfft, s = series._plan(n, n, p)
+            nfft, sa, sb = series._plan(n, n, p)
         except ValueError:
             return "refused"
-        return (nfft > 0, s)
+        return (nfft > 0, sa, sb)
 
     points = {1, 2, 3}
     for n in range(2, limit):
@@ -132,39 +132,68 @@ class TestConvolution:
             assert [int(x) for x in got.coeffs] == int_conv([p - 1] * n, [p - 1] * n, p, n)
 
     def test_plans_cover_the_switches(self):
-        # both sides of the direct/FFT switch, and of the limb split for
-        # 65521 (whole residues up to about 2^14 terms) and 2^31-1 (whole
-        # residues for a few terms, then limbs, then refusal)
-        assert series._plan(128, 128, 3) == (0, 0)
-        assert series._plan(129, 129, 3) == (512, 0)
-        assert series._plan(1 << 14, 1 << 14, 65521) == (1 << 15, 0)
-        assert series._plan(1 << 15, 1 << 15, 65521) == (1 << 16, 8)
-        assert series._plan(8, 8, 2**31 - 1) == (0, 0)
-        assert series._plan(9, 9, 2**31 - 1) == (0, 16)
-        assert series._plan(256, 256, 2**31 - 1) == (512, 16)
-        assert series._plan(10201, 10201, 2**31 - 1) == (32768, 16)
+        # both sides of the direct/FFT switch, and of the limb splits for
+        # 65521 (whole residues up to about 19,200 terms, then b split),
+        # 1000003 (b split from 140 terms) and 2^31-1 (whole residues for a
+        # few terms, then b split, then both split on the FFT path, then
+        # refusal)
+        assert series._plan(128, 128, 3) == (0, 0, 0)
+        assert series._plan(129, 129, 3) == (512, 0, 0)
+        assert series._plan(1 << 14, 1 << 14, 65521) == (1 << 15, 0, 0)
+        assert series._plan(1 << 15, 1 << 15, 65521) == (1 << 16, 0, 8)
+        assert series._plan(4096, 4096, 1000003) == (8192, 0, 10)
+        assert series._plan(8, 8, 2**31 - 1) == (0, 0, 0)
+        assert series._plan(9, 9, 2**31 - 1) == (0, 0, 16)
+        assert series._plan(256, 256, 2**31 - 1) == (512, 16, 16)
+        assert series._plan(10201, 10201, 2**31 - 1) == (32768, 16, 16)
         with pytest.raises(ValueError, match="no exact product path"):
             series._plan(10202, 10202, 2**31 - 1)
 
-    @pytest.mark.parametrize("n", [9, 300])
-    def test_both_operands_split(self, n):
-        # the bound of a limb plan holds only if both operands are split
-        # into limbs of at most 2^(s-1), on the direct and the FFT path
-        p = 2**31 - 1
-        s = series._plan(n, n, p)[1]
+    @pytest.mark.parametrize(
+        "p, n, plan",
+        [(2**31 - 1, 9, (0, 0, 16)), (2**31 - 1, 300, (1024, 16, 16)), (1000003, 4096, (8192, 0, 10))],
+        ids=["direct-b", "fft-both", "fft-b"],
+    )
+    def test_each_operand_split_to_its_width(self, p, n, plan):
+        # the bound of a plan holds only if each operand is kept whole or
+        # split into limbs of at most 2^(s-1) for its own width s: b alone on
+        # the direct path and on the FFT path, both on the FFT path
+        assert series._plan(n, n, p) == plan
         seen = []
 
         def limbs(x, p, s):
             out = real_limbs(x, p, s)
-            seen.append(max(int(np.abs(v).max()) for v in out))
+            seen.append((s, len(out), max(int(np.abs(v).max()) for v in out)))
             return out
 
         real_limbs = series._limbs
         a = np.full(n, p // 2, dtype=np.int64)
+        b = np.full(n, (p + 1) // 2, dtype=np.int64)
         with mock.patch.object(series, "_limbs", limbs):
-            got = series._conv_mod(a, a, p, n)
-        assert len(seen) == 2 and max(seen) <= 1 << (s - 1)
-        assert [int(x) for x in got] == int_conv(a, a, p, n)
+            got = series._conv_mod(a, b, p, n)
+        # b's limbs are made when the multiplier is built, a's at the product
+        assert [s for s, _, _ in seen] == [plan[2], plan[1]]
+        for s, count, top in seen:
+            assert count == (2 if s else 1)
+            assert top <= (1 << (s - 1) if s else p // 2)
+        assert [int(x) for x in got] == int_conv(a, b, p, n)
+
+    @pytest.mark.parametrize(
+        "p, switch, before, after",
+        [(65521, 19226, (0, 0), (0, 8)), (1000003, 72191, (0, 10), (10, 10))],
+        ids=["whole-b", "b-both"],
+    )
+    @pytest.mark.parametrize("kinds", [("p-1", "p-1"), ("half", "-half")], ids=["p-1", "half"])
+    def test_conv_mod_beside_switches_past_10300(self, p, switch, before, after, kinds):
+        # switch_lengths stops at 10300 terms, before 65521's whole -> b split
+        # switch and 1000003's b split -> both split switch; products of
+        # n <= switch + 1 terms truncated to n are prefixes of the largest
+        assert series._plan(switch - 1, switch - 1, p)[1:] == before
+        assert series._plan(switch, switch, p)[1:] == after
+        a, b = (adversarial(p, switch + 1, kind, None) for kind in kinds)
+        want = int_conv(a, b, p, switch + 1)
+        for n in (switch - 1, switch, switch + 1):
+            assert [int(x) for x in series._conv_mod(a[:n], b[:n], p, n)] == want[:n]
 
     @given(
         st.sampled_from(ADVERSARIAL_PRIMES),
