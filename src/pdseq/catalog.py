@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from . import automata, series
+from . import automata, exact, series
 from .automata import Dfa, Dfao
 from .morphisms import Morphism, fixed_point_prefix, morphic_word_prefix, run_lengths
 
@@ -298,7 +298,7 @@ def generalized_tm_relation(p):
 
 def inverse_gtm_series(p, precision):
     """Formal inverse of the generalized Thue-Morse generating function."""
-    series._check_modulus(p)  # before building terms: p <= 1 would never fill them
+    exact.check_modulus(p)  # before building terms: p <= 1 would never fill them
     t = series.TruncatedSeries(p, digit_sum_mod_prefix(precision, p))
     return series.reversion(t)
 

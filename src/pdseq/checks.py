@@ -153,9 +153,9 @@ def check_morphism_identities(n_max=7):
     f = catalog.doubled_run_length_morphism()
     g = catalog.doubled_run_length_coding()
     # words are arrays of indices into h's and f's alphabets; g codes f's letters as h's
-    h_table = morphisms._image_table(h, h.alphabet, h.alphabet)
-    f_table = morphisms._image_table(f, f.alphabet, f.alphabet)
-    coding = morphisms._image_table(g, f.alphabet, h.alphabet)
+    h_table = morphisms.image_table(h, h.alphabet, h.alphabet)
+    f_table = morphisms.image_table(f, f.alphabet, f.alphabet)
+    coding = morphisms.image_table(g, f.alphabet, h.alphabet)
 
     def word(m, *letters):
         return np.array([m.alphabet.index(a) for a in letters])
@@ -165,11 +165,11 @@ def check_morphism_identities(n_max=7):
     k = 0  # number of h-applications performed on hw0/hw10
     for n in range(1, n_max + 1):
         while k < 2 * n + 1:
-            hw0, hw10 = morphisms._apply(h_table, hw0), morphisms._apply(h_table, hw10)
+            hw0, hw10 = morphisms.apply(h_table, hw0), morphisms.apply(h_table, hw10)
             k += 1
-        fw2, fw4 = morphisms._apply(f_table, fw2), morphisms._apply(f_table, fw4)
-        parts.append((np.array_equal(hw0, morphisms._apply(coding, fw2)), f"word identity fails for the 0-word at n={n}"))
-        parts.append((np.array_equal(hw10, morphisms._apply(coding, fw4)), f"word identity fails for the 10-word at n={n}"))
+        fw2, fw4 = morphisms.apply(f_table, fw2), morphisms.apply(f_table, fw4)
+        parts.append((np.array_equal(hw0, morphisms.apply(coding, fw2)), f"word identity fails for the 0-word at n={n}"))
+        parts.append((np.array_equal(hw10, morphisms.apply(coding, fw4)), f"word identity fails for the 10-word at n={n}"))
     return _fail(parts) + (f"n=1..{n_max}",)
 
 

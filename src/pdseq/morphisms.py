@@ -3,7 +3,7 @@
 The letters of one alphabet are all ints (digits) or all strings (named
 states); a Morphism holds the images of single letters as tuples.  Words
 are arrays of letter indices, imaged by one vectorized gather from one flat
-table of letter images (_image_table, _apply).  Prefixes of fixed points
+table of letter images (image_table, apply).  Prefixes of fixed points
 and of their codings are int or str numpy arrays, read from such words;
 int letters take automata.letter_dtype, one byte where the alphabet fits.
 Spectral radii of incidence matrices are computed from exact integer
@@ -30,6 +30,8 @@ __all__ = [
     "Morphism",
     "fixed_point_prefix",
     "morphic_word_prefix",
+    "image_table",
+    "apply",
     "remove_erasure",
     "trim_to_prolongable",
     "PerronFrobenius",
@@ -66,7 +68,7 @@ class Morphism:
 # -- fixed points ---------------------------------------------------------
 
 
-def _image_table(m, domain, codomain):
+def image_table(m, domain, codomain):
     """m's images of the letters of domain, as one flat array of indices into codomain.
 
     Returns (flat, start, length): the image of domain[i] is
@@ -84,7 +86,7 @@ def _image_table(m, domain, codomain):
     return flat, np.cumsum(length) - length, length
 
 
-def _apply(table, word):
+def apply(table, word):
     """The image of a word of letter indices, as letter indices: one gather."""
     flat, start, length = table
     lengths = length[word]
@@ -112,14 +114,14 @@ def _fixed_point(m, seed, n):
     if len(image) < 2 or image[0] != seed:
         raise ValueError(f"morphism is not prolongable on {seed!r}")
     letters = m.alphabet
-    table = _image_table(m, letters, letters)
-    w = _apply(table, [letters.index(seed)])
+    table = image_table(m, letters, letters)
+    w = apply(table, [letters.index(seed)])
     done = 1
     while len(w) < n:
         todo = w[done:]
         # the fewest letters whose images, of lengths table[2], fill the n - len(w) still wanted
         todo = todo[: np.searchsorted(np.cumsum(table[2][todo]), n - len(w)) + 1]
-        w = np.concatenate([w, _apply(table, todo)])
+        w = np.concatenate([w, apply(table, todo)])
         done += len(todo)
     return w[:n]
 
@@ -144,7 +146,7 @@ def morphic_word_prefix(f, g, seed, n):
     before a prefix whose pass would need more than physical memory.
     """
     codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
-    coding = _image_table(g, f.alphabet, codomain)
+    coding = image_table(g, f.alphabet, codomain)
     # E, the largest set of letters that g erases and f maps into E*: the
     # erased letters, shrunk until closed
     erased = {a for a in f.alphabet if not g.rules[a]}
@@ -158,7 +160,7 @@ def morphic_word_prefix(f, g, seed, n):
         need = 32 * size
         series.require_memory(need, f"{n} letters need a fixed-point prefix of {size} letters, about {need >> 20} MB")
         prefix = _fixed_point(f, seed, size)
-        word = _apply(coding, prefix)
+        word = apply(coding, prefix)
         if len(word) >= n:
             return _letters(codomain)[word[:n]]
         # the images of the first j letters lie in the prefix; f is non-erasing and

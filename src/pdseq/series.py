@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import check_modulus, nullspace_mod_p
+
 __all__ = [
     "TruncatedSeries",
     "PolyRelation",
@@ -61,31 +63,6 @@ _BERNSTEIN_BASE = 64
 _COLUMNS = 4096
 # bytes per coefficient of compose's products and of reversion's series
 _FFT_BYTES = 256
-
-
-def _is_prime(p):
-    """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751
-    (Jaeschke 1993), so for every p that _check_modulus admits."""
-    if p < 2:
-        return False
-    for a in (2, 3, 5, 7):
-        if p % a == 0:
-            return p == a
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
-    d = (p - 1) >> s
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
-            return False
-    return True
-
-
-def _check_modulus(p):
-    # the size test comes first: _is_prime is exact only below it
-    if p >= 2 and (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"modulus {p} is too large: (p-1)^2 must be below 2^63")
-    if not _is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 def _fft_error(nfft):
@@ -246,7 +223,7 @@ class TruncatedSeries:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        _check_modulus(p)
+        check_modulus(p)
         try:
             c = np.asarray(coeffs, dtype=np.int64) % p
         except OverflowError:  # exact integers past int64 reduce before the conversion
@@ -343,6 +320,10 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        # outside input: a float would truncate silently and a bool pass as an int
+        if not (isinstance(data, dict) and type(data.get("p")) is int and type(data.get("coeffs")) is list
+                and all(type(c) is int for c in data["coeffs"])):
+            raise ValueError('a series must be a JSON object {"p": integer, "coeffs": [integer, ...]}')
         return cls(data["p"], data["coeffs"])
 
 
@@ -575,7 +556,7 @@ class PolyRelation:
     terms: tuple
 
     def __post_init__(self):
-        _check_modulus(self.p)
+        check_modulus(self.p)
         cleaned = []
         seen = set()
         for coeffs, pattern in self.terms:
@@ -615,51 +596,6 @@ def relation_residual(rel, a):
         term = a.pow(e) if kind == "pow" else a.frobenius(e)
         total = (total + _conv_mod(poly, term.coeffs, a.p, n)) % a.p
     return TruncatedSeries(a.p, total)
-
-
-def _rref_mod_p(mat, p):
-    """Reduced row-echelon form of mat over F_p, as (rows, pivots, found).
-
-    Row i of rows has its leading 1 in column pivots[i] and a 0 in every
-    other pivot column, and found[i] is the row of mat that raised the rank
-    to i + 1.  Rows come in the order mat yields them, so pivots need not
-    ascend.  Each step reduces only the pivot row and column mod p, so it
-    subtracts at most (p-1)^2 from an entry; the whole block is reduced every
-    (2^63 - p) // (p-1)^2 steps, before int64 could wrap, and at the end.
-    """
-    if (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"modulus {p} is too large for int64 row reduction")
-    b = np.array(mat, dtype=np.int64)
-    b %= p
-    interval = (2**63 - p) // (p - 1) ** 2
-    found, pivots = [], []
-    for i in range(len(b)):
-        b[i] %= p
-        nz = np.flatnonzero(b[i])
-        if not len(nz):
-            continue
-        c = int(nz[0])
-        b[i] = b[i] * pow(int(b[i, c]), p - 2, p) % p
-        col = b[:, c] % p
-        col[i] = 0
-        b -= np.einsum("i,j->ij", col, b[i])  # np.outer would add a broadcast buffer
-        found.append(i)
-        pivots.append(c)
-        if len(found) % interval == 0:
-            b %= p
-    b = b if len(found) == len(b) else b[found]
-    b %= p
-    return b, pivots, found
-
-
-def _nullspace_mod_p(mat, p):
-    """Basis of the right nullspace of mat over F_p, a list of vectors (empty at full column rank)."""
-    rows, pivots, _ = _rref_mod_p(mat, p)
-    free = np.delete(np.arange(mat.shape[1]), pivots)
-    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rows[:, free].T % p
-    return list(basis)
 
 
 def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
@@ -702,7 +638,7 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
         col += 1
 
     system = columns[:, :n_find].T % p
-    basis = _nullspace_mod_p(system, p)
+    basis = nullspace_mod_p(system, p)
     if not basis:
         return None
 
@@ -710,7 +646,7 @@ def power_relation_search(a, max_frobenius_depth, max_coeff_degree):
     # also annihilate the second half of the coefficients
     full = columns.T % p
     reduced = _matmul_mod(full, np.column_stack(basis), p)
-    basis2 = _nullspace_mod_p(reduced, p)
+    basis2 = nullspace_mod_p(reduced, p)
     if not basis2:
         return None
     # each survivor is basis . c with full @ basis @ c = 0: it annihilates

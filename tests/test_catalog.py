@@ -297,7 +297,7 @@ class TestComplementForms:
     def test_exchange_morphism(self):
         e = morphisms.Morphism({0: (1,), 1: (0,)})
         d = catalog.sequence("d").prefix(64)
-        swapped = morphisms._apply(morphisms._image_table(e, (0, 1), (0, 1)), d)
+        swapped = morphisms.apply(morphisms.image_table(e, (0, 1), (0, 1)), d)
         assert swapped.tolist() == (1 - d).tolist()
 
 

@@ -138,6 +138,28 @@ class TestInvertCommand:
         assert code == 2
         assert err == "error: out of memory\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"coeffs": [0, 1]}',
+            "[0, 1]",
+            '{"p": "2", "coeffs": [0, 1]}',
+            '{"p": 2.0, "coeffs": [0, 1, 1]}',
+            '{"p": 3, "coeffs": [0, 1, null]}',
+            '{"p": 2, "coeffs": [0, 1.5]}',
+            '{"p": 2, "coeffs": "01"}',
+            '{"p": true, "coeffs": [0, 1]}',
+            '{"p": 2, "coeffs": [0, true]}',
+        ],
+    )
+    def test_malformed_series_refused(self, capsys, tmp_path, text):
+        # a float would truncate silently (1.5 to 1) and a bool pass as an int
+        path = tmp_path / "series.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "invert", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestKernelCommand:
     def test_json_report(self, capsys):

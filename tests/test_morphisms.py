@@ -13,8 +13,8 @@ from pdseq import catalog, morphisms, series
 from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
-    _apply,
-    _image_table,
+    apply,
+    image_table,
     equivalent_up_to_renaming,
     fixed_point_prefix,
     morphic_word_prefix,
@@ -212,12 +212,12 @@ class TestFixedPoints:
         # the one-gather image of a word of letter indices is the
         # concatenation of the letters' images, and so a homomorphism
         letters = m.alphabet
-        table = _image_table(m, letters, letters)
+        table = image_table(m, letters, letters)
         word = np.array(data.draw(st.lists(st.integers(0, len(letters) - 1), max_size=50)), dtype=np.int64)
         cut = data.draw(st.integers(0, len(word)))
-        image = _apply(table, word)
+        image = apply(table, word)
         assert [letters[i] for i in image] == [b for i in word for b in m.rules[letters[i]]]
-        assert image.tolist() == _apply(table, word[:cut]).tolist() + _apply(table, word[cut:]).tolist()
+        assert image.tolist() == apply(table, word[:cut]).tolist() + apply(table, word[cut:]).tolist()
 
 
 class TestErasureRemoval:

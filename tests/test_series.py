@@ -227,29 +227,6 @@ class TestConvolution:
     def test_huge_modulus_refused(self):
         with pytest.raises(ValueError, match="too large"):
             TruncatedSeries(2**61 - 1, [0, 1])
-        with pytest.raises(ValueError, match="too large"):
-            series._rref_mod_p(np.zeros((2, 2), dtype=np.int64), 2**61 - 1)
-
-
-class TestPrimality:
-    @given(st.integers(0, 3_037_000_500))
-    @settings(max_examples=500, deadline=None)
-    def test_against_sympy(self, n):
-        sympy = pytest.importorskip("sympy")
-        assert series._is_prime(n) == sympy.isprime(n)
-
-    def test_small_numbers_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        assert [n for n in range(-3, 5000) if series._is_prime(n)] == list(sympy.primerange(5000))
-
-    def test_strong_pseudoprime_to_2_3_5(self):
-        # 25,326,001 = 2251 * 11251 passes Miller-Rabin to the bases 2, 3 and 5; base 7 rejects it
-        assert not series._is_prime(25_326_001)
-
-    def test_size_test_comes_first(self):
-        # 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7
-        with pytest.raises(ValueError, match="too large"):
-            series._check_modulus(3_215_031_751)
 
 
 class TestMul:
@@ -584,57 +561,3 @@ class TestPowerRelationSearch:
         small = TruncatedSeries.identity(2, 32)
         with pytest.raises(ValueError, match="precision"):
             power_relation_search(small, 3, 8)
-
-    @given(st.sampled_from([2, 3, 65521, 2**31 - 1, 3_037_000_493]), st.integers(1, 12), st.integers(1, 6), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_rref_against_sympy(self, p, nrows, ncols, data):
-        # at the two largest primes the whole block is reduced every 2
-        # pivots and every pivot
-        entry = st.one_of(st.integers(-2, 2), st.integers(-(2**40), 2**40))
-        mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
-        assert_rref_matches_sympy(np.array(mat, dtype=np.int64), p)
-
-    @pytest.mark.parametrize("p", [2**31 - 1, 3_037_000_493])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_rref_uniform_residues(self, p, seed):
-        # uniform residues make the products of lazy elimination near
-        # (p-1)^2, so one pivot more between full reductions would wrap int64
-        # in the rows that become pivot rows late, past the last pivot column
-        assert_rref_matches_sympy(np.random.default_rng(seed).integers(0, p, size=(12, 24)), p)
-
-    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 8), st.integers(1, 8), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_nullspace_against_sympy_rank(self, p, nrows, ncols, data):
-        # cols - rank vectors, each annihilated by every row in Python ints,
-        # and independent over GF(p)
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.matrices import DomainMatrix
-
-        entry = st.one_of(st.integers(-2, 2), st.integers(0, p - 1))
-        mat = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
-        basis = series._nullspace_mod_p(np.array(mat, dtype=np.int64), p)
-        field = sympy.GF(p)
-
-        def rank(rows):
-            return DomainMatrix([[field(int(x)) for x in row] for row in rows], (len(rows), ncols), field).rank()
-
-        assert len(basis) == ncols - rank(mat)
-        assert all(sum(a * int(x) for a, x in zip(row, v)) % p == 0 for v in basis for row in mat)
-        assert not basis or rank(basis) == len(basis)
-
-
-def assert_rref_matches_sympy(mat, p):
-    """Oracle: sympy's reduced row-echelon form over GF(p); ours holds the
-    same nonzero rows in the order their pivots were found."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    field = sympy.GF(p)
-    want, want_pivots = DomainMatrix([[field(int(x)) for x in row] for row in mat], mat.shape, field).rref()
-    rows, pivots, found = series._rref_mod_p(mat, p)
-    order = np.argsort(pivots)
-    assert [pivots[i] for i in order] == list(want_pivots)
-    assert rows[order].tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()[: len(pivots)]]
-    # the rows that raised the rank span it on their own, in the order found
-    assert found == sorted(found)
-    assert series._rref_mod_p(mat[found], p)[2] == list(range(len(found)))
