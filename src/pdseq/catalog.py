@@ -108,39 +108,6 @@ def generalized_tm_morphism(p):
     return Morphism({a: tuple((a + i) % p for i in range(p)) for a in range(p)})
 
 
-def fib_indicator_product_morphism():
-    """The morphism read off the product of the Zeckendorf-language DFA and
-    the Fibonacci-indicator DFAO, with the bootstrap letter z."""
-    rules = {
-        "z": ("z", "a0"),
-        "a0": ("a1", "a2"),
-        "a1": ("a1", "a4"),
-        "a2": ("a3", "a7"),
-        "a3": ("a3", "a6"),
-        "a4": ("a4", "a7"),
-        "a5": ("a5", "a6"),
-        "a6": ("a5", "a7"),
-        "a7": ("a7", "a7"),
-    }
-    return Morphism(rules)
-
-
-def fib_indicator_erasing_coding():
-    return Morphism(
-        {
-            "z": (),
-            "a0": (0,),
-            "a1": (),
-            "a2": (1,),
-            "a3": (1,),
-            "a4": (),
-            "a5": (0,),
-            "a6": (0,),
-            "a7": (),
-        }
-    )
-
-
 def golden_morphism():
     return Morphism(
         {

@@ -6,11 +6,12 @@ are arrays of letter indices, imaged by one vectorized gather from one flat
 table of letter images (image_table, apply).  Prefixes of fixed points
 and of their codings are int or str numpy arrays, read from such words;
 int letters take automata.letter_dtype, one byte where the alphabet fits.
-Spectral radii of incidence matrices are computed from exact integer
-characteristic polynomials with Sturm-sequence root isolation; no
-floating-point linear algebra is involved.  An integer or quadratic spectral
-radius gets an exact tag, found without search: each candidate divisor is
-fixed by the isolated root.  Multiplicative independence is decided
+A DFAO in an abstract numeration system becomes a morphism and an erasing
+coding (ans_presentation), and erasure removal and trimming reshape such a
+pair without changing its word.  The spectral radius of an incidence matrix
+is described exactly, as an integer or a quadratic minimal polynomial,
+from the integer characteristic polynomial with Sturm-sequence root
+isolation and exact divisor tests.  Multiplicative independence is decided
 exactly, by integer division, for integers and for a quadratic against an
 integer; two quadratics are refused.
 """
@@ -19,22 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import ceil, floor, isqrt
 
 import numpy as np
 
 from . import series
-from .automata import breadth_first, letter_dtype
+from .automata import MSD_FIRST, breadth_first, letter_dtype, product
 
 __all__ = [
     "Morphism",
     "fixed_point_prefix",
     "morphic_word_prefix",
+    "ans_presentation",
     "image_table",
     "apply",
     "remove_erasure",
     "trim_to_prolongable",
-    "PerronFrobenius",
     "ExactEigenvalue",
     "pf_eigenvalue",
     "multiplicatively_independent",
@@ -147,11 +148,7 @@ def morphic_word_prefix(f, g, seed, n):
     """
     codomain = tuple(dict.fromkeys(b for w in g.rules.values() for b in w))
     coding = image_table(g, f.alphabet, codomain)
-    # E, the largest set of letters that g erases and f maps into E*: the
-    # erased letters, shrunk until closed
-    erased = {a for a in f.alphabet if not g.rules[a]}
-    while (closed := {a for a in erased if erased.issuperset(f.rules[a])}) != erased:
-        erased = closed
+    erased = _erased_closure(f, g)
     in_closed = np.array([a in erased for a in f.alphabet])
     lengths = np.array([len(f.rules[a]) for a in f.alphabet])
     size = n
@@ -172,27 +169,51 @@ def morphic_word_prefix(f, g, seed, n):
         size *= 2
 
 
+def ans_presentation(language, m):
+    """A morphism f, prolongable on "z", and a coding g such that
+    g(f^omega(z)) lists m's outputs on the words of language in genealogical
+    order, the values that evaluate_range(m, n, language) returns.
+
+    The other letters are the states q0, q1, ... of product(language, m),
+    numbered breadth first: z -> z q0, and q -> its successors on the
+    alphabet's letters in order.  Then f^(j+1)(z) = f^j(z) f^j(q0), and
+    f^j(q0) lists the states reached on the words of length j in
+    lexicographic order; g keeps m's output at the accepted ones and erases
+    the rest (Rigo, TCS 244, 2000).  Both automata read MSD-first.
+    """
+    pairs = product(language, m)
+    if pairs.read_order != MSD_FIRST:
+        raise ValueError("words of a numeration system are read MSD-first")
+    names = [f"q{s}" for s in range(pairs.num_states)]
+    f = {"z": ("z", "q0")} | {q: tuple(names[t] for t in row) for q, row in zip(names, pairs.table.tolist())}
+    g = {"z": ()} | {q: (out,) if accepted else () for q, (accepted, out) in zip(names, pairs.outputs)}
+    return Morphism(f), Morphism(g)
+
+
 # -- erasure removal ------------------------------------------------------
 
 
-def remove_erasure(f, g, erasable):
-    """Push an erasing coding through the iterated morphism.
+def _erased_closure(f, g):
+    """E, the largest set of letters that g erases and f maps into E*: the
+    erased letters, shrunk until closed."""
+    erased = {a for a in f.alphabet if not g.rules[a]}
+    while (closed := {a for a in erased if erased.issuperset(f.rules[a])}) != erased:
+        erased = closed
+    return erased
 
-    erasable must be a set of letters that g erases and that f maps into
-    words over erasable letters only (a submorphism).  Dropping those
-    letters from every f-image and restricting both maps to the rest leaves
-    the generated word unchanged.
+
+def remove_erasure(f, g):
+    """Drop from f and g the letters of E, the largest set of letters that g
+    erases and f maps into E*; the generated word is unchanged.
+
+    Let p be the morphism that erases the letters of E, and f_E, g_E the
+    results.  p f = f_E p, since f maps a letter of E into E*, and
+    g = g_E p, since g erases E.  So g(f^j(s)) = g_E(f_E^j(p(s))) for every
+    seed s and j: the coded iterates, and so the coded fixed point, agree.
     """
-    erasable = set(erasable)
-    for c in erasable:
-        if c not in f.rules:
-            raise ValueError(f"letter {c!r} not in the domain")
-        if g.rules.get(c, None) != ():
-            raise ValueError(f"letter {c!r} is not erased by the coding")
-        if any(x not in erasable for x in f.rules[c]):
-            raise ValueError(f"image of {c!r} leaves the erasable subalphabet")
-    keep = [a for a in f.alphabet if a not in erasable]
-    f_eps = Morphism({a: tuple(x for x in f.rules[a] if x not in erasable) for a in keep})
+    erased = _erased_closure(f, g)
+    keep = [a for a in f.alphabet if a not in erased]
+    f_eps = Morphism({a: tuple(x for x in f.rules[a] if x not in erased) for a in keep})
     g_eps = Morphism({a: g.rules[a] for a in keep})
     return f_eps, g_eps
 
@@ -202,8 +223,10 @@ def trim_to_prolongable(f, g, seed):
 
     Requires f(seed) = seed w for a single letter w that never occurs in
     other images (and the seed itself occurs nowhere else).  The returned
-    morphism maps w to w f(w), which is prolongable on w and generates the
-    original word with the erased seed removed.
+    morphism f' maps w to w f(w) and agrees with f on every other letter.
+    The fixed point of f is seed w f(w) f^2(w) ...; no letter of f^j(w),
+    j >= 1, is w, so f'^j(w) = w f(w) ... f^j(w), and the fixed point of f'
+    from w is that of f without its seed, which the coding erases.
     """
     image = f.rules.get(seed)
     if image is None:
@@ -263,12 +286,6 @@ class ExactEigenvalue:
         return out
 
 
-@dataclass(frozen=True)
-class PerronFrobenius:
-    value: float
-    tag: ExactEigenvalue | None
-
-
 def _poly_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
@@ -322,40 +339,13 @@ def _sign_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-_ROOT_WIDTH = Fraction(1, 10**14)  # of the interval largest_real_root returns
-
-
-def largest_real_root(int_poly):
-    """Isolating interval (lo, hi] of the largest real root, exact endpoints.
-
-    int_poly has integer coefficients, lowest degree first; it must have at
-    least one real root.  Returns (lo, hi).
-    """
-    chain = _sturm_chain([Fraction(c) for c in int_poly])
-    g = chain[-1]  # gcd(p, p') up to a constant
-    if len(g) > 1:  # repeated roots: count on the squarefree part instead
-        chain = _sturm_chain(_poly_divmod(chain[0], g)[0])
-    p = chain[0]
-    lead = p[-1]
-    bound = Fraction(1) + max(abs(c / lead) for c in p)
-    lo, hi = -bound, bound
-    if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 0:
-        raise ValueError("polynomial has no real root")
-    # keep hi above every root, move lo up to just below the largest root
-    while hi - lo > _ROOT_WIDTH:
-        mid = (lo + hi) / 2
-        if _sign_variations(chain, mid) - _sign_variations(chain, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _char_poly(matrix):
     """det(xI - M) as integer coefficients, lowest degree first.
 
-    Leverrier-Faddeev via Newton's identities on exact power sums; the
-    elementary symmetric functions of an integer matrix are integers.
+    Leverrier-Faddeev via Newton's identities on exact power sums, in
+    Python ints: k e_k is an integer combination of the power sums, and the
+    elementary symmetric functions e_k of an integer matrix are integers,
+    so each division by k is exact; a remainder raises ArithmeticError.
     """
     m = np.asarray(matrix, dtype=object)
     n = m.shape[0]
@@ -363,74 +353,64 @@ def _char_poly(matrix):
     s = []
     for _ in range(n):
         power = power @ m
-        s.append(Fraction(int(np.trace(power))))
-    e = [Fraction(1)]
+        s.append(int(np.trace(power)))
+    e = [1]
     for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
-        e.append(acc / k)
-    coeffs = [(-1) ** k * e[k] for k in range(n + 1)]  # x^(n-k) coefficient
-    out = list(reversed(coeffs))
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
-
-
-def _exact_tag(int_poly, lo, hi):
-    """Integer or monic-quadratic tag for the root isolated in (lo, hi].
-
-    A monic quadratic x^2 + b x + c with that root r has c = -r^2 - b r, so
-    for each b the only candidate c is the integer nearest -mid^2 - b mid,
-    mid the midpoint: the two differ by about |r - mid| |2 mid + b|, far
-    below 1/2 for every b in range.
-    """
-    p = [Fraction(c) for c in int_poly]
-    # the interval is narrower than 1, so floor(hi) is the one integer candidate
-    k = floor(hi)
-    if lo < k and _poly_eval(p, Fraction(k)) == 0:
-        return ExactEigenvalue.integer(k)
-    # monic quadratic divisors x^2 + b x + c with the isolated root inside
-    bound = int(hi) + 1
-    mid = (lo + hi) / 2
-    for b in range(-2 * bound - 2, 2 * bound + 3):
-        c = round(-mid * mid - b * mid)
-        if abs(c) > bound * bound + bound + 2:
-            continue
-        disc = b * b - 4 * c
-        if disc <= 0 or isqrt(disc) ** 2 == disc:
-            continue  # want a quadratic irrational
-        q = [Fraction(c), Fraction(b), Fraction(1)]
-        vlo, vhi = _poly_eval(q, lo), _poly_eval(q, hi)
-        if not (vhi == 0 or (vlo < 0 < vhi) or (vhi < 0 < vlo)):
-            continue  # q has no root in (lo, hi]
-        _, rem = _poly_divmod(p, q)
-        if len(rem) == 1 and rem[0] == 0:
-            return ExactEigenvalue.quadratic(c, b)
-    return None
+        e_k, rem = divmod(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)), k)
+        if rem:
+            raise ArithmeticError(f"Newton's identities give e_{k} with remainder {rem} mod {k}")
+        e.append(e_k)
+    return [(-1) ** k * e[k] for k in range(n, -1, -1)]  # e_k gives the x^(n-k) coefficient
 
 
 def pf_eigenvalue(matrix):
-    """Spectral radius of a square nonnegative integer matrix.
+    """Exact tag of the spectral radius r of a square nonnegative integer matrix.
 
-    By Perron-Frobenius the spectral radius of a nonnegative matrix is one
-    of its eigenvalues, so it is the largest real root of det(xI - M).  The
-    result carries a float accurate to 1e-9 and, when that root is an
-    integer or a quadratic irrational, an exact tag.
+    By Perron-Frobenius r is an eigenvalue, the largest real root of
+    det(xI - M).  It is 0 for a nilpotent matrix and at least 1 otherwise,
+    since some power of the matrix then has a positive diagonal entry.
+    Sturm counts on the squarefree part isolate r in (lo, hi], with
+    0 < lo < hi < lo + 1, as the only root there.  r is an integer exactly
+    when floor(hi) is a root in the interval, and a quadratic irrational
+    exactly when an irreducible x^2 + b x + c divides the polynomial and
+    changes sign on the interval: then c = r r' divides its lowest nonzero
+    coefficient (Gauss's lemma), and b lies strictly between -(lo + c/lo)
+    and -(hi + c/hi).  Any other r gives None.  No rounding is involved.
     """
     arr = np.asarray(matrix, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     if (arr < 0).any():
         raise ValueError("matrix must be nonnegative")
-    if arr.shape[0] == 0:
-        return PerronFrobenius(0.0, ExactEigenvalue.integer(0))
     poly = _char_poly(arr)
-    lo, hi = largest_real_root(poly)
-    tag = _exact_tag(poly, lo, hi)
-    value = float((lo + hi) / 2)
-    if tag is not None and tag.kind == "integer":
-        value = float(tag.data[0])
-    return PerronFrobenius(value, tag)
+    while poly[0] == 0:  # the root 0 is r only for a nilpotent matrix, whose polynomial is x^n
+        poly = poly[1:]
+    if len(poly) == 1:
+        return ExactEigenvalue.integer(0)
+    chain = _sturm_chain([Fraction(c) for c in poly])
+    if len(chain[-1]) > 1:  # repeated roots: count on the squarefree part instead
+        chain = _sturm_chain(_poly_divmod(chain[0], chain[-1])[0])
+    bound = 1 + max(map(abs, poly[:-1]))  # Cauchy: every root has |x| < bound
+    lo, hi = Fraction(0), Fraction(bound)
+    while hi - lo >= 1 or _sign_variations(chain, lo) - _sign_variations(chain, hi) > 1:
+        mid = (lo + hi) / 2
+        if _sign_variations(chain, mid) - _sign_variations(chain, hi) > 0:
+            lo = mid  # a root, and so the largest, lies above mid
+        else:
+            hi = mid
+    k = floor(hi)  # the one integer that (lo, hi] can hold
+    if lo < k and _poly_eval(poly, k) == 0:
+        return ExactEigenvalue.integer(k)
+    low = abs(poly[0])
+    for d in (d for d in range(1, isqrt(low) + 1) if low % d == 0):
+        for c in {d, -d, low // d, -(low // d)}:
+            # x^2 + b x + c > 0 at x > 0 exactly when b > -(x + c/x); |b| = |r + r'| < 2 bound
+            ends = sorted(-(x + c / x) for x in (lo, hi))
+            for b in range(max(floor(ends[0]) + 1, 1 - 2 * bound), min(ceil(ends[1]), 2 * bound)):
+                # a sign change leaves b^2 - 4c positive; a square would split the quadratic
+                if isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c and _poly_divmod(poly, [c, b, 1])[1] == [0]:
+                    return ExactEigenvalue.quadratic(c, b)
+    return None
 
 
 # -- multiplicative independence -------------------------------------------

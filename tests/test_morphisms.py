@@ -1,5 +1,7 @@
 """Morphism algebra: fixed points, erasure removal, spectra, renamings."""
 
+import ast
+import inspect
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -9,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pdseq import catalog, morphisms, series
+from pdseq import catalog, checks, morphisms, series
+from pdseq.automata import Dfa, Dfao, evaluate_range, word_counts
 from pdseq.morphisms import (
     ExactEigenvalue,
     Morphism,
+    ans_presentation,
     apply,
     image_table,
     equivalent_up_to_renaming,
@@ -25,7 +29,6 @@ from pdseq.morphisms import (
     trim_to_prolongable,
 )
 
-GOLDEN = (1 + 5**0.5) / 2
 PRIMES = (2, 3, 5, 7, 2**61 - 1)
 
 
@@ -47,6 +50,32 @@ def prolongable_morphisms(draw):
     rules = {a: draw(image) for a in letters}
     rules[letters[0]] = (letters[0],) + draw(image)
     return Morphism(rules), letters[0]
+
+
+@st.composite
+def numeration_systems(draw):
+    """An MSD-first DFA and DFAO on 1-5 states each, over the digits 0..k-1, k = 2 or 3.
+
+    Half the time no transition of the DFA re-enters its initial state.
+    """
+    k = draw(st.integers(2, 3))
+
+    def automaton(output):
+        n = draw(st.integers(1, 5))
+        first = int(n > 1 and draw(st.booleans()))
+        table = [[draw(st.integers(first, n - 1)) for _ in range(k)] for _ in range(n)]
+        return range(n), 0, range(k), table, [draw(output) for _ in range(n)], "msd"
+
+    return Dfa(*automaton(st.booleans())), Dfao(*automaton(st.integers(0, 3)))
+
+
+def fib_presentation():
+    """x's Zeckendorf automaton as a morphism and an erasing coding."""
+    return ans_presentation(catalog.zeckendorf_language_dfa(), catalog.fibonacci_indicator_dfao())
+
+
+def iterate(m, word):
+    return [b for a in word for b in m.rules[a]]
 
 
 @st.composite
@@ -220,26 +249,66 @@ class TestFixedPoints:
         assert image.tolist() == apply(table, word[:cut]).tolist() + apply(table, word[cut:]).tolist()
 
 
+class TestPresentation:
+    @given(numeration_systems(), st.integers(0, 1 << 10))
+    @settings(max_examples=200, deadline=None)
+    def test_word_is_the_dfao_in_the_numeration_system(self, system, n):
+        language, m = system
+        f, g = ans_presentation(language, m)
+        # the words of at most 12 binary or 7 ternary digits lie in a fixed-point prefix of 2^13 letters
+        short = 12 if len(language.alphabet) == 2 else 7
+        counts = [int(row[language.initial]) for row in word_counts(language, short)]
+        # an s-state DFA accepting a word of length s..2s-1 accepts infinitely many
+        s = language.num_states
+        if not any(counts[s : 2 * s]) and n > sum(counts):
+            with pytest.raises(ValueError, match="fewer than"):
+                evaluate_range(m, n, language)
+            with pytest.raises(ValueError, match=f"fewer than {n}"):
+                morphic_word_prefix(f, g, "z", n)
+            return
+        n = min(n, sum(counts))
+        assert morphic_word_prefix(f, g, "z", n).tolist() == evaluate_range(m, n, language).tolist()
+
+    def test_positions_of_ones_mod_3(self):
+        value_mod_3 = Dfao(range(3), 0, (0, 1), [[2 * r % 3, (2 * r + 1) % 3] for r in range(3)], range(3), "msd")
+        f, g = ans_presentation(catalog.ones_positions_language_dfa(), value_mod_3)
+        assert len(f.alphabet) == 15
+        want = catalog.sequence("a").prefix(10**4) % 3
+        assert morphic_word_prefix(f, g, "z", 10**4).tolist() == want.tolist()
+
+    def test_lsd_first_refused(self):
+        with pytest.raises(ValueError, match="MSD-first"):
+            ans_presentation(Dfa(["all"], 0, (0, 1), [[0, 0]], [True], "lsd"), catalog.inverse_pd_dfao())
+
+
 class TestErasureRemoval:
-    def test_empty_subalphabet_is_identity(self):
-        f = catalog.fib_indicator_product_morphism()
-        g = catalog.fib_indicator_erasing_coding()
-        f2, g2 = remove_erasure(f, g, set())
+    def test_coding_that_erases_nothing_is_identity(self):
+        f, g = catalog.golden_morphism(), catalog.golden_coding()
+        f2, g2 = remove_erasure(f, g)
         assert f2.rules == f.rules and g2.rules == g.rules
 
-    def test_submorphism_violation(self):
-        f = catalog.fib_indicator_product_morphism()
-        g = catalog.fib_indicator_erasing_coding()
-        with pytest.raises(ValueError, match="subalphabet"):
-            remove_erasure(f, g, {"a1"})  # image of a1 contains a4
-
     def test_word_preserved(self):
-        f = catalog.fib_indicator_product_morphism()
-        g = catalog.fib_indicator_erasing_coding()
-        fe, ge = remove_erasure(f, g, {"a1", "a4", "a7"})
+        f, g = fib_presentation()
+        fe, ge = remove_erasure(f, g)
+        assert sorted(set(f.alphabet) - set(fe.alphabet)) == ["q1", "q3", "q5"]
         before = morphic_word_prefix(f, g, "z", 200)
         after = morphic_word_prefix(fe, ge, "z", 200)
         assert before.tolist() == after.tolist()
+
+    @given(prolongable_morphisms(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_coded_iterates_preserved(self, morphism_and_seed, data):
+        # with p the projection that erases the dropped letters, g f^j = g_E f_E^j p
+        f, seed = morphism_and_seed
+        g = Morphism({a: data.draw(st.lists(st.sampled_from("xy"), max_size=2)) for a in f.alphabet})
+        fe, ge = remove_erasure(f, g)
+        assert all(not g.rules[a] for a in f.alphabet if a not in fe.rules)
+        word, kept = [seed], [seed] if seed in fe.rules else []
+        for _ in range(5):
+            assert iterate(g, word) == iterate(ge, kept)
+            word, kept = iterate(f, word), iterate(fe, kept)
+        # the dropped set is the largest one: a second pass drops nothing
+        assert remove_erasure(fe, ge)[0].rules == fe.rules
 
     def test_trim_requires_erased_seed(self):
         phi = catalog.golden_morphism()
@@ -248,51 +317,75 @@ class TestErasureRemoval:
             trim_to_prolongable(phi, mu, "a")
 
     def test_trim_preserves_word(self):
-        f = catalog.fib_indicator_product_morphism()
-        g = catalog.fib_indicator_erasing_coding()
-        fe, ge = remove_erasure(f, g, {"a1", "a4", "a7"})
+        fe, ge = remove_erasure(*fib_presentation())
         fp, gp, seed = trim_to_prolongable(fe, ge, "z")
-        assert seed == "a0"
+        assert seed == "q0"
         assert morphic_word_prefix(fp, gp, seed, 200).tolist() == morphic_word_prefix(fe, ge, "z", 200).tolist()
+
+    @given(numeration_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_trim_drops_only_the_seed(self, system):
+        fe, ge = remove_erasure(*ans_presentation(*system))
+        if "z" not in fe.rules or any("q0" in w for a, w in fe.rules.items() if a != "z"):
+            with pytest.raises(ValueError):
+                trim_to_prolongable(fe, ge, "z")
+            return
+        fp, gp, seed = trim_to_prolongable(fe, ge, "z")
+        assert seed == "q0" and gp.rules == {a: w for a, w in ge.rules.items() if a != "z"}
+        # f_E^(j+1)(z) = z f'^j(q0), letter for letter
+        word, trimmed = ["z", "q0"], ["q0"]
+        for _ in range(7):
+            assert word == ["z", *trimmed]
+            word, trimmed = iterate(fe, word), iterate(fp, trimmed)
 
 
 class TestSpectra:
     def test_golden_ratio(self):
-        pf = pf_eigenvalue(catalog.golden_morphism().incidence_matrix())
-        assert abs(pf.value - GOLDEN) < 1e-9
-        assert pf.tag == ExactEigenvalue.quadratic(-1, -1)
-        assert str(pf.tag) == "x^2 - x - 1"
+        tag = pf_eigenvalue(catalog.golden_morphism().incidence_matrix())
+        assert tag == ExactEigenvalue.quadratic(-1, -1)
+        assert str(tag) == "x^2 - x - 1"
         # the same shape with a root near 1000
-        pf = pf_eigenvalue([[0, 1], [1, 1000]])
-        assert abs(pf.value - (1000 + 1000004**0.5) / 2) < 1e-9
-        assert pf.tag == ExactEigenvalue.quadratic(-1, -1000)
-        assert str(pf.tag) == "x^2 - 1000x - 1"
+        tag = pf_eigenvalue([[0, 1], [1, 1000]])
+        assert tag == ExactEigenvalue.quadratic(-1, -1000)
+        assert str(tag) == "x^2 - 1000x - 1"
 
     def test_uniform_morphisms_give_the_arity(self):
-        assert pf_eigenvalue(catalog.period_doubling_morphism().incidence_matrix()).tag == ExactEigenvalue.integer(2)
-        assert pf_eigenvalue(catalog.generalized_tm_morphism(2).incidence_matrix()).tag == ExactEigenvalue.integer(2)
-        assert pf_eigenvalue(catalog.generalized_tm_morphism(3).incidence_matrix()).tag == ExactEigenvalue.integer(3)
-        assert pf_eigenvalue(catalog.generalized_tm_morphism(5).incidence_matrix()).tag == ExactEigenvalue.integer(5)
+        assert pf_eigenvalue(catalog.period_doubling_morphism().incidence_matrix()) == ExactEigenvalue.integer(2)
+        assert pf_eigenvalue(catalog.generalized_tm_morphism(2).incidence_matrix()) == ExactEigenvalue.integer(2)
+        assert pf_eigenvalue(catalog.generalized_tm_morphism(3).incidence_matrix()) == ExactEigenvalue.integer(3)
+        assert pf_eigenvalue(catalog.generalized_tm_morphism(5).incidence_matrix()) == ExactEigenvalue.integer(5)
 
     def test_zero_matrix(self):
-        pf = pf_eigenvalue(np.zeros((3, 3), dtype=np.int64))
-        assert pf.value == 0.0 and pf.tag == ExactEigenvalue.integer(0)
+        assert pf_eigenvalue(np.zeros((3, 3), dtype=np.int64)) == ExactEigenvalue.integer(0)
 
     def test_run_length_morphism_spectrum(self):
         # (x - 1)(x - 4): the letters grow by a factor of four per step
-        pf = pf_eigenvalue(catalog.run_length_morphism().incidence_matrix())
-        assert pf.tag == ExactEigenvalue.integer(4)
-        assert pf.value == 4.0
+        assert pf_eigenvalue(catalog.run_length_morphism().incidence_matrix()) == ExactEigenvalue.integer(4)
         # (x - 2)^2: the repeated root is isolated on the squarefree part
-        pf = pf_eigenvalue([[2, 1], [0, 2]])
-        assert pf.tag == ExactEigenvalue.integer(2)
-        assert pf.value == 2.0
+        assert pf_eigenvalue([[2, 1], [0, 2]]) == ExactEigenvalue.integer(2)
 
     def test_block_triangular_takes_component_max(self):
         m = np.array([[1, 5, 5], [0, 0, 2], [0, 1, 0]], dtype=np.int64)
-        pf = pf_eigenvalue(m)  # components {0} and {1,2}; radii 1 and sqrt(2)
-        assert abs(pf.value - 2**0.5) < 1e-9
-        assert pf.tag == ExactEigenvalue.quadratic(-2, 0)
+        # components {0} and {1,2}; radii 1 and sqrt(2)
+        assert pf_eigenvalue(m) == ExactEigenvalue.quadratic(-2, 0)
+
+    def test_cubic_radius_has_no_tag(self):
+        # the plastic number, the real root of x^3 - x - 1
+        assert pf_eigenvalue([[0, 0, 1], [1, 0, 1], [0, 1, 0]]) is None
+        # x^2 - x - 1 divides the polynomial, but the largest root, about 1.879, is x^3 - 3x - 1's
+        m = np.zeros((5, 5), dtype=np.int64)
+        m[:3, :3] = [[0, 0, 1], [1, 0, 3], [0, 1, 0]]
+        m[3:, 3:] = [[1, 1], [1, 0]]
+        assert morphisms._char_poly(m) == [1, 4, 2, -4, -1, 1]
+        assert pf_eigenvalue(m) is None
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_char_poly_matches_sympy(self, n, data):
+        sympy = pytest.importorskip("sympy")
+        m = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+        want = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
+        assert morphisms._char_poly(m) == [int(c) for c in reversed(want)]
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -310,9 +403,19 @@ class TestSpectra:
             want = ExactEigenvalue.quadratic(coeffs[2], coeffs[1])
         else:
             want = None
-        pf = pf_eigenvalue(m)
-        assert pf.tag == want
-        assert abs(pf.value - float(root)) < 1e-9
+        assert pf_eigenvalue(m) == want
+
+    def test_spectral_code_has_no_floats(self):
+        # exact throughout: no float literal or float() call in morphisms or in check 12
+        trees = [ast.parse(inspect.getsource(morphisms)), ast.parse(inspect.getsource(checks.check_eigenvalues))]
+        found = [
+            ast.unparse(node)
+            for tree in trees
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+        ]
+        assert found == []
 
 
 class TestMultiplicativeIndependence:
@@ -410,14 +513,11 @@ class TestRenaming:
         assert equivalent_up_to_renaming(h, ident, 0, tau, ident, 0) is None
 
     def test_pipeline_bijection(self):
-        f = catalog.fib_indicator_product_morphism()
-        g = catalog.fib_indicator_erasing_coding()
-        fe, ge = remove_erasure(f, g, {"a1", "a4", "a7"})
-        fp, gp, seed = trim_to_prolongable(fe, ge, "z")
+        fp, gp, seed = trim_to_prolongable(*remove_erasure(*fib_presentation()), "z")
         bij = equivalent_up_to_renaming(
             fp, gp, seed, catalog.golden_morphism(), catalog.golden_coding(), "a"
         )
-        assert bij == {"a0": "a", "a2": "b", "a3": "c", "a5": "d", "a6": "e"}
+        assert bij == {"q0": "a", "q2": "b", "q4": "c", "q7": "d", "q6": "e"}
 
     @given(renamed_systems(), st.data())
     @settings(max_examples=200, deadline=None)
