@@ -199,11 +199,10 @@ def language(name):
 # -- generating functions and relations --------------------------------------
 
 
-def generating_function(name, precision, p=None):
+def generating_function(name, precision):
+    """The series of the first precision terms of a catalog sequence: over F_p for tp<p>, else over F_2."""
     seq = sequence(name)
-    if p is None:
-        p = int(name[2:]) if name.startswith("tp") else 2
-    return series.TruncatedSeries(p, seq.prefix(precision))
+    return series.TruncatedSeries(int(name[2:]) if name.startswith("tp") else 2, seq.prefix(precision))
 
 
 def pd_gf_relation():
@@ -270,17 +269,15 @@ def inverse_gtm_series(p, precision):
     return series.reversion(t)
 
 
-def series_by_name(name, precision, p=None):
-    """Series for the CLI: gf:<seq>, inv:<seq>, or u / up{p} shorthands."""
-    if name == "u":  # the reversion of D, over F_2 whatever p says
-        name, p = "inv:d", 2
+def series_by_name(name, precision):
+    """Series for the CLI: <seq>, inv:<seq>, or u / up{p} shorthands."""
+    if name == "u":
+        name = "inv:d"
     if name.startswith("up"):
         return inverse_gtm_series(int(name[2:]), precision)
     if name.startswith("inv:"):
-        return series.reversion(generating_function(name[4:], precision, p))
-    if name.startswith("gf:"):
-        return generating_function(name[3:], precision, p)
-    return generating_function(name, precision, p)
+        return series.reversion(generating_function(name[4:], precision))
+    return generating_function(name, precision)
 
 
 # -- the sequence registry ----------------------------------------------------
@@ -306,23 +303,17 @@ class NamedSequence:
         return self._cache[:n]
 
 
-def _first_hits(hits_below, count, size):
-    """The first count of hits_below(size), the ascending hits below size.
-
-    size doubles until there are count of them.  The result is a copy, so
-    a cache that keeps it does not keep the whole search buffer.
-    """
-    while True:
-        hits = hits_below(size)
-        if len(hits) >= count:
-            return hits[:count].copy()
-        size *= 2
-
-
 def _positions(indicator_prefix, value):
-    return lambda count: _first_hits(
-        lambda size: np.flatnonzero(indicator_prefix(size) == value), count, max(4 * count, 64)
-    )
+    """The builder of the first count positions where indicator_prefix equals value.
+
+    One prefix of max(4 * count, 64) terms holds count of them for every
+    caller: every even index is a zero of d, since d(2j) = 0; every even
+    index is a zero of u, since u(2j) = 0; every even index is an
+    alternation of t, since t(2j+1) = 1 - t(2j); and every index = 1 mod 4
+    is a one of d, since d(4j+1) = 1 - d(2j).  The result is a copy, so a
+    cache that keeps it does not keep the prefix.
+    """
+    return lambda count: np.flatnonzero(indicator_prefix(max(4 * count, 64)) == value)[:count].copy()
 
 
 def _fixed_point(morphism, seed):
@@ -339,7 +330,11 @@ def _a_build(count):
 
 
 def _a_via_set_recurrence(count):
-    return _first_hits(inverse_pd_ones_below, count, 64)
+    """The first count ones of u, from a limit that doubles: their density falls to 0."""
+    limit = 64
+    while len(ones := inverse_pd_ones_below(limit)) < count:
+        limit *= 2
+    return ones[:count].copy()
 
 
 def _delta_build(count):
@@ -402,10 +397,6 @@ def _p_via_run_lengths(count):
 
 def _p_via_doubled_morphism(count):
     return fixed_point_prefix(doubled_run_length_morphism(), 2, count) // 2
-
-
-def _z_via_tm_alternations(count):
-    return _first_hits(lambda size: np.flatnonzero(np.diff(sequence("t").prefix(size))), count, max(4 * count, 64))
 
 
 def _z_via_run_lengths(count):
@@ -480,7 +471,8 @@ def _build_registry():
             "positions of zeros in the period-doubling sequence",
             _positions(_d_build, 0),
             alternates={
-                "tm-alternation-positions": _z_via_tm_alternations,
+                # the positions of 1 in diff(t) mod 2, where t alternates
+                "tm-alternation-positions": _positions(_d_via_tm_difference, 0),
                 "run-length-gaps": _z_via_run_lengths,
             },
         )

@@ -9,6 +9,7 @@ the id -> description map.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 
@@ -215,13 +216,11 @@ def check_mod3_structure(limit=1 << 27):
     # residue classification of the one-positions below 2^20
     a20 = catalog.inverse_pd_ones_below(1 << 20)
     mod3 = a20 % 3
-    # the words of L_a1 and L_a2 of at most 20 digits (none has a leading zero) are their members
-    # below 2^20; both sides hold distinct values, and without assume_unique np.isin imports numpy.ma
-    in_la = []
-    for dfa in (catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa()):
-        count = sum(row[dfa.initial] for row in automata.word_counts(dfa, 20))
-        in_la.append(np.isin(a20, automata.genealogical_words(dfa, count), assume_unique=True))
-    in_la1, in_la2 = in_la
+    # whether the binary expansion of each position is in L_a1, and in L_a2
+    in_la1, in_la2 = (
+        automata.evaluate_range(dfa, 1 << 20)[a20] == 1
+        for dfa in (catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa())
+    )
     bitlen = np.frexp(a20.astype(np.float64))[1]  # exact: a20 < 2^20
     parts.append((bool(np.all(in_la1 ^ in_la2)), "positions not split between the two languages"))
     parts.append((bool(np.all((mod3 == 1) | (mod3 == 2))), "a position is divisible by 3"))
@@ -278,7 +277,7 @@ def check_morphic_pipeline(n=100_000):
     return _fail(parts) + (f"{n} terms",)
 
 
-def check_eigenvalues(_horizon=None):
+def check_eigenvalues():
     golden = morphisms.pf_eigenvalue(catalog.golden_morphism().incidence_matrix())
     parts = [(golden == morphisms.ExactEigenvalue.quadratic(-1, -1), f"golden tag {golden} != x^2 - x - 1")]
     run_length = morphisms.pf_eigenvalue(catalog.run_length_morphism().incidence_matrix())
@@ -362,20 +361,22 @@ def run_paper_checks(selection=None, horizons=None):
     """Run the suite (or the selected ids) and return CheckResult records.
 
     horizons maps a check id to an override for its main horizon knob.
-    Unknown ids and overrides below 1 raise ValueError before anything runs;
-    a check that would exhaust memory raises MemoryError.
+    An unknown id, and an override below 1, for a check not selected or for
+    one without a horizon, raise ValueError before anything runs; a check
+    that would exhaust memory raises MemoryError.
     """
     horizons = dict(horizons or {})
-    if selection is None:
-        selected = list(CHECKS)
-    else:
-        selected = list(selection)
-        unknown = [s for s in selected if s not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown check ids: {unknown}; known: {list(CHECKS)}")
+    selected = list(CHECKS if selection is None else selection)
+    unknown = [s for s in selected if s not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check ids: {unknown}; known: {list(CHECKS)}")
     for key, value in horizons.items():
         if key not in CHECKS:
             raise ValueError(f"horizon override for unknown check id {key!r}")
+        if key not in selected:
+            raise ValueError(f"horizon override for {key!r}, a check that is not selected")
+        if not inspect.signature(CHECKS[key][1]).parameters:
+            raise ValueError(f"horizon override for {key!r}, a check without a horizon")
         if value < 1:
             raise ValueError(f"horizon override {key}={value}: a horizon must be at least 1")
     results = []

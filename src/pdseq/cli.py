@@ -93,7 +93,7 @@ def cmd_complexity(args):
 
 
 def cmd_ore(args):
-    s = catalog.series_by_name(args.name, args.precision, args.p)
+    s = catalog.series_by_name(args.name, args.precision)
     relation = series.power_relation_search(s, args.depth, args.deg)
     sys.stdout.write(("none" if relation is None else relation.to_json()) + "\n")
     return 0
@@ -164,9 +164,9 @@ def build_parser():
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_complexity)
 
-    p = sub.add_parser("ore", help="search a power-pattern relation for a series")
-    p.add_argument("name", help="sequence name, gf:<name>, inv:<name>, u, or up<p>")
-    p.add_argument("--p", type=int, default=None, help="prime field (inferred when omitted)")
+    # without abbreviations, so that --p is refused rather than read as --precision
+    p = sub.add_parser("ore", help="search a power-pattern relation for a series", allow_abbrev=False)
+    p.add_argument("name", help="sequence name (over F_p for tp<p>, else F_2), inv:<name>, u, or up<p>")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--deg", type=int, default=3)
     p.add_argument("--precision", type=int, default=512)

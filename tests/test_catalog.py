@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdseq import catalog, morphisms, series
+from pdseq import automata, catalog, morphisms, series
 from pdseq.automata import evaluate_range
 
 # frozen leading terms of the named sequences
@@ -351,6 +351,49 @@ class TestPositionsStructure:
             accepted[vv] = acc[st]
         assert bool(np.array_equal(accepted, u == 1))
 
+    def test_one_pass_holds_the_count(self):
+        # z, o, b and z's tm-alternation-positions take the first count hits in
+        # max(4 * count, 64) terms of d, u and t's alternations
+        n = 1 << 22
+        counts = np.arange(1, n // 4 + 1)
+        terms = np.maximum(4 * counts, 64)
+        d_ones = np.cumsum(catalog.sequence("d").build(n))[terms - 1]
+        u_ones = np.cumsum(catalog.inverse_pd_prefix(n))[terms - 1]
+        alternations = np.cumsum(np.diff(catalog.sequence("t").build(n + 1)) % 2)[terms - 1]
+        assert bool(np.all(terms - d_ones >= counts)) and bool(np.all(d_ones >= counts))
+        assert bool(np.all(terms - u_ones >= counts))
+        assert bool(np.all(alternations >= counts))
+
+    @pytest.mark.parametrize(
+        "name, label, indicator, value",
+        [
+            ("z", None, lambda n: catalog.sequence("d").build(n), 0),
+            ("o", None, lambda n: catalog.sequence("d").build(n), 1),
+            ("b", None, catalog.inverse_pd_prefix, 0),
+            ("z", "tm-alternation-positions", lambda n: np.diff(catalog.sequence("t").build(n + 1)) % 2, 1),
+        ],
+        ids=["z", "o", "b", "z-tm-alternation-positions"],
+    )
+    def test_one_pass_builds_match_a_long_prefix(self, name, label, indicator, value):
+        fib = catalog.fibonacci_numbers(limit=1 << 20)
+        counts = sorted(set(range(1, 65)) | {1 << k for k in range(21)} | {f + e for f in fib for e in (-1, 1)})
+        want = np.flatnonzero(indicator(1 << 22) == value)[: counts[-1]]
+        build = catalog.sequence(name).build if label is None else catalog.sequence(name).alternates[label]
+        for count in counts:
+            got = build(count)
+            assert got.dtype == np.int64 and np.array_equal(got, want[:count]), count
+
+    def test_language_membership_matches_the_enumeration(self):
+        # check 9 reads whether each one of u below 2^20 is in L_a1 and in L_a2
+        # from evaluate_range; the reference enumerates each language's words
+        # of at most 20 digits, its members below 2^20, and looks the ones up
+        a20 = catalog.inverse_pd_ones_below(1 << 20)
+        for dfa in (catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa()):
+            count = sum(row[dfa.initial] for row in automata.word_counts(dfa, 20))
+            want = np.isin(a20, automata.genealogical_words(dfa, count))
+            assert 0 < want.sum() < len(a20)
+            assert np.array_equal(automata.evaluate_range(dfa, 1 << 20)[a20] == 1, want)
+
     def test_zero_positions_complement(self):
         limit = 10_000
         u = catalog.sequence("u").prefix(limit)
@@ -370,8 +413,6 @@ class TestSeriesCatalog:
         assert up3.p == 3
         inv = catalog.series_by_name("inv:tp3", 128)
         assert inv == up3
-        gf = catalog.series_by_name("gf:d", 64)
-        assert gf == catalog.generating_function("d", 64)
 
     def test_bfile(self):
         assert "".join(catalog.bfile_blocks("a", 4, offset=0)) == "0 1\n1 5\n2 7\n3 13\n"

@@ -244,7 +244,7 @@ class TestComplexityCommand:
 class TestOreCommand:
     def test_fibonacci_gf_past_int64(self, capsys):
         # F outgrows int64 within the default precision; F mod 2 is still a series
-        code, out, err = run_cli(capsys, "ore", "gf:F")
+        code, out, err = run_cli(capsys, "ore", "F")
         assert (code, err) == (0, "")
         assert json.loads(out) == {
             "p": 2,
@@ -321,7 +321,10 @@ class TestRefusals:
             ("kernel", "u", "--depth", "-1"),
             ("check", "lemma-4.5", "--horizon", "lemma-4.5=0"),
             ("check", "lemma-4.5", "--horizon", "lemma-4.5=-5"),
+            ("check", "prop-5.13-eigenvalues", "--horizon", "prop-5.13-eigenvalues=7"),
+            ("check", "lemma-3.2", "--horizon", "lemma-4.5=1000"),
             ("dfao", "a"),
+            ("ore", "gf:d"),
         ],
         ids=[
             "seq-negative",
@@ -338,7 +341,10 @@ class TestRefusals:
             "kernel-depth-negative",
             "check-horizon0",
             "check-horizon-negative",
+            "check-horizon-without-horizon",
+            "check-horizon-not-selected",
             "dfao-kernel-not-closed",
+            "ore-gf-spelling",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -347,6 +353,13 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_ore_takes_its_field_from_the_name(self, capsys):
+        # there is no --p: u is over F_2, and up3 or tp3 name F_3
+        with pytest.raises(SystemExit) as exc:
+            main(["ore", "u", "--p", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 3" in capsys.readouterr().err
 
     def test_overflow_is_named(self, capsys):
         _, _, err = run_cli(capsys, "kernel", "F")
@@ -435,9 +448,24 @@ class TestRunPaperChecks:
         [(c, h) for c in checks.CHECKS for h in (1, 2, 3, 40) if (c, h) != ("lemma-3.2", 40)],
     )
     def test_every_override_passes_or_fails_with_its_own_message(self, check_id, horizon):
+        if check_id == "prop-5.13-eigenvalues":  # exact, with no horizon to override
+            with pytest.raises(ValueError, match="a check without a horizon"):
+                checks.run_paper_checks([check_id], horizons={check_id: horizon})
+            return
         (result,) = checks.run_paper_checks([check_id], horizons={check_id: horizon})
         assert result.horizon != "n/a"
         assert not (result.detail or "").startswith("exception:"), result.detail
+
+    @pytest.mark.parametrize(
+        "selection, horizons, message",
+        [
+            (["lemma-3.2"], {"lemma-4.5": 1000}, "'lemma-4.5', a check that is not selected"),
+            (None, {"prop-5.13-eigenvalues": 7}, "'prop-5.13-eigenvalues', a check without a horizon"),
+        ],
+    )
+    def test_overrides_that_do_nothing_are_refused(self, selection, horizons, message):
+        with pytest.raises(ValueError, match=message):
+            checks.run_paper_checks(selection, horizons)
 
     def test_ore_form_expects_the_catalog_quartic(self):
         check_id = "prop-4.2-ore-form"
