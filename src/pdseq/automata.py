@@ -387,15 +387,15 @@ def minimize(m):
 
 
 def word_counts(dfa, max_length):
-    """Rows n = 0..max_length, one at a time: row[s] is the number of words
-    of length n that dfa accepts read from state s.
+    """The numbers of words of length n = 0..max_length that dfa accepts.
 
-    One backward pass over the transition table in exact big integers: a
-    word of length n from s is a letter c followed by a word of length n-1
-    from step(s, c).  The language's own count at length n is
-    row[dfa.initial].  A negative length is refused at the call.
+    One backward pass over the transition table in exact big integers: row n
+    counts the words of length n accepted from each state s, a letter c then
+    a word of length n-1 from step(s, c), and yields its entry at
+    dfa.initial.  A negative length is refused at the call.
     """
     if max_length < 0:
         raise ValueError(f"word length {max_length} is negative")
     accepting = np.array([int(bool(o)) for o in dfa.outputs], dtype=object)
-    return itertools.accumulate(range(max_length), lambda row, _: row[dfa.table].sum(axis=1), initial=accepting)
+    rows = itertools.accumulate(range(max_length), lambda row, _: row[dfa.table].sum(axis=1), initial=accepting)
+    return (row[dfa.initial] for row in rows)

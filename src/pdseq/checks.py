@@ -181,9 +181,9 @@ def check_run_length_identities(n=100_000):
 def check_complexity(n_max=15):
     fib = catalog.fibonacci_numbers(count=2 * n_max + 2)
     lprime = catalog.blocks_language_dfa()
-    lprime_counts = [row[lprime.initial] for row in automata.word_counts(lprime, 2 * n_max + 1)]
+    lprime_counts = list(automata.word_counts(lprime, 2 * n_max + 1))
     la = catalog.ones_positions_language_dfa()
-    la_counts = [row[la.initial] for row in automata.word_counts(la, 2 * n_max + 1)]
+    la_counts = list(automata.word_counts(la, 2 * n_max + 1))
     parts = []
     for n, got in enumerate(lprime_counts):
         parts.append((got == fib[n], f"blocks language count({n})={got} != F({n})={fib[n]}"))
@@ -213,9 +213,12 @@ def check_mod3_structure(limit=1 << 27):
         lhs = sum(fib[2 * ell + 1] for ell in range(n - 1))
         parts.append((lhs == fib[2 * (n - 1)] - 1, f"odd-index sum fails at n={n}"))
 
+    # the ones of u and their residues, built once for the classification and the runs
+    a = catalog.inverse_pd_ones_below(max(limit, 1 << 20))
+    a_mod3 = a % 3
     # residue classification of the one-positions below 2^20
-    a20 = catalog.inverse_pd_ones_below(1 << 20)
-    mod3 = a20 % 3
+    a20 = a[: np.searchsorted(a, 1 << 20)]
+    mod3 = a_mod3[: len(a20)]
     # whether the binary expansion of each position is in L_a1, and in L_a2
     in_la1, in_la2 = (
         automata.evaluate_range(dfa, 1 << 20)[a20] == 1
@@ -231,15 +234,15 @@ def check_mod3_structure(limit=1 << 27):
     )
 
     # run lengths of (a mod 3) follow the Fibonacci numbers
-    a_big = catalog.inverse_pd_ones_below(limit)
-    runs = morphisms.run_lengths(a_big % 3)
+    big_mod3 = a_mod3[: np.searchsorted(a, limit)]
+    runs = morphisms.run_lengths(big_mod3)
     complete = runs[:-1]
     parts.append((len(complete) >= 25, f"only {len(complete)} complete runs below {limit}"))
     for i, r in enumerate(complete):
         if r != fib[i]:
             parts.append((False, f"run {i} has length {r} != F({i})={fib[i]}"))
             break
-    vals = (a_big % 3)[np.cumsum(runs) - runs]  # at the run starts; none without runs
+    vals = big_mod3[np.cumsum(runs) - runs]  # at the run starts; none without runs
     expected_vals = np.where(np.arange(len(runs)) % 2 == 0, 1, 2)
     parts.append((bool(np.array_equal(vals, expected_vals)), "run values do not alternate 1,2,1,2,..."))
     return _fail(parts) + (f"classification below 2^20, runs below 2^27 (covers 10^7), sums to n=40",)

@@ -79,7 +79,7 @@ def cmd_dfao(args):
 
 def cmd_complexity(args):
     dfa = catalog.language(args.language)
-    counts = (row[dfa.initial] for row in automata.word_counts(dfa, args.count))
+    counts = automata.word_counts(dfa, args.count)
     if args.format == "json":
         # json.dumps's bytes, written one count at a time
         sys.stdout.write(f'{{"language": {json.dumps(args.language)}, "counts": [')

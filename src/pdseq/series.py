@@ -45,7 +45,6 @@ from .exact import check_modulus, nullspace_mod_p
 __all__ = [
     "TruncatedSeries",
     "PolyRelation",
-    "mul",
     "compose",
     "reversion",
     "relation_residual",
@@ -243,24 +242,6 @@ class TruncatedSeries:
         """The number of coefficients up to the last nonzero one, at least 1."""
         return _length(self.coeffs)
 
-    @classmethod
-    def zero(cls, p, precision):
-        return cls(p, np.zeros(precision, dtype=np.int64))
-
-    @classmethod
-    def one(cls, p, precision):
-        c = np.zeros(precision, dtype=np.int64)
-        c[0] = 1
-        return cls(p, c)
-
-    @classmethod
-    def identity(cls, p, precision):
-        """The series X."""
-        c = np.zeros(precision, dtype=np.int64)
-        if precision > 1:
-            c[1] = 1
-        return cls(p, c)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -274,10 +255,6 @@ class TruncatedSeries:
         head = ",".join(str(int(c)) for c in self.coeffs[:12])
         tail = ",..." if self.precision > 12 else ""
         return f"TruncatedSeries(p={self.p}, N={self.precision}, [{head}{tail}])"
-
-    def _check_same_field(self, other):
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
 
     def is_zero(self):
         return not self.coeffs.any()
@@ -299,21 +276,6 @@ class TruncatedSeries:
             c[:-1] = (k % self.p) * self.coeffs[1:] % self.p
         return TruncatedSeries(self.p, c)
 
-    def pow(self, e):
-        """Plain power by binary exponentiation, same precision."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = TruncatedSeries.one(self.p, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base_needed = e >> 1
-            if base_needed:
-                base = mul(base, base)
-            e >>= 1
-        return result
-
     def to_json(self):
         return json.dumps({"p": self.p, "coeffs": self.coeffs.tolist()})
 
@@ -325,13 +287,6 @@ class TruncatedSeries:
                 and all(type(c) is int for c in data["coeffs"])):
             raise ValueError('a series must be a JSON object {"p": integer, "coeffs": [integer, ...]}')
         return cls(data["p"], data["coeffs"])
-
-
-def mul(a, b):
-    """Product of two series; result precision is the smaller of the two."""
-    a._check_same_field(b)
-    n = min(a.precision, b.precision)
-    return TruncatedSeries(a.p, _conv_mod(a.coeffs[:n], b.coeffs[:n], a.p, n))
 
 
 def _uses_bernstein(p, n, length=None):
@@ -410,7 +365,8 @@ def compose(a, b):
     Brent-Kung's cost follows that length, so a polynomial a of low degree
     costs a few products of b's length.
     """
-    a._check_same_field(b)
+    if a.p != b.p:
+        raise ValueError(f"modulus mismatch: {a.p} != {b.p}")
     if int(b.coeffs[0]) != 0:
         raise ValueError("composition needs a series with zero constant term")
     p = a.p
@@ -431,9 +387,10 @@ def _powers(bc, p, count, n):
     table[0, 0] = 1
     if count > 1:
         table[1] = bc[:n]
-    by_b = _Multiplier(bc, p, n)
-    for j in range(2, count):
-        table[j] = by_b(table[j - 1])
+    if count > 2:
+        by_b = _Multiplier(bc, p, n)
+        for j in range(2, count):
+            table[j] = by_b(table[j - 1])
     return table
 
 
@@ -516,7 +473,7 @@ def reversion(a):
     if int(a.coeffs[0]) != 0:
         raise ValueError("reversion needs a zero constant term")
     if n == 1:
-        return TruncatedSeries.zero(p, 1)
+        return TruncatedSeries(p, [0])
     a1 = int(a.coeffs[1])
     if a1 % p == 0:
         raise ValueError("reversion needs an invertible linear term")
@@ -584,18 +541,21 @@ class PolyRelation:
 
 
 def relation_residual(rel, a):
-    """Left-hand side of the relation evaluated at a, as a truncated series."""
+    """Left-hand side of the relation evaluated at a, as a truncated series;
+    its plain powers a^e are the rows of one `_powers` table."""
     if rel.p != a.p:
         raise ValueError(f"modulus mismatch: {rel.p} != {a.p}")
-    n = a.precision
+    p, n = a.p, a.precision
+    top = max((e for _, (kind, e) in rel.terms if kind == "pow"), default=0)
+    powers = _powers(a.coeffs, p, 1 + top, n)
     total = np.zeros(n, dtype=np.int64)
     for coeffs, (kind, e) in rel.terms:
         poly = np.asarray(coeffs, dtype=np.int64)
         if not poly.any():
             continue
-        term = a.pow(e) if kind == "pow" else a.frobenius(e)
-        total = (total + _conv_mod(poly, term.coeffs, a.p, n)) % a.p
-    return TruncatedSeries(a.p, total)
+        term = powers[e] if kind == "pow" else a.frobenius(e).coeffs
+        total = (total + _conv_mod(poly, term, p, n)) % p
+    return TruncatedSeries(p, total)
 
 
 def power_relation_search(a, max_frobenius_depth, max_coeff_degree):

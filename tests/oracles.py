@@ -35,6 +35,11 @@ def output(m, word):
     return m.outputs[s]
 
 
+def from_state(m, s):
+    """Copy of m that starts in state s."""
+    return type(m)(m.labels, s, m.alphabet, m.table, m.outputs, m.read_order)
+
+
 def accepts(dfa, word):
     return bool(output(dfa, word))
 
@@ -116,25 +121,26 @@ class Ans:
     """Abstract numeration system over the language of an MSD-first DFA.
 
     rep(n) unranks n in genealogical order by counting accepted words.  The
-    per-state counts of accepted suffixes by remaining length come from
-    automata.word_counts, rebuilt at twice the length whenever a longer one
-    is asked for.
+    counts of accepted suffixes by remaining length from each state come
+    from automata.word_counts of the DFA started there, rebuilt at twice the
+    length whenever a longer one is asked for.
     """
 
     def __init__(self, dfa):
         if dfa.read_order != "msd":
             raise ValueError("numeration DFAs read words as written (MSD first)")
         self.dfa = dfa
-        self._counts = []  # word_counts(dfa, L) for the largest L built so far
+        self._counts = {}  # state s -> word_counts(from_state(dfa, s), L) for the largest L built so far
         # infinite iff some accepted word has length between |Q| and 2|Q|-1 (such a word pumps)
         n = dfa.num_states
         if not any(self._count_from(length, dfa.initial) for length in range(n, 2 * n)):
             raise ValueError("abstract numeration needs an infinite language")
 
     def _count_from(self, length, state):
-        if length >= len(self._counts):
-            self._counts = list(word_counts(self.dfa, 2 * length))
-        return self._counts[length][state]
+        counts = self._counts.get(state, [])
+        if length >= len(counts):
+            counts = self._counts[state] = list(word_counts(from_state(self.dfa, state), 2 * length))
+        return counts[length]
 
     def rep(self, n):
         if n < 0:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import Ans, BaseK, accepts, all_words, brute_count, evaluate, output
+from oracles import Ans, BaseK, accepts, all_words, brute_count, evaluate, from_state, output
 from pdseq import automata, catalog
 from pdseq.automata import (
     Dfa,
@@ -19,16 +19,6 @@ from pdseq.automata import (
     word_counts,
 )
 from pdseq.morphisms import fixed_point_prefix
-
-
-def from_state(m, s):
-    """Copy of m that starts in state s."""
-    return type(m)(m.labels, s, m.alphabet, m.table, m.outputs, m.read_order)
-
-
-def language_counts(dfa, max_length):
-    """The number of words of each length 0..max_length that dfa accepts."""
-    return [row[dfa.initial] for row in word_counts(dfa, max_length)]
 
 
 def last_letter_dfao(k, read_order):
@@ -304,21 +294,22 @@ class TestConstruction:
 class TestCounting:
     def test_blocks_language_counts_are_fibonacci(self):
         lprime = catalog.blocks_language_dfa()
-        assert language_counts(lprime, 6) == [1, 1, 2, 3, 5, 8, 13]
+        assert list(word_counts(lprime, 6)) == [1, 1, 2, 3, 5, 8, 13]
 
     def test_counts_match_brute_force(self):
         for dfa in (catalog.blocks_language_dfa(), catalog.ones_positions_language_dfa(), catalog.zeckendorf_language_dfa()):
-            assert language_counts(dfa, 8) == [brute_count(dfa, n) for n in range(9)]
+            assert list(word_counts(dfa, 8)) == [brute_count(dfa, n) for n in range(9)]
 
     @given(st.sampled_from([2, 3]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_word_counts_match_brute_force_from_every_state(self, k, data):
         dfa = data.draw(automata_over(Dfa, k, "msd"))
-        counts = list(word_counts(dfa, 8))
-        assert len(counts) == 9
         for s in range(dfa.num_states):
+            start = from_state(dfa, s)
+            counts = list(word_counts(start, 8))
+            assert len(counts) == 9
             n = data.draw(st.integers(0, 8))
-            assert counts[n][s] == brute_count(from_state(dfa, s), n)
+            assert counts[n] == brute_count(start, n)
 
     def test_negative_length_refused(self):
         with pytest.raises(ValueError, match="negative"):
@@ -326,18 +317,18 @@ class TestCounting:
 
     def test_ones_positions_small_counts(self):
         la = catalog.ones_positions_language_dfa()
-        assert language_counts(la, 5)[4:] == [1, 4]  # 1101; 11111, 11101, 10001, 10111
+        assert list(word_counts(la, 5))[4:] == [1, 4]  # 1101; 11111, 11101, 10001, 10111
         accepted = [w for w in all_words(5) if accepts(la, w)]
         as_strings = {"".join(map(str, w)) for w in accepted}
         assert as_strings == {"11111", "11101", "10001", "10111"}
 
     def test_empty_language(self):
         dead = Dfa(("q",), 0, (0, 1), [[0, 0]], (False,), "msd")
-        assert language_counts(dead, 9) == [0] * 10
+        assert list(word_counts(dead, 9)) == [0] * 10
 
     def test_counts_grow_beyond_machine_words(self):
         lprime = catalog.blocks_language_dfa()
-        big = language_counts(lprime, 400)[-1]
+        big = list(word_counts(lprime, 400))[-1]
         assert big > 1 << 64  # exact big integers required
 
     def test_cumulative_count_equals_rank(self):
@@ -345,7 +336,7 @@ class TestCounting:
         # accepted word of length n+1 in genealogical order
         dfa = catalog.zeckendorf_language_dfa()
         ans = Ans(dfa)
-        counts = language_counts(dfa, 11)
+        counts = list(word_counts(dfa, 11))
         for n in range(0, 12):
             total = sum(counts[: n + 1])
             first_longer = ans.rep(total)
@@ -382,4 +373,4 @@ class TestSerialization:
     def test_union_language(self):
         u = union(catalog.odd_ones_language_dfa(), catalog.marked_block_language_dfa())
         la = catalog.ones_positions_language_dfa()
-        assert language_counts(u, 7) == [brute_count(la, n) for n in range(8)]
+        assert list(word_counts(u, 7)) == [brute_count(la, n) for n in range(8)]

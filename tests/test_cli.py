@@ -123,7 +123,7 @@ class TestInvertCommand:
         assert code == 0, err
         a = series.TruncatedSeries(65521, polynomial)
         v = series.TruncatedSeries.from_json(out)
-        assert series.compose(a, v) == series.TruncatedSeries.identity(65521, 1024)
+        assert series.compose(a, v) == series.TruncatedSeries(65521, [0, 1] + [0] * 1022)
 
     def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch):
         from pdseq import catalog, series
@@ -490,7 +490,6 @@ UNREACHED = {
     "morphisms.Morphism.__repr__": "display only",
     "series.TruncatedSeries.__repr__": "display only",
     "series.TruncatedSeries.__eq__": "value equality for callers; the package compares coefficient arrays",
-    "series.TruncatedSeries.identity": "the series X, a constructor for callers",
 }
 
 

@@ -257,7 +257,7 @@ class TestPresentation:
         f, g = ans_presentation(language, m)
         # the words of at most 12 binary or 7 ternary digits lie in a fixed-point prefix of 2^13 letters
         short = 12 if len(language.alphabet) == 2 else 7
-        counts = [int(row[language.initial]) for row in word_counts(language, short)]
+        counts = [int(c) for c in word_counts(language, short)]
         # an s-state DFA accepting a word of length s..2s-1 accepts infinitely many
         s = language.num_states
         if not any(counts[s : 2 * s]) and n > sum(counts):

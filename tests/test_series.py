@@ -6,14 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdseq import catalog, series
 from pdseq.series import (
     PolyRelation,
     TruncatedSeries,
     compose,
-    mul,
     power_relation_search,
     relation_residual,
     reversion,
@@ -30,15 +29,15 @@ def series_of(p, coeffs, n=None):
 
 
 def brute_compose(a, b):
-    """Independent O(N^3) composition by explicit powers of b."""
-    n = min(a.precision, b.precision)
-    b = TruncatedSeries(b.p, b.coeffs[:n])
-    total = np.zeros(n, dtype=np.int64)
-    power = TruncatedSeries.one(a.p, n)
+    """Independent O(N^3) composition by explicit powers of b, each the
+    product of the last with b by int_conv."""
+    p, n = a.p, min(a.precision, b.precision)
+    total = [0] * n
+    power = [1] + [0] * (n - 1)
     for m in range(n):
-        total = (total + int(a.coeffs[m]) * power.coeffs) % a.p
-        power = mul(power, b)
-    return TruncatedSeries(a.p, total)
+        total = [(t + int(a.coeffs[m]) * x) % p for t, x in zip(total, power)]
+        power = int_conv(power, b.coeffs[:n], p, n)
+    return TruncatedSeries(p, total)
 
 
 def int_conv(a, b, p, out_len):
@@ -123,13 +122,13 @@ class TestConvolution:
     @pytest.mark.parametrize("p", ADVERSARIAL_PRIMES)
     def test_mul_all_p_minus_one(self, p):
         for n in switch_lengths(p):
-            a = TruncatedSeries(p, [p - 1] * n)
+            a = np.full(n, p - 1, dtype=np.int64)
             try:
-                got = mul(a, a)
+                got = series._conv_mod(a, a, p, n)
             except ValueError:
                 assert p == 2**31 - 1 and n > 10201
                 continue
-            assert [int(x) for x in got.coeffs] == int_conv([p - 1] * n, [p - 1] * n, p, n)
+            assert [int(x) for x in got] == int_conv([p - 1] * n, [p - 1] * n, p, n)
 
     def test_plans_cover_the_switches(self):
         # both sides of the direct/FFT switch, and of the limb splits for
@@ -236,19 +235,15 @@ class TestMul:
         assert TruncatedSeries(p, coeffs).coeffs.tolist() == [c % p for c in coeffs]
 
     def test_freshman_dream(self):
-        one_plus_x = series_of(2, [1, 1], 8)
-        sq = mul(one_plus_x, one_plus_x)
-        assert list(sq.coeffs) == [1, 0, 1, 0, 0, 0, 0, 0]
+        one_plus_x = np.array([1, 1, 0, 0, 0, 0, 0, 0])
+        sq = series._conv_mod(one_plus_x, one_plus_x, 2, 8)
+        assert list(sq) == [1, 0, 1, 0, 0, 0, 0, 0]
 
     def test_shift_of_pd_series(self):
         d = catalog.generating_function("d", 16)
-        x = TruncatedSeries.identity(2, 16)
-        shifted = mul(x, d)
-        assert list(shifted.coeffs)[: len(D_LISTING) + 1] == [0] + D_LISTING
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mul(series_of(2, [1], 4), series_of(3, [1], 4))
+        x = series_of(2, [0, 1], 16)
+        shifted = series._conv_mod(x.coeffs, d.coeffs, 2, 16)
+        assert list(shifted)[: len(D_LISTING) + 1] == [0] + D_LISTING
 
     @given(
         st.lists(st.integers(0, 2), min_size=64, max_size=64),
@@ -256,21 +251,21 @@ class TestMul:
     )
     @settings(max_examples=25, deadline=None)
     def test_commutative_mod_3(self, xs, ys):
-        a, b = series_of(3, xs), series_of(3, ys)
-        assert mul(a, b) == mul(b, a)
+        a, b = np.array(xs), np.array(ys)
+        assert np.array_equal(series._conv_mod(a, b, 3, 64), series._conv_mod(b, a, 3, 64))
 
     @given(st.sampled_from([2, 3, 5]), st.data())
     @settings(max_examples=25, deadline=None)
     def test_frobenius_endomorphism(self, p, data):
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=48, max_size=48))
         a = series_of(p, coeffs)
-        assert a.pow(p) == a.frobenius(1)
+        assert np.array_equal(series._powers(a.coeffs, p, p + 1, 48)[p], a.frobenius(1).coeffs)
 
 
 class TestCompose:
     def test_identity_substitution(self):
         a = series_of(3, [2, 1, 0, 2, 1], 12)
-        x = TruncatedSeries.identity(3, 12)
+        x = series_of(3, [0, 1], 12)
         assert compose(a, x) == a
 
     def test_hand_convolution(self):
@@ -281,9 +276,13 @@ class TestCompose:
     def test_round_trip_with_inverse_series(self):
         d = catalog.generating_function("d", 512)
         u = reversion(d)
-        x = TruncatedSeries.identity(2, 512)
+        x = series_of(2, [0, 1], 512)
         assert compose(d, u) == x
         assert compose(u, d) == x
+
+    def test_modulus_mismatch(self):
+        with pytest.raises(ValueError, match="modulus mismatch: 2 != 3"):
+            compose(series_of(2, [1], 4), series_of(3, [0, 1], 4))
 
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -354,7 +353,7 @@ class TestBernstein:
     def test_generalized_thue_morse_inverse(self, p, n):
         a = catalog.generating_function(f"tp{p}", n)
         v = catalog.inverse_gtm_series(p, n)
-        x = TruncatedSeries.identity(p, n)
+        x = series_of(p, [0, 1], n)
         assert series._uses_bernstein(p, n)
         assert compose(a, v) == x
         assert compose(v, a) == x
@@ -388,7 +387,7 @@ class TestLowDegree:
             assert series._compose_brent_kung(ac[:length], bc, p, n).tolist() == want
 
     def test_zero_series(self):
-        a = TruncatedSeries.zero(5, 100)
+        a = series_of(5, [0], 100)
         b = series_of(5, [0, 1, 2], 100)
         assert a.length == 1
         assert compose(a, b) == a
@@ -444,7 +443,7 @@ class TestLowDegree:
 
 class TestReversion:
     def test_identity(self):
-        x = TruncatedSeries.identity(5, 16)
+        x = series_of(5, [0, 1], 16)
         assert reversion(x) == x
 
     def test_pd_series_prefix(self):
@@ -455,9 +454,10 @@ class TestReversion:
     def test_x_plus_x_squared(self):
         # oracle: iterate V <- X + V^2 to a fixed point, then compare
         n = 64
-        v = TruncatedSeries.identity(2, n)
+        x = series_of(2, [0, 1], n)
+        v = x
         for _ in range(8):
-            v = TruncatedSeries(2, TruncatedSeries.identity(2, n).coeffs + mul(v, v).coeffs)
+            v = TruncatedSeries(2, x.coeffs + series._conv_mod(v.coeffs, v.coeffs, 2, n))
         got = reversion(series_of(2, [0, 1, 1], n))
         assert got == v
         ones = {i for i, c in enumerate(got.coeffs) if c}
@@ -472,9 +472,9 @@ class TestReversion:
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_precision_one(self, p):
         # mod X the inverse of any series without constant term is 0
-        assert reversion(TruncatedSeries.zero(p, 1)) == TruncatedSeries.zero(p, 1)
+        assert reversion(series_of(p, [0])) == series_of(p, [0])
         with pytest.raises(ValueError, match="constant"):
-            reversion(TruncatedSeries.one(p, 1))
+            reversion(series_of(p, [1]))
 
     @given(st.sampled_from([2, 3, 5, 65521, 2**31 - 1]), st.data())
     @settings(max_examples=40, deadline=None)
@@ -488,7 +488,7 @@ class TestReversion:
         coeffs[1] = rng.integers(1, p)
         a = TruncatedSeries(p, coeffs)
         v = reversion(a)
-        x = TruncatedSeries.identity(p, n)
+        x = series_of(p, [0, 1], n)
         assert compose(a, v) == x
         assert compose(v, a) == x
 
@@ -506,6 +506,29 @@ class TestRelations:
     def test_generalized_tm_relation(self):
         t3 = catalog.generating_function("tp3", 729)
         assert relation_residual(catalog.generalized_tm_relation(3), t3).is_zero()
+
+    @given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2, 64, 700]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_residual_against_integer_powers(self, p, n, data):
+        pattern = st.one_of(st.tuples(st.just("pow"), st.integers(0, p + 1)), st.tuples(st.just("frob"), st.integers(0, 2)))
+        patterns = data.draw(st.lists(pattern, min_size=1, max_size=4, unique=True))
+        terms = tuple((tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))), pat) for pat in patterns)
+        assume(any(any(c) for c, _ in terms))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ac = [int(x) for x in rng.integers(0, p, n)]
+        # a^0 .. a^(p+1) by int_conv, and a(X^(p^i)) by spreading the coefficients
+        powers = [[1] + [0] * (n - 1)]
+        for _ in range(p + 1):
+            powers.append(int_conv(powers[-1], ac, p, n))
+        want = [0] * n
+        for coeffs, (kind, e) in terms:
+            if kind == "pow":
+                term = powers[e]
+            else:
+                term = [0] * n
+                term[:: p**e] = ac[: len(term[:: p**e])]
+            want = [(w + x) % p for w, x in zip(want, int_conv(coeffs, term, p, n))]
+        assert relation_residual(PolyRelation(p, terms), TruncatedSeries(p, ac)).coeffs.tolist() == want
 
     def test_nonzero_residual_detected(self):
         d = catalog.generating_function("d", 128)
@@ -541,7 +564,7 @@ class TestPowerRelationSearch:
         )
 
     def test_identity_series_relation(self):
-        x = TruncatedSeries.identity(3, 256)
+        x = series_of(3, [0, 1], 256)
         rel = power_relation_search(x, 1, 2)
         assert rel is not None
         assert relation_residual(rel, x).is_zero()
@@ -558,6 +581,6 @@ class TestPowerRelationSearch:
         assert relation_residual(rel, u3).is_zero()
 
     def test_precision_guard(self):
-        small = TruncatedSeries.identity(2, 32)
+        small = series_of(2, [0, 1], 32)
         with pytest.raises(ValueError, match="precision"):
             power_relation_search(small, 3, 8)
