@@ -303,6 +303,9 @@ class NamedSequence:
         return self._cache[:n]
 
 
+_POSITIONS_SLICE = 1 << 16  # indicator terms searched at a time
+
+
 def _positions(indicator_prefix, value):
     """The builder of the first count positions where indicator_prefix equals value.
 
@@ -310,10 +313,25 @@ def _positions(indicator_prefix, value):
     caller: every even index is a zero of d, since d(2j) = 0; every even
     index is a zero of u, since u(2j) = 0; every even index is an
     alternation of t, since t(2j+1) = 1 - t(2j); and every index = 1 mod 4
-    is a one of d, since d(4j+1) = 1 - d(2j).  The result is a copy, so a
-    cache that keeps it does not keep the prefix.
+    is a one of d, since d(4j+1) = 1 - d(2j).  The hits are found
+    _POSITIONS_SLICE terms at a time and written into an exact-size int64
+    array, so the peak holds the prefix, the result and one slice's hits,
+    not every hit of the prefix.
     """
-    return lambda count: np.flatnonzero(indicator_prefix(max(4 * count, 64)) == value)[:count].copy()
+
+    def build(count):
+        indicator = indicator_prefix(max(4 * count, 64))
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        for lo in range(0, len(indicator), _POSITIONS_SLICE):
+            if filled == count:
+                break
+            hits = np.flatnonzero(indicator[lo : lo + _POSITIONS_SLICE] == value)[: count - filled]
+            out[filled : filled + len(hits)] = hits + lo
+            filled += len(hits)
+        return out[:filled]
+
+    return build
 
 
 def _fixed_point(morphism, seed):

@@ -7,15 +7,24 @@ the rest of the package.
 
 A rank over Q starts from one prime q: every block's new rows are
 reduced, a few rows at a time, against one row-echelon basis mod q, in
-float64 matmuls kept exact by ncols*(q-1)^2 < 2^53.  Rows are fed as their
-first differences (the first term kept), a unimodular column operation: no
-rank and no dependency changes, and the entries of growing sequences stay
-small.  Rank mod q never exceeds the rank over Q, so R_d, the rank mod q
-after block d, is a lower bound, exact outright when it equals the row or
-column count.
+float64 matmuls kept exact by ncols*(q-1)^2 < 2^53.  The basis is the
+identity on its pivot columns and is kept only on the free ones, a
+contiguous block from which each slice's new pivots are swapped out in
+place: a slice costs rank times the free columns, not times ncols.  Rows
+are fed as their first differences (the first term kept), a unimodular
+column operation: no rank and no dependency changes, and the entries of
+growing sequences stay small.  Rank mod q never exceeds the rank over Q,
+so R_d, the rank mod q after block d, is a lower bound, exact outright when
+it equals the row or column count.
 
-Otherwise the same prime's echelon proves it (Dixon's p-adic lifting,
-Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
+R rows in more than R columns are first echelonned on their leading R
+columns alone: the rank over Q is at least the rank mod q of any set of
+columns, and first differences restricted to the leading columns are still
+unimodular.  If every row raises that rank, every row count is its rank;
+the pass stops at the first row that does not, and the full pass runs.
+
+An R_d below both counts is proved by the same prime's echelon (Dixon's
+p-adic lifting, Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
 and their pivot columns P, so S[:, P] is invertible modulo q.  The
 coordinates x of every other row m, m = x S, are lifted one q-adic digit at
 a time, with a division by q that must be exact, and reconstructed as
@@ -31,14 +40,15 @@ nonzero minor.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, lcm
 
 import numpy as np
 
 __all__ = ["check_modulus", "nullspace_mod_p", "rational_ranks"]
 
-_CHUNK = 32  # rows reduced, or lifted in float64, at a time
+_CHUNK = 32  # rows reduced at a time, and at least the rows lifted in float64 at a time
+_LIFT_COORDINATES = 4 * _CHUNK * _CHUNK  # up to 4 * _CHUNK rows lifted in float64 at a time, to this many coordinates
 _OBJECT_CHUNK = 2  # rows lifted at a time in Python ints, whose coordinates reach q^j
 
 
@@ -68,6 +78,19 @@ def check_modulus(p):
         raise ValueError(f"modulus {p} is not prime")
 
 
+def _residues(x, p):
+    """x mod p in [0, p), in place, for an int64 array x; returns x.
+
+    x - p floor(x / p): a floor division by one divisor is far faster than
+    np.mod, and exact, since int64 wrap-around in the product cancels in
+    the difference, which is below p.
+    """
+    quotient = x // p
+    quotient *= p
+    x -= quotient
+    return x
+
+
 def _rref_mod_p(mat, p):
     """Reduced row-echelon form of mat over F_p, as (rows, pivots, found).
 
@@ -84,16 +107,17 @@ def _rref_mod_p(mat, p):
     b %= p
     interval = (2**63 - p) // (p - 1) ** 2
     found, pivots = [], []
-    for i in range(len(b)):
-        b[i] %= p
-        nz = np.flatnonzero(b[i])
+    for i, row in enumerate(b):
+        row %= p
+        nz = row.nonzero()[0]
         if not len(nz):
             continue
         c = int(nz[0])
-        b[i] = b[i] * pow(int(b[i, c]), p - 2, p) % p
+        row *= pow(int(row[c]), p - 2, p)
+        row %= p
         col = b[:, c] % p
         col[i] = 0
-        b -= np.einsum("i,j->ij", col, b[i])  # np.outer would add a broadcast buffer
+        b -= np.einsum("i,j->ij", col, row)  # np.outer would add a broadcast buffer
         found.append(i)
         pivots.append(c)
         if len(found) % interval == 0:
@@ -157,49 +181,75 @@ def _prime_sequence(ncols):
     raise ValueError(f"too few primes to certify a rank with {ncols} columns")
 
 
-def _echelon_ranks(blocks, q, ncols):
+def _to_front(columns, *arrays):
+    """Move the last-axis positions columns (distinct) of every array, in place, to the front, in that order.
+
+    Only the moved columns and those they displace are copied: the
+    displaced ones take the places the moved ones leave.
+    """
+    width = len(columns)
+    moved = set(columns)
+    src = np.array(columns + [j for j in range(width) if j not in moved])
+    dst = np.array(list(range(width)) + [j for j in columns if j >= width])
+    for array in arrays:
+        array[..., dst] = array[..., src]
+
+
+def _echelon_ranks(blocks, q, ncols, independent=False):
     """One prime's pass: the rank mod q after each block, the rows that raised
-    it (per block, as indices into the block) and their pivot columns.
+    it (per block, as indices into the block) and their pivot columns P, one
+    per chosen row in the order chosen, so S[:, P] is invertible mod q.
+    With independent, None as soon as a row does not raise the rank.
 
     One reduced row-echelon basis modulo q, held in float64 with entries in
     [0, q), takes every block, _CHUNK rows at a time, and is dropped on
     return.  A product against the basis sums at most ncols terms below
     (q-1)^2, which the caller keeps under 2^53, so every matmul here is
-    exact.  Each slice is reduced against the basis and row-reduced among
-    itself once; the new pivots are then cleared in the old rows.  The basis
-    rows live in the first rank rows of a buffer that doubles when it fills,
-    and are updated in place, _CHUNK rows at a time.
+    exact.  The basis is the identity on its pivot columns and is kept only
+    on the others, the free columns: with the columns in the order `order`,
+    pivots first, basis row i has its pivot at position i and its free
+    entries in echelon[i, rank:].  Each slice is reduced against the basis
+    on the free columns and row-reduced among itself once; the new pivots
+    are then cleared in the old rows and swapped, in place, to the front of
+    the free block.  A slice so costs rank times the free columns, and the
+    basis rows live in a buffer that doubles when it fills.
     """
-    echelon, pivots, ranks, chosen = np.zeros((0, ncols)), [], [], []
+    order = np.arange(ncols)
+    echelon, rank, ranks, chosen = np.zeros((0, ncols)), 0, [], []
     for block in blocks:
         found = []
         for lo, part in _slices(block, _CHUNK):
-            rank = len(pivots)
-            basis = echelon[:rank]
-            b = np.mod(part, q).astype(np.float64)
+            # the slice in the order `order`: no index clips, and "clip" skips the buffer of "raise"
+            b = _residues(part.take(order, axis=1, mode="clip"), q).astype(np.float64)
             if rank:
-                b -= b[:, pivots] @ basis
+                b[:, rank:] -= b[:, :rank] @ echelon[:rank, rank:]
                 _mod(b, q)
-            live = np.flatnonzero(b.any(axis=1))
+            free = b[:, rank:]
+            live = np.flatnonzero(free.any(axis=1))
+            if independent and len(live) < len(part):
+                return None
             if not len(live):
                 continue
-            # from here b holds only the new basis rows
-            b, new, raised = _rref_mod_p(b[live], q)
-            b = b.astype(np.float64)
+            # new rows on the free columns, new pivots as positions in them
+            rows, new, raised = _rref_mod_p(free[live], q)
+            if independent and len(raised) < len(live):
+                return None
+            rows = rows.astype(np.float64)
             # the new rows vanish at the old pivots; clear the new pivots in the old rows
-            for _, old in _slices(basis, _CHUNK):
-                old -= old[:, new] @ b
-                _mod(old, q)
-            grown = rank + len(b)
+            for _, old in _slices(echelon[:rank, rank:], _CHUNK):
+                old[...] = _mod(old - old[:, new] @ rows, q)  # contiguous: _mod is slow on strided views
+            grown = rank + len(rows)
             if grown > len(echelon):
+                kept = echelon[:rank, rank:]
                 echelon = np.empty((max(grown, 2 * rank), ncols))
-                echelon[:rank] = basis
-            echelon[rank:grown] = b
-            pivots += new
+                echelon[:rank, rank:] = kept
+            echelon[rank:grown, rank:] = rows
+            _to_front(new, echelon[:grown, rank:], order[rank:])
+            rank = grown
             found += (lo + live[raised]).tolist()
-        ranks.append(len(pivots))
+        ranks.append(rank)
         chosen.append(found)
-    return ranks, chosen, pivots
+    return ranks, chosen, order[:rank].tolist()
 
 
 def _rational_reconstruction(a, m):
@@ -287,11 +337,13 @@ def _lifted(blocks, chosen, pivots, q):
     # every minor is at most H = (sqrt(size + 1) X)^(size + 1) (Hadamard), so past
     # q^j > 2 H^2 each row has reconstructed, and been proved, or failed a division
     cap = 2 * (size + 1) ** (size + 1) * peak ** (2 * size + 2)
+    # a slice's coordinates x are Python ints that reach q^j: few rows when S has many
+    step = min(4 * _CHUNK, max(_CHUNK, _LIFT_COORDINATES // max(size, 1))) if exact else _OBJECT_CHUNK
     start = 1
     for block, rows, count in zip(blocks, chosen, accumulate(map(len, chosen))):
         others = np.ones(len(block), dtype=bool)
         others[rows] = False
-        for lo, part in _slices(block, _CHUNK if exact else _OBJECT_CHUNK):
+        for lo, part in _slices(block, step):
             rest = part[others[lo : lo + len(part)]].astype(np.float64 if exact else object)
             x, modulus, lifts = 0, 1, 0
             while len(rest):
@@ -330,8 +382,11 @@ def rational_ranks(blocks, ncols):
 
     Every row is first overwritten, in place, by its first differences (the
     first entry kept), when every entry is below 2^62 so that no difference
-    leaves int64.  A prime's ranks are certified by full rank or by
-    _lifted on its own echelon; a failed lift proves the prime unlucky, and
+    leaves int64.  R rows in more than R columns are first echelonned on
+    their leading R columns alone, and stop at the first row that does not
+    raise the rank: if none does, every row count is its rank.  Otherwise a
+    prime's ranks are certified by full rank or by _lifted on its own
+    echelon over every column; a failed lift proves the prime unlucky, and
     the next prime's echelon is taken, one echelon alive at a time.
     """
     sizes = list(accumulate(len(block) for block in blocks))
@@ -339,7 +394,13 @@ def rational_ranks(blocks, ncols):
         for block in blocks:
             for _, part in _slices(block, _CHUNK):
                 part[:, 1:] = np.diff(part, axis=1)
-    for q in _prime_sequence(ncols):
+    primes = _prime_sequence(ncols)
+    first = next(primes)
+    rows = sizes[-1] if sizes else 0
+    # the last block, the largest in a kernel profile, shows a dependency soonest
+    if rows < ncols and _echelon_ranks([block[:, :rows] for block in reversed(blocks)], first, rows, independent=True):
+        return sizes
+    for q in chain([first], primes):
         ranks, chosen, pivots = _echelon_ranks(blocks, q, ncols)
         if all(r == min(size, ncols) for r, size in zip(ranks, sizes)) or _lifted(blocks, chosen, pivots, q):
             return ranks

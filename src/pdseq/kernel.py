@@ -107,11 +107,16 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     """
     _check_arguments(k, max_depth, horizon)
     H = int(horizon)
+    # depth 0's rows first, so that terms past int64 (F's) are refused before
+    # k^max_depth * H of them are built; then one fetch for every depth, so
+    # that a cache grown on demand is not rebuilt at each depth
+    _kernel_rows(prefix, k, 0, H)
+    terms = prefix(k**max_depth * H)
     seen = set()
     blocks, depths = [], []
     for depth in range(max_depth + 1):
         new_rows, new_reps = [], []
-        for r, fp in enumerate(_kernel_rows(prefix, k, depth, H)):
+        for r, fp in enumerate(_kernel_rows(lambda n: terms[:n], k, depth, H)):
             key = fp.tobytes()
             if key in seen:
                 continue

@@ -18,10 +18,11 @@ suite, the short version being:
 import json
 import pathlib
 import tracemalloc
+from unittest import mock
 
 import pytest
 
-from pdseq import checks
+from pdseq import catalog, checks
 
 BUDGETS = {
     "prop-4.2-reversion": 5.0,
@@ -122,3 +123,17 @@ def test_mod3_structure_memory_budget():
     finally:
         tracemalloc.stop()
     assert ok and peak < 32 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_one_run_builds_each_rank_prefix_once():
+    # the rank check runs first and fetches its longest prefixes first, so
+    # its profiles and checks 7 and 10 read a, z, o and p from the cache:
+    # one build each, in a fresh registry
+    with mock.patch.dict(catalog._REGISTRY, clear=True):
+        catalog._build_registry()
+        builders = {name: mock.Mock(wraps=catalog.sequence(name).build) for name in "azop"}
+        for name, builder in builders.items():
+            catalog.sequence(name).build = builder
+        reported = [r.check_id for r in checks.run_paper_checks()]
+    assert {name: builder.call_count for name, builder in builders.items()} == dict.fromkeys("azop", 1)
+    assert reported == list(checks.CHECKS)

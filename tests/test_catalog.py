@@ -162,6 +162,28 @@ class TestBuilders:
         report = catalog.cross_check("a", n)
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("name, indicator, value", [("z", "d", 0), ("o", "d", 1), ("b", "u", 0)])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000, 4097])
+    def test_positions_across_search_slices(self, name, indicator, value, count):
+        # slices of 7 indicator terms: hits straddle every slice boundary
+        with mock.patch.object(catalog, "_POSITIONS_SLICE", 7):
+            got = catalog.sequence(name).build(count)
+        want = np.flatnonzero(catalog.sequence(indicator).build(max(4 * count, 64)) == value)[:count]
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    def test_positions_memory_follows_the_result(self):
+        # z's 2^21 terms search 2^23 terms of d for zeros: found a slice at
+        # a time, not as every hit of the prefix in int64, they peak below
+        # twice the 16 MB result
+        count = 1 << 21
+        tracemalloc.start()
+        try:
+            z = catalog.sequence("z").build(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) == count and peak < 2 * z.nbytes, f"peak {peak / 2**20:.1f} MB"
+
     def test_a_definitions_agree_past_2_16(self):
         # the set recurrence's limit doubles from 64 to 2^26 for these terms
         report = catalog.cross_check("a", 1 << 17)

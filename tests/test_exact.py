@@ -115,13 +115,16 @@ def primes_drawn(run):
 
 
 @contextmanager
-def recorded(name, keep=lambda args, result: result):
-    """exact.<name> patched to append keep(args, result) of each call to the yielded list."""
+def recorded(name, keep=lambda args, result: result, leading=False):
+    """exact.<name> patched to append keep(args, result) of each call to the
+    yielded list; of _echelon_ranks only the full passes, or with leading
+    only the leading-column passes (independent=True)."""
     calls, real = [], getattr(exact, name)
 
-    def wrapper(*args):
-        result = real(*args)
-        calls.append(keep(args, result))
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if kwargs.get("independent", False) == leading:
+            calls.append(keep(args, result))
         return result
 
     with mock.patch.object(exact, name, wrapper):
@@ -511,6 +514,109 @@ class TestModularRank:
             assert all(ncols * (q - 1) ** 2 < 2**53 for q in primes)
         with pytest.raises(ValueError, match="too few primes"):
             next(_prime_sequence(2**52))
+
+
+def greedy_chosen(blocks, q):
+    """Oracle: per block, the rows that raise the rank mod q of every row
+    before them, by sympy over GF(q)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.GF(q)
+    kept, chosen = [], []
+    for block in blocks:
+        chosen.append([])
+        for i, row in enumerate(block.tolist()):
+            rows = kept + [row]
+            if DomainMatrix([[field(x) for x in r] for r in rows], (len(rows), len(row)), field).rank() == len(rows):
+                kept.append(row)
+                chosen[-1].append(i)
+    return chosen
+
+
+def assert_echelon_matches_greedy(blocks, ncols, chunk):
+    """_echelon_ranks at the first prime, in slices of chunk rows: the
+    greedy rows, their running counts as the ranks, and pivots P with
+    S[:, P] invertible mod q; the leading-column pass, independent=True,
+    gives None exactly when some row is not chosen."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    q = next(_prime_sequence(ncols))
+    blocks = [np.array(block, dtype=np.int64).reshape(len(block), ncols) for block in blocks]
+    with mock.patch.object(exact, "_CHUNK", chunk):
+        ranks, chosen, pivots = exact._echelon_ranks(blocks, q, ncols)
+        stopped = exact._echelon_ranks(blocks, q, ncols, independent=True)
+    assert chosen == greedy_chosen(blocks, q)
+    assert ranks == list(accumulate(map(len, chosen)))
+    assert stopped == (None if ranks[-1] < sum(map(len, blocks)) else (ranks, chosen, pivots))
+    square = np.concatenate([block[rows] for block, rows in zip(blocks, chosen)])[:, pivots] % q
+    field = sympy.GF(q)
+    assert DomainMatrix([[field(int(x)) for x in row] for row in square], square.shape, field).rank() == len(pivots)
+
+
+def cut(rows, data):
+    """rows cut into at most four consecutive blocks, the last one nonempty."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)))
+    return [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+
+
+class TestLeadingColumns:
+    """R rows in more than R columns: the leading R columns certify full row
+    rank, or the full pass answers."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_planted_full_row_rank(self, chunk, r, extra, data):
+        # [L | B] with L lower unitriangular: its first differences keep a
+        # unitriangular leading block, invertible modulo every prime, so the
+        # leading-column pass certifies rank R and no full pass runs
+        ncols = r + extra
+        low = [[int(i == j) if j >= i else data.draw(st.integers(-9, 9)) for j in range(r)] for i in range(r)]
+        rows = [row + data.draw(st.lists(entries, min_size=extra, max_size=extra)) for row in low]
+        blocks = cut(rows, data)
+        with recorded("_echelon_ranks", leading=True) as leading:
+            ranks, wants, echelons = feed(ncols, blocks, chunk)
+        assert ranks == wants == list(accumulate(map(len, blocks)))
+        assert len(leading) == 1 and leading[0] is not None and echelons == []
+        assert_echelon_matches_greedy(blocks, ncols, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
+    @given(st.integers(2, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dependency_in_the_last_block(self, chunk, r, extra, data):
+        # a rational combination of the earlier rows comes last: the
+        # leading-column pass stops there, and the full pass answers
+        ncols = r + extra
+        base = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=r - 1, max_size=r - 1))
+        coeffs = [Fraction(data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 50))) for _ in base]
+        scale = lcm(*(c.denominator for c in coeffs))
+        planted = [int(sum(c * b[j] for c, b in zip(coeffs, base)) * scale) for j in range(ncols)]
+        blocks = cut(base, data) + [[planted]]
+        with recorded("_echelon_ranks", leading=True) as leading:
+            ranks, wants, echelons = feed(ncols, blocks, chunk)
+        assert ranks == wants
+        assert leading == [None] and echelons
+        assert_echelon_matches_greedy(blocks, ncols, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
+    @given(st.integers(2, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_independent_only_through_trailing_columns(self, chunk, r, extra, data):
+        # the leading r columns hold rank below r (a repeated row there), the
+        # trailing ones complete it: the leading-column pass fails, and the
+        # full pass must find the rank
+        ncols = r + extra
+        lead = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=r, max_size=r), min_size=r - 1, max_size=r - 1))
+        lead.append(list(lead[data.draw(st.integers(0, r - 2))]))
+        rows = [row + data.draw(st.lists(entries, min_size=extra, max_size=extra)) for row in data.draw(st.permutations(lead))]
+        blocks = cut(rows, data)
+        with recorded("_echelon_ranks", leading=True) as leading:
+            ranks, wants, echelons = feed(ncols, blocks, chunk)
+        assert ranks == wants
+        assert leading == [None] and echelons
+        assert_echelon_matches_greedy(blocks, ncols, chunk)
 
 
 def test_no_private_names_across_modules():
