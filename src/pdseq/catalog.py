@@ -285,12 +285,16 @@ def series_by_name(name, precision):
 
 @dataclass
 class NamedSequence:
-    """A named sequence: prefix(n) caches the array build returns, in its own dtype."""
+    """A named sequence: prefix(n) caches the array build returns, in its own dtype.
+
+    int64 is False for a sequence whose terms leave int64 (F's Python ints).
+    """
 
     name: str
     description: str
     build: callable
     alternates: dict = field(default_factory=dict)
+    int64: bool = True
     _cache: np.ndarray = field(default=None, repr=False)
 
     def prefix(self, n):
@@ -542,6 +546,7 @@ def _build_registry():
             "F",
             "Fibonacci numbers with F(0)=F(1)=1",
             _fib_build,
+            int64=False,
         )
     )
     for p in (2, 3, 5, 7):

@@ -306,35 +306,28 @@ def check_eigenvalues():
     return _fail(parts) + ("exact",)
 
 
-_RANK_DEPTH = 8  # the depth of the rank check's base-2 kernel profiles
-
-
-def _profiles(name, key, *horizons):
-    """One column of the base-2, depth-_RANK_DEPTH rank report of a catalog sequence, per horizon.
-
-    The longest prefix is fetched first, so a cache grown on demand builds it once.
-    """
-    prefix = catalog.sequence(name).prefix
-    prefix(2**_RANK_DEPTH * max(horizons))
-    reports = (kernel.rank_profile(prefix, 2, max_depth=_RANK_DEPTH, horizon=h) for h in horizons)
-    return [[row[key] for row in report["depths"]] for report in reports]
+def _profile(name, key, horizon):
+    """One column of the base-2, depth-8 rank report of a catalog sequence."""
+    report = kernel.rank_profile(catalog.sequence(name).prefix, 2, max_depth=8, horizon=horizon)
+    return [row[key] for row in report["depths"]]
 
 
 def check_rank_profiles(horizon=512):
     parts = []
     details = []
     for name in ("a", "z", "o", "p"):
-        ranks, ranks2 = _profiles(name, "rank", horizon, 2 * horizon)
+        # 2H first: its prefix holds the H profile's, so each is built once
+        ranks2, ranks = (_profile(name, "rank", h) for h in (2 * horizon, horizon))
         details.append(f"{name}: ranks@{horizon}={ranks} ranks@{2 * horizon}={ranks2}")
         increasing = all(ranks[i + 1] > ranks[i] for i in range(len(ranks) - 1))
         parts.append((increasing, f"{name}: rank not strictly increasing at H={horizon}: {ranks}"))
         parts.append((ranks == ranks2, f"{name}: ranks change when H doubles: {ranks} -> {ranks2}"))
-    (counts,) = _profiles("u", "class_count", horizon)
+    counts = _profile("u", "class_count", horizon)
     parts.append((counts[-3:] == [5, 5, 5], f"u classes {counts} do not stabilize at 5"))
     ok, msg = _fail(parts)
     if msg:
         msg = msg + " | " + " ".join(details)
-    return ok, msg, f"H={horizon} and {2 * horizon}, depths 0..{_RANK_DEPTH}"
+    return ok, msg, f"H={horizon} and {2 * horizon}, depths 0..8"
 
 
 def check_numeration(n=100_000):

@@ -50,10 +50,15 @@ def cmd_invert(args):
     return 0
 
 
+def _int64_prefix(name):
+    """The prefix of a catalog sequence whose terms fit in int64, which kernels need."""
+    if not catalog.sequence(name).int64:
+        raise OverflowError(f"the terms of {name} leave int64, and a kernel needs int64 terms")
+    return catalog.sequence(name).prefix
+
+
 def cmd_kernel(args):
-    report = kernel.rank_profile(
-        catalog.sequence(args.name).prefix, args.k, max_depth=args.depth, horizon=args.horizon
-    )
+    report = kernel.rank_profile(_int64_prefix(args.name), args.k, max_depth=args.depth, horizon=args.horizon)
     report["sequence"] = args.name
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
@@ -66,7 +71,7 @@ def cmd_kernel(args):
 
 
 def cmd_dfao(args):
-    machine = kernel.compute_kernel(catalog.sequence(args.name).prefix, args.k, horizon=args.horizon)
+    machine = kernel.compute_kernel(_int64_prefix(args.name), args.k, horizon=args.horizon)
     if machine is None:
         raise ValueError(f"kernel of {args.name} did not close within the depth cap")
     machine = automata.minimize(machine)

@@ -17,11 +17,14 @@ growing sequences stay small.  Rank mod q never exceeds the rank over Q,
 so R_d, the rank mod q after block d, is a lower bound, exact outright when
 it equals the row or column count.
 
-R rows in more than R columns are first echelonned on their leading R
+R rows in more than R columns may hold full row rank on their leading R
 columns alone: the rank over Q is at least the rank mod q of any set of
 columns, and first differences restricted to the leading columns are still
-unimodular.  If every row raises that rank, every row count is its rank;
-the pass stops at the first row that does not, and the full pass runs.
+unimodular.  The first prime's pass tries them once it has taken at least
+_CHUNK rows, each of which raised the rank, and the rows' dependencies have
+not shown among the first blocks: a pass on the leading columns that finds
+every row raising the rank makes every row count its rank, and one that
+meets a row that does not stops there, and the full pass goes on.
 
 An R_d below both counts is proved by the same prime's echelon (Dixon's
 p-adic lifting, Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
@@ -40,15 +43,14 @@ nonzero minor.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import isqrt, lcm
 
 import numpy as np
 
 __all__ = ["check_modulus", "nullspace_mod_p", "rational_ranks"]
 
-_CHUNK = 32  # rows reduced at a time, and at least the rows lifted in float64 at a time
-_LIFT_COORDINATES = 4 * _CHUNK * _CHUNK  # up to 4 * _CHUNK rows lifted in float64 at a time, to this many coordinates
+_CHUNK = 32  # rows reduced, or lifted in float64, at a time
 _OBJECT_CHUNK = 2  # rows lifted at a time in Python ints, whose coordinates reach q^j
 
 
@@ -195,11 +197,16 @@ def _to_front(columns, *arrays):
         array[..., dst] = array[..., src]
 
 
-def _echelon_ranks(blocks, q, ncols, independent=False):
+def _echelon_ranks(blocks, q, ncols, independent=False, leading=0):
     """One prime's pass: the rank mod q after each block, the rows that raised
     it (per block, as indices into the block) and their pivot columns P, one
     per chosen row in the order chosen, so S[:, P] is invertible mod q.
-    With independent, None as soon as a row does not raise the rank.
+    With independent, None as soon as a row does not raise the rank.  With
+    leading = R, the count of rows in all blocks, the pass asks once, before
+    the first block that follows at least _CHUNK rows each of which raised
+    the rank, whether the leading R columns hold rank R (a pass on them with
+    independent, the last block, the largest in a kernel profile, first);
+    None if they do.
 
     One reduced row-echelon basis modulo q, held in float64 with entries in
     [0, q), takes every block, _CHUNK rows at a time, and is dropped on
@@ -215,8 +222,13 @@ def _echelon_ranks(blocks, q, ncols, independent=False):
     basis rows live in a buffer that doubles when it fills.
     """
     order = np.arange(ncols)
-    echelon, rank, ranks, chosen = np.zeros((0, ncols)), 0, [], []
+    echelon, rank, taken, ranks, chosen = np.zeros((0, ncols)), 0, 0, [], []
     for block in blocks:
+        if leading and rank == taken >= _CHUNK:
+            if _echelon_ranks([each[:, :leading] for each in reversed(blocks)], q, leading, independent=True):
+                return None
+            leading = 0
+        taken += len(block)
         found = []
         for lo, part in _slices(block, _CHUNK):
             # the slice in the order `order`: no index clips, and "clip" skips the buffer of "raise"
@@ -337,13 +349,11 @@ def _lifted(blocks, chosen, pivots, q):
     # every minor is at most H = (sqrt(size + 1) X)^(size + 1) (Hadamard), so past
     # q^j > 2 H^2 each row has reconstructed, and been proved, or failed a division
     cap = 2 * (size + 1) ** (size + 1) * peak ** (2 * size + 2)
-    # a slice's coordinates x are Python ints that reach q^j: few rows when S has many
-    step = min(4 * _CHUNK, max(_CHUNK, _LIFT_COORDINATES // max(size, 1))) if exact else _OBJECT_CHUNK
     start = 1
     for block, rows, count in zip(blocks, chosen, accumulate(map(len, chosen))):
         others = np.ones(len(block), dtype=bool)
         others[rows] = False
-        for lo, part in _slices(block, step):
+        for lo, part in _slices(block, _CHUNK if exact else _OBJECT_CHUNK):
             rest = part[others[lo : lo + len(part)]].astype(np.float64 if exact else object)
             x, modulus, lifts = 0, 1, 0
             while len(rest):
@@ -382,25 +392,25 @@ def rational_ranks(blocks, ncols):
 
     Every row is first overwritten, in place, by its first differences (the
     first entry kept), when every entry is below 2^62 so that no difference
-    leaves int64.  R rows in more than R columns are first echelonned on
-    their leading R columns alone, and stop at the first row that does not
-    raise the rank: if none does, every row count is its rank.  Otherwise a
-    prime's ranks are certified by full rank or by _lifted on its own
-    echelon over every column; a failed lift proves the prime unlucky, and
-    the next prime's echelon is taken, one echelon alive at a time.
+    leaves int64.  R rows in more than R columns may be certified by the
+    first prime's pass on their leading R columns: if they hold rank R,
+    every row count is its rank.  Otherwise a prime's ranks are certified by
+    full rank or by _lifted on its own echelon; a failed lift proves the
+    prime unlucky, and the next prime's echelon is taken, one echelon alive
+    at a time.
     """
     sizes = list(accumulate(len(block) for block in blocks))
     if max(map(_peak, blocks), default=0) < 2**62:
         for block in blocks:
             for _, part in _slices(block, _CHUNK):
                 part[:, 1:] = np.diff(part, axis=1)
-    primes = _prime_sequence(ncols)
-    first = next(primes)
     rows = sizes[-1] if sizes else 0
-    # the last block, the largest in a kernel profile, shows a dependency soonest
-    if rows < ncols and _echelon_ranks([block[:, :rows] for block in reversed(blocks)], first, rows, independent=True):
-        return sizes
-    for q in chain([first], primes):
-        ranks, chosen, pivots = _echelon_ranks(blocks, q, ncols)
+    leading = rows if rows < ncols else 0
+    for q in _prime_sequence(ncols):
+        echelon = _echelon_ranks(blocks, q, ncols, leading=leading)
+        if echelon is None:
+            return sizes
+        ranks, chosen, pivots = echelon
         if all(r == min(size, ncols) for r, size in zip(ranks, sizes)) or _lifted(blocks, chosen, pivots, q):
             return ranks
+        leading = 0

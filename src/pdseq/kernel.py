@@ -103,14 +103,12 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     0..depth.  A rank that stops growing is consistent with k-regularity at
     this horizon; unbounded growth is evidence against it.  No claim is made
     beyond the horizon: fingerprints here are horizon-relative by design.
-    prefix(n) returns the first n terms of the sequence.
+    prefix(n) returns the first n terms of the sequence, each within int64;
+    it is called once, for k^max_depth * horizon terms.
     """
     _check_arguments(k, max_depth, horizon)
     H = int(horizon)
-    # depth 0's rows first, so that terms past int64 (F's) are refused before
-    # k^max_depth * H of them are built; then one fetch for every depth, so
-    # that a cache grown on demand is not rebuilt at each depth
-    _kernel_rows(prefix, k, 0, H)
+    # one fetch for every depth, so that a cache grown on demand is not rebuilt at each depth
     terms = prefix(k**max_depth * H)
     seen = set()
     blocks, depths = [], []

@@ -325,6 +325,7 @@ class TestRefusals:
             ("check", "lemma-3.2", "--horizon", "lemma-4.5=1000"),
             ("dfao", "a"),
             ("ore", "gf:d"),
+            ("dfao", "F"),
         ],
         ids=[
             "seq-negative",
@@ -345,6 +346,7 @@ class TestRefusals:
             "check-horizon-not-selected",
             "dfao-kernel-not-closed",
             "ore-gf-spelling",
+            "dfao-F",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv):
@@ -364,6 +366,13 @@ class TestRefusals:
     def test_overflow_is_named(self, capsys):
         _, _, err = run_cli(capsys, "kernel", "F")
         assert "overflow" in err
+
+    @pytest.mark.parametrize("command", ["kernel", "dfao"])
+    def test_terms_past_int64_refused_before_any_build(self, capsys, command):
+        with mock.patch.object(catalog.sequence("F"), "prefix", side_effect=AssertionError("built")):
+            code, out, err = run_cli(capsys, command, "F")
+        assert (code, out) == (2, "")
+        assert err == "error: integer overflow: the terms of F leave int64, and a kernel needs int64 terms\n"
 
     def test_digit_limit_names_the_first_term(self, capsys):
         # F(20578), b-file index 20577, is the first Fibonacci number with
@@ -442,6 +451,15 @@ class TestRunPaperChecks:
         check_id = "lemma-5.4-5.6-prop-5.7-mod3"
         (result,) = checks.run_paper_checks([check_id], horizons={check_id: 1})
         assert (result.status, result.detail) == ("fail", "only 0 complete runs below 1")
+
+    @pytest.mark.parametrize(
+        "limit, runs",
+        [(100_000, "100000"), (1 << 23, "2^23"), (10**7, "10000000 (covers 10^7)"), (1 << 27, "2^27 (covers 10^7)")],
+    )
+    def test_mod3_names_the_limit_it_ran_at(self, limit, runs):
+        check_id = "lemma-5.4-5.6-prop-5.7-mod3"
+        (result,) = checks.run_paper_checks([check_id], horizons={check_id: limit})
+        assert result.horizon == f"classification below 2^20, runs below {runs}, sums to n=40"
 
     @pytest.mark.parametrize(
         "check_id, horizon",

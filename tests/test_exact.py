@@ -117,13 +117,14 @@ def primes_drawn(run):
 @contextmanager
 def recorded(name, keep=lambda args, result: result, leading=False):
     """exact.<name> patched to append keep(args, result) of each call to the
-    yielded list; of _echelon_ranks only the full passes, or with leading
+    yielded list; of _echelon_ranks only the full passes that ran to the end
+    (one that the leading columns certify returns None), or with leading
     only the leading-column passes (independent=True)."""
     calls, real = [], getattr(exact, name)
 
     def wrapper(*args, **kwargs):
         result = real(*args, **kwargs)
-        if kwargs.get("independent", False) == leading:
+        if kwargs.get("independent", False) == leading and (leading or result is not None):
             calls.append(keep(args, result))
         return result
 
@@ -561,9 +562,19 @@ def cut(rows, data):
     return [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
 
 
+def tries_leading(blocks, ncols, chunk):
+    """Oracle: whether the first prime's pass tries the leading columns: R
+    rows in more than R columns, and a block that follows at least chunk
+    rows, each of which raised the rank."""
+    rows = [row for block in blocks for row in block]
+    taken = next((n for n in accumulate(map(len, blocks[:-1])) if n >= chunk), None)
+    return len(rows) < ncols and taken is not None and rational_rank(rows[:taken]) == taken
+
+
 class TestLeadingColumns:
-    """R rows in more than R columns: the leading R columns certify full row
-    rank, or the full pass answers."""
+    """R rows in more than R columns: once the first prime's pass has taken a
+    slice of rows that each raised the rank, the leading R columns certify
+    full row rank, or the full pass goes on and answers."""
 
     @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
     @given(st.integers(1, 5), st.integers(1, 4), st.data())
@@ -571,7 +582,8 @@ class TestLeadingColumns:
     def test_planted_full_row_rank(self, chunk, r, extra, data):
         # [L | B] with L lower unitriangular: its first differences keep a
         # unitriangular leading block, invertible modulo every prime, so the
-        # leading-column pass certifies rank R and no full pass runs
+        # leading-column pass, when it is tried, certifies rank R and the
+        # full pass stops there; otherwise the full pass finds rank R
         ncols = r + extra
         low = [[int(i == j) if j >= i else data.draw(st.integers(-9, 9)) for j in range(r)] for i in range(r)]
         rows = [row + data.draw(st.lists(entries, min_size=extra, max_size=extra)) for row in low]
@@ -579,7 +591,10 @@ class TestLeadingColumns:
         with recorded("_echelon_ranks", leading=True) as leading:
             ranks, wants, echelons = feed(ncols, blocks, chunk)
         assert ranks == wants == list(accumulate(map(len, blocks)))
-        assert len(leading) == 1 and leading[0] is not None and echelons == []
+        if tries_leading(blocks, ncols, chunk):
+            assert len(leading) == 1 and leading[0] is not None and echelons == []
+        else:
+            assert leading == [] and [rank for _, rank in echelons] == [r]
         assert_echelon_matches_greedy(blocks, ncols, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
@@ -587,7 +602,8 @@ class TestLeadingColumns:
     @settings(max_examples=30, deadline=None)
     def test_dependency_in_the_last_block(self, chunk, r, extra, data):
         # a rational combination of the earlier rows comes last: the
-        # leading-column pass stops there, and the full pass answers
+        # leading-column pass, taking the last block first, stops there, and
+        # the full pass answers
         ncols = r + extra
         base = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=r - 1, max_size=r - 1))
         coeffs = [Fraction(data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 50))) for _ in base]
@@ -597,7 +613,7 @@ class TestLeadingColumns:
         with recorded("_echelon_ranks", leading=True) as leading:
             ranks, wants, echelons = feed(ncols, blocks, chunk)
         assert ranks == wants
-        assert leading == [None] and echelons
+        assert leading == [None] * tries_leading(blocks, ncols, chunk) and echelons
         assert_echelon_matches_greedy(blocks, ncols, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
@@ -615,8 +631,23 @@ class TestLeadingColumns:
         with recorded("_echelon_ranks", leading=True) as leading:
             ranks, wants, echelons = feed(ncols, blocks, chunk)
         assert ranks == wants
-        assert leading == [None] and echelons
+        assert leading == [None] * tries_leading(blocks, ncols, chunk) and echelons
         assert_echelon_matches_greedy(blocks, ncols, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @given(st.integers(2, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_no_leading_pass_after_a_dependency(self, chunk, r, extra, data):
+        # a repeated row among the first rows: the full pass sees the
+        # dependency before it has taken a slice of independent rows, and
+        # never tries the leading columns
+        ncols = r + extra
+        base = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=r, max_size=r))
+        blocks = [[base[0], list(base[0])], base[1:]]
+        with recorded("_echelon_ranks", leading=True) as leading:
+            ranks, wants, _ = feed(ncols, blocks, chunk)
+        assert ranks == wants
+        assert leading == []
 
 
 def test_no_private_names_across_modules():

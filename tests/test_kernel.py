@@ -131,6 +131,17 @@ class TestRankProfile:
         assert reps[0]["scale"] == 0 and reps[0]["residue"] == 0
         assert len(reps[0]["fingerprint"]) == 32
 
+    def test_one_fetch_for_every_depth(self):
+        # a cache grown on demand is built once, at its longest length
+        fetched = []
+
+        def prefix(n):
+            fetched.append(n)
+            return catalog.sequence("u").prefix(n)
+
+        rank_profile(prefix, 3, max_depth=4, horizon=50)
+        assert fetched == [3**4 * 50]
+
     @pytest.mark.parametrize("fn", [rank_profile, compute_kernel])
     def test_arguments_checked(self, fn):
         prefix = catalog.sequence("u").prefix
