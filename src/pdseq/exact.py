@@ -17,17 +17,8 @@ growing sequences stay small.  Rank mod q never exceeds the rank over Q,
 so R_d, the rank mod q after block d, is a lower bound, exact outright when
 it equals the row or column count.
 
-R rows in more than R columns may hold full row rank on their leading R
-columns alone: the rank over Q is at least the rank mod q of any set of
-columns, and first differences restricted to the leading columns are still
-unimodular.  The first prime's pass tries them once it has taken at least
-_CHUNK rows, each of which raised the rank, and the rows' dependencies have
-not shown among the first blocks: a pass on the leading columns that finds
-every row raising the rank makes every row count its rank, and one that
-meets a row that does not stops there, and the full pass goes on.
-
-An R_d below both counts is proved by the same prime's echelon (Dixon's
-p-adic lifting, Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
+Otherwise the same prime's echelon proves it (Dixon's p-adic lifting,
+Numer. Math. 40, 1982).  The echelon records the rows S that raised the rank
 and their pivot columns P, so S[:, P] is invertible modulo q.  The
 coordinates x of every other row m, m = x S, are lifted one q-adic digit at
 a time, with a division by q that must be exact, and reconstructed as
@@ -39,6 +30,15 @@ that is not exact, or a Y on a later block's row, proves q unlucky: its
 rank is below the rank over Q.  The next prime's echelon is then taken,
 one echelon alive at a time, and a prime is unlucky only if it divides a
 nonzero minor.
+
+R rows in more than R columns may hold full row rank on their leading R
+columns alone: the rank over Q is at least the rank mod q of any set of
+columns, and first differences restricted to the leading columns are still
+unimodular.  The first prime's pass tries them once, when it has taken at
+least _CHUNK rows and each raised the rank, so rows whose dependencies show
+among the first blocks never do: a pass on the leading columns that finds
+every row raising the rank makes every row count its rank, and one that
+meets a row that does not stops there, and the full pass goes on.
 """
 
 from __future__ import annotations
