@@ -2,8 +2,8 @@
 
 check_modulus admits the primes p with (p-1)^2 < 2^63, the moduli of the
 series arithmetic; nullspace_mod_p solves the series' relation searches;
-rational_ranks gives the kernel's rank profiles.  Nothing here depends on
-the rest of the package.
+rank_certificate, and rational_ranks from it, give the kernel's rank
+profiles.  Nothing here depends on the rest of the package.
 
 A rank over Q starts from one prime q: every block's new rows are
 reduced, a few rows at a time, against one row-echelon basis mod q, in
@@ -39,6 +39,16 @@ least _CHUNK rows and each raised the rank, so rows whose dependencies show
 among the first blocks never do: a pass on the leading columns that finds
 every row raising the rank makes every row count its rank, and one that
 meets a row that does not stops there, and the full pass goes on.
+
+rank_certificate returns what was proved: the rows S_d of blocks[0..d]
+that raised the rank, which span every row of those blocks over Q, and a
+width w_d such that S_d's first w_d columns hold full row rank modulo q,
+so over Q: R on the leading-column path, else 1 + max P_d, since S_d[:, P_d]
+is invertible.  Both survive dropping trailing columns, which is what a
+shorter horizon of the same rows asks: an identity m = x S_d holds on any
+set of columns, so the rank of the rows cut to h columns is the rank of
+S_d cut to h, |S_d| when h >= w_d.  Differences cut to h are the
+differences of the cut rows, so this holds of either.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-__all__ = ["check_modulus", "nullspace_mod_p", "rational_ranks"]
+__all__ = ["check_modulus", "nullspace_mod_p", "rank_certificate", "rational_ranks"]
 
 _CHUNK = 32  # rows reduced, or lifted in float64, at a time
 _OBJECT_CHUNK = 2  # rows lifted at a time in Python ints, whose coordinates reach q^j
@@ -316,7 +326,7 @@ def _reconstruct(x, m, start):
     return y, den
 
 
-def _lifted(blocks, chosen, pivots, q):
+def _lifted(blocks, chosen, pivots, q, peak):
     """Whether every row is a rational combination of the chosen rows of its block or earlier blocks.
 
     A = S[:, P] is invertible modulo q.  Each lift takes the other rows R,
@@ -325,9 +335,10 @@ def _lifted(blocks, chosen, pivots, q):
     q^i.  False, q unlucky, when a division is not exact or a proved Y (see
     the module docstring) uses a chosen row of a later block than m's;
     ArithmeticError, which theory rules out, when a row outlives the cap.
+    peak is X, the max |entry| of the blocks as they are lifted.
     """
     basis = np.concatenate([block[rows] for block, rows in zip(blocks, chosen)])
-    size, peak = len(pivots), max(map(_peak, blocks))
+    size = len(pivots)
     # [A | I] reduces to [I | A^-1], rows in pivot order: A's columns hold every pivot
     augmented = np.zeros((size, 2 * size), dtype=np.int64)
     augmented[:, :size] = basis[:, pivots]
@@ -344,8 +355,12 @@ def _lifted(blocks, chosen, pivots, q):
         # R in Python ints; c S from signed float64 limbs of S: exact BLAS products, not Python-int terms
         width = (2**53 // (max(size, 1) * q)).bit_length() - 1
         shifts = range(0, peak.bit_length(), width)
-        limbs = [(np.sign(basis) * (np.abs(basis) >> s & (1 << width) - 1)).astype(np.float64) for s in shifts]
-        del basis
+        # |S| as uint64: np.abs wraps -2^63 to itself in int64
+        magnitude = np.abs(basis).view(np.uint64)
+        limbs = [
+            (np.sign(basis) * (magnitude >> s & (1 << width) - 1).astype(np.int64)).astype(np.float64) for s in shifts
+        ]
+        del basis, magnitude
     # every minor is at most H = (sqrt(size + 1) X)^(size + 1) (Hadamard), so past
     # q^j > 2 H^2 each row has reconstructed, and been proved, or failed a division
     cap = 2 * (size + 1) ** (size + 1) * peak ** (2 * size + 2)
@@ -387,30 +402,47 @@ def _lifted(blocks, chosen, pivots, q):
     return True
 
 
-def rational_ranks(blocks, ncols):
-    """The rank over Q of the rows of blocks[0..d] (int64, ncols columns), for each d.
+def rank_certificate(blocks, ncols):
+    """What rational_ranks proves of blocks (int64, ncols columns), as (chosen, widths).
+
+    chosen[d] lists the rows of blocks[d] that raised the rank, every row
+    when the leading columns certified them; the rows S_d so chosen in
+    blocks[0..d] span every row of those blocks over Q, and |S_d| is their
+    rank.  widths[d] is a width w such that S_d's first w columns hold full
+    row rank modulo a prime, so over Q: the row count R on the
+    leading-column path, else 1 + S_d's largest pivot column.
 
     Every row is first overwritten, in place, by its first differences (the
     first entry kept), when every entry is below 2^62 so that no difference
-    leaves int64.  R rows in more than R columns may be certified by the
-    first prime's pass on their leading R columns: if they hold rank R,
-    every row count is its rank.  Otherwise a prime's ranks are certified by
-    full rank or by _lifted on its own echelon; a failed lift proves the
-    prime unlucky, and the next prime's echelon is taken, one echelon alive
-    at a time.
+    leaves int64; the peak the lift needs is taken of the differenced rows
+    as they are written.  R rows in more than R columns may be certified by
+    the first prime's pass on their leading R columns.  Otherwise a prime's
+    ranks are certified by full rank or by _lifted on its own echelon; a
+    failed lift proves the prime unlucky, and the next prime's echelon is
+    taken, one echelon alive at a time.
     """
     sizes = list(accumulate(len(block) for block in blocks))
-    if max(map(_peak, blocks), default=0) < 2**62:
+    peak = max(map(_peak, blocks), default=0)
+    if peak < 2**62:
+        peak = 0
         for block in blocks:
             for _, part in _slices(block, _CHUNK):
                 part[:, 1:] = np.diff(part, axis=1)
+                peak = max(peak, _peak(part))
     rows = sizes[-1] if sizes else 0
     leading = rows if rows < ncols else 0
     for q in _prime_sequence(ncols):
         echelon = _echelon_ranks(blocks, q, ncols, leading=leading)
         if echelon is None:
-            return sizes
+            return [list(range(len(block))) for block in blocks], [rows] * len(blocks)
         ranks, chosen, pivots = echelon
-        if all(r == min(size, ncols) for r, size in zip(ranks, sizes)) or _lifted(blocks, chosen, pivots, q):
-            return ranks
+        if all(r == min(size, ncols) for r, size in zip(ranks, sizes)) or _lifted(blocks, chosen, pivots, q, peak):
+            return chosen, [1 + max(pivots[:r], default=-1) for r in ranks]
         leading = 0
+
+
+def rational_ranks(blocks, ncols):
+    """The rank over Q of the rows of blocks[0..d] (int64, ncols columns), for each d:
+    the counts of rank_certificate's chosen rows.  The blocks are differenced in place."""
+    chosen, _ = rank_certificate(blocks, ncols)
+    return list(accumulate(map(len, chosen)))

@@ -7,15 +7,21 @@ it is trusted, because fingerprint collisions would silently corrupt the
 automaton.  compute_kernel closes the kernel under these merges and returns
 its LSD-first automaton.  rank_profile reports, per scale, the number of
 distinct fingerprints and the exact rank of the fingerprint matrix over the
-rationals (exact.rational_ranks).
+rationals, at one or more horizons from one certificate at the largest
+(exact.rank_certificate): a row's first h terms are the first h of its
+first H, so a smaller horizon's classes are the distinct h-prefixes of the
+H-classes, and its ranks those of the certificate's spanning rows S_d cut
+to h columns, since every identity between rows survives dropping columns.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .automata import Dfao
-from .exact import rational_ranks
+from .exact import rank_certificate, rational_ranks
 
 __all__ = [
     "HorizonError",
@@ -93,6 +99,19 @@ def compute_kernel(prefix, k, max_depth=10, horizon=512):
     return None
 
 
+def _distinct(blocks, width):
+    """Per block, the indices of its rows whose first width terms no earlier row, of it or an earlier block, has."""
+    seen, new = set(), []
+    for block in blocks:
+        new.append([])
+        for i, row in enumerate(block):
+            key = row[:width].tobytes()
+            if key not in seen:
+                seen.add(key)
+                new[-1].append(i)
+    return new
+
+
 def rank_profile(prefix, k, max_depth=8, horizon=512):
     """Distinct-class counts and exact rational ranks per kernel depth.
 
@@ -103,27 +122,54 @@ def rank_profile(prefix, k, max_depth=8, horizon=512):
     0..depth.  A rank that stops growing is consistent with k-regularity at
     this horizon; unbounded growth is evidence against it.  No claim is made
     beyond the horizon: fingerprints here are horizon-relative by design.
-    prefix(n) returns the first n terms of the sequence, each within int64;
-    it is called once, for k^max_depth * horizon terms.
+    horizon may also be a sequence of horizons: then a list of reports, one
+    per horizon in that order, each equal to its own profile.  prefix(n)
+    returns the first n terms of the sequence, each within int64; it is
+    called once, for k^max_depth * H terms, H the largest horizon.
+
+    Every horizon comes from one class table and one rank certificate at H
+    (see the module docstring): the h-classes are the distinct h-prefixes of
+    the H-classes, in (depth, residue) order, and the rank at h after depth
+    d is |S_d| when h reaches the certificate's width w_d, else that of S's
+    rows cut to h columns (rational_ranks), taken afresh from the terms, as
+    the certificate differences its rows in place.
     """
-    _check_arguments(k, max_depth, horizon)
-    H = int(horizon)
-    # one fetch for every depth, so that a cache grown on demand is not rebuilt at each depth
-    terms = prefix(k**max_depth * H)
-    seen = set()
-    blocks, depths = [], []
-    for depth in range(max_depth + 1):
-        new_rows, new_reps = [], []
-        for r, fp in enumerate(_kernel_rows(lambda n: terms[:n], k, depth, H)):
-            key = fp.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            new_rows.append(fp)
-            new_reps.append({"scale": depth, "residue": r, "fingerprint": fp[:32].tolist()})
-        blocks.append(np.array(new_rows, dtype=np.int64).reshape(len(new_rows), H))
-        depths.append({"depth": depth, "class_count": len(seen), "representatives": new_reps})
-    del seen  # the blocks hold the same rows
-    for d, rank in zip(depths, rational_ranks(blocks, H)):
-        d["rank"] = rank
-    return {"k": k, "horizon": H, "depths": depths}
+    single = np.ndim(horizon) == 0
+    horizons = [horizon] if single else list(horizon)
+    if not horizons:
+        raise ValueError("at least one horizon is needed")
+    for h in horizons:
+        _check_arguments(k, max_depth, h)
+    horizons = [int(h) for h in horizons]
+    H = max(horizons)
+    # one fetch for every depth and horizon, so that a cache grown on demand is built once
+    terms = np.asarray(prefix(k**max_depth * H), dtype=np.int64)
+
+    def fetch(n):
+        return terms[:n]
+
+    # the classes at H, per depth: the residues of the rows new there, and those rows
+    tables = [_kernel_rows(fetch, k, depth, H) for depth in range(max_depth + 1)]
+    residues = _distinct(tables, H)
+    blocks = [table[new] for table, new in zip(tables, residues)]
+    # the classes at each h: the residues whose h-prefixes are new, in (depth, residue) order
+    classes = {
+        h: [[res[i] for i in new] for res, new in zip(residues, _distinct(blocks, h))] if h < H else residues
+        for h in horizons
+    }
+    chosen, widths = rank_certificate(blocks, H)  # differences the blocks in place
+    reports = []
+    for h in horizons:
+        if max(widths) <= h:
+            ranks = list(accumulate(map(len, chosen)))
+        else:  # S's rows cut to h columns, taken afresh from the terms
+            cut = [_kernel_rows(fetch, k, d, h)[[res[i] for i in rows]] for d, (res, rows) in enumerate(zip(residues, chosen))]
+            ranks = rational_ranks(cut, h)
+        depths, count = [], 0
+        for depth, (new, rank) in enumerate(zip(classes[h], ranks)):
+            count += len(new)
+            heads = _kernel_rows(fetch, k, depth, min(h, 32))
+            reps = [{"scale": depth, "residue": r, "fingerprint": heads[r].tolist()} for r in new]
+            depths.append({"depth": depth, "class_count": count, "representatives": reps, "rank": rank})
+        reports.append({"k": k, "horizon": h, "depths": depths})
+    return reports[0] if single else reports

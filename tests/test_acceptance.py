@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 
-from pdseq import catalog, checks
+from pdseq import catalog, checks, kernel
 
 BUDGETS = {
     "prop-4.2-reversion": 5.0,
@@ -137,3 +137,11 @@ def test_one_run_builds_each_rank_prefix_once():
         reported = [r.check_id for r in checks.run_paper_checks()]
     assert {name: builder.call_count for name, builder in builders.items()} == dict.fromkeys("azop", 1)
     assert reported == list(checks.CHECKS)
+
+
+def test_rank_check_profiles_each_sequence_once():
+    # a, z, o and p take their H profile from the 2H call; u needs H alone
+    with mock.patch.object(kernel, "rank_profile", wraps=kernel.rank_profile) as profile:
+        checks.check_rank_profiles()
+    calls = [(call.args[0].__self__.name, call.kwargs["horizon"]) for call in profile.call_args_list]
+    assert calls == [(name, (1024, 512)) for name in "azop"] + [("u", (512,))]

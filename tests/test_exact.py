@@ -384,6 +384,14 @@ class TestModularRank:
         assert [q for q, _ in echelons] == [next(_prime_sequence(2))]
         assert max(reached) == echelons[0][0] ** 4
 
+    def test_entry_minus_2_63_lifts(self):
+        # -2^63 has no int64 magnitude: the lift's limbs of S still hold it
+        # exactly, and the first prime certifies the repeated row
+        with recorded("_lifted") as verdicts:
+            ranks, wants, echelons = feed(2, [[[1, -(2**63)]], [[1, -(2**63)]]])
+        assert ranks == wants == [1, 1]
+        assert verdicts == [True] and len(echelons) == 1
+
     def test_lift_that_never_proves_raises(self):
         # a reconstruction that never succeeds, as a defect would: the lift
         # raises once q^j passes 2 H^2, H the Hadamard bound, instead of
@@ -648,6 +656,42 @@ class TestLeadingColumns:
             ranks, wants, _ = feed(ncols, blocks, chunk)
         assert ranks == wants
         assert leading == []
+
+
+class TestCertificate:
+    """rank_certificate: the rows S_d that raised the rank span blocks[0..d]
+    over Q, and S_d holds full row rank on its first widths[d] columns."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, exact._CHUNK])
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_widths(self, chunk, ncols, data):
+        # small chunks let a few rows take the leading-column path, whose width is the row count
+        row = st.lists(st.one_of(entries, st.integers(0, 1)), min_size=ncols, max_size=ncols)
+        blocks = data.draw(st.lists(st.lists(row, max_size=5), min_size=1, max_size=5))
+        arrays = [np.array(block, dtype=np.int64).reshape(len(block), ncols) for block in blocks]
+        with mock.patch.object(exact, "_CHUNK", chunk):
+            chosen, widths = exact.rank_certificate(arrays, ncols)
+        for d, width in enumerate(widths):
+            rows = [row for block in blocks[: d + 1] for row in block]
+            basis = [block[i] for block, picked in zip(blocks, chosen[: d + 1]) for i in picked]
+            assert rational_rank(basis) == len(basis) == rational_rank(rows)
+            assert width <= ncols
+            assert not basis or rational_rank([row[:width] for row in basis]) == len(basis)
+
+    @given(st.integers(2, 6), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lift_reads_the_peak_of_the_differences(self, ncols, huge, data):
+        # a repeated row makes the first prime's pass lift; its X is the
+        # largest |entry| of the rows as lifted: their first differences when
+        # every entry is below 2^62, which the entries' own peak is not
+        value = st.integers(-(2**63), 2**63 - 1) if huge else st.integers(-(2**61), 2**61)
+        row = data.draw(st.lists(value, min_size=ncols, max_size=ncols))
+        lifted = row if max(map(abs, row)) >= 2**62 else row[:1] + [b - a for a, b in zip(row, row[1:])]
+        with recorded("_lifted", lambda args, _: args[4]) as peaks:
+            ranks, wants, _ = feed(ncols, [[row], [row]])
+        assert ranks == wants
+        assert peaks == [max(map(abs, lifted))]
 
 
 def test_no_private_names_across_modules():

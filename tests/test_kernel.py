@@ -10,7 +10,7 @@ from oracles import output
 from pdseq import catalog
 from pdseq.automata import Dfao, evaluate_range, minimize
 from pdseq.kernel import HorizonError, compute_kernel, rank_profile
-from test_exact import primes_drawn
+from test_exact import primes_drawn, rational_rank, recorded
 
 
 class TestComputeKernel:
@@ -140,7 +140,8 @@ class TestRankProfile:
             return catalog.sequence("u").prefix(n)
 
         rank_profile(prefix, 3, max_depth=4, horizon=50)
-        assert fetched == [3**4 * 50]
+        rank_profile(prefix, 3, max_depth=4, horizon=(20, 50, 35))
+        assert fetched == [3**4 * 50] * 2
 
     @pytest.mark.parametrize("fn", [rank_profile, compute_kernel])
     def test_arguments_checked(self, fn):
@@ -151,6 +152,13 @@ class TestRankProfile:
             fn(prefix, 2, horizon=0)
         with pytest.raises(ValueError, match="depth"):
             fn(prefix, 2, max_depth=-1, horizon=64)
+
+    def test_horizon_sequences_checked(self):
+        prefix = catalog.sequence("u").prefix
+        with pytest.raises(ValueError, match="horizon"):
+            rank_profile(prefix, 2, horizon=())
+        with pytest.raises(ValueError, match="horizon"):
+            rank_profile(prefix, 2, horizon=(64, 0))
 
     def test_class_counts_nondecreasing_in_horizon(self):
         # a longer fingerprint can only split classes, never merge them
@@ -179,12 +187,79 @@ class TestRankGrowth:
         assert all(a < b for a, b in zip(got, got[1:]))
 
     @pytest.mark.parametrize("name", ["z", "o", "p"])
-    @pytest.mark.parametrize("horizon", [512, 1024])
-    def test_check_ranks_certified_from_one_prime(self, name, horizon):
-        # the rank check's profiles: one echelon, whose lift certifies it
-        report, drawn = primes_drawn(lambda: rank_profile(catalog.sequence(name).prefix, 2, max_depth=8, horizon=horizon))
-        assert drawn == 1
-        assert column(report, "rank")[:4] == [1, 3, 7, 15]
+    def test_check_ranks_certified_from_one_prime(self, name):
+        # the rank check's call: one echelon at 1024, whose lift certifies
+        # it, and one on the chosen rows cut to 512 columns
+        prefix = catalog.sequence(name).prefix
+        reports, drawn = primes_drawn(lambda: rank_profile(prefix, 2, max_depth=8, horizon=(1024, 512)))
+        assert drawn == 2
+        assert all(column(report, "rank")[:4] == [1, 3, 7, 15] for report in reports)
+
+
+class TestSeveralHorizons:
+    """rank_profile at several horizons: one class table and one certificate at
+    the largest, and each report equal to its horizon's own profile."""
+
+    @staticmethod
+    def assert_separate(terms, k, depth, horizons):
+        prefix = lambda n: terms[:n]  # noqa: E731
+        reports = rank_profile(prefix, k, max_depth=depth, horizon=horizons)
+        assert reports == [rank_profile(prefix, k, max_depth=depth, horizon=h) for h in horizons]
+        if sum(k**d for d in range(depth + 1)) <= 13:
+            for h, report in zip(horizons, reports):
+                rows = [terms[r : k**d * h : k**d].tolist() for d in range(depth + 1) for r in range(k**d)]
+                ranks = [rational_rank(rows[: (k ** (d + 1) - 1) // (k - 1)]) for d in range(depth + 1)]
+                assert column(report, "rank") == ranks
+        return reports
+
+    @staticmethod
+    def horizons(h, data):
+        return [(2 * h, h), data.draw(st.lists(st.integers(1, 2 * h), min_size=3, max_size=3))]
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_sequences(self, k, depth, h, data):
+        # entries from a two-letter alphabet to the whole of int64, past the 2^62 of the differences
+        bound = data.draw(st.sampled_from([1, 2, 2**20, 2**63]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        terms = rng.integers(-bound, bound, size=k**depth * 2 * h, dtype=np.int64)
+        for horizons in self.horizons(h, data):
+            self.assert_separate(terms, k, depth, horizons)
+
+    @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_agreeing_on_h_terms_only(self, k, depth, h, data):
+        # period k^m, then distinct values from n = k^d0 h on: the rows of
+        # depth d0 > m are constants on their first h terms, as rows of depth
+        # m are, and leave them on the next h, so h-classes merge 2h-classes
+        m = data.draw(st.integers(0, depth - 1))
+        d0 = data.draw(st.integers(m + 1, depth))
+        pattern = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=k**m, max_size=k**m)), dtype=np.int64)
+        n = np.arange(k**depth * 2 * h)
+        terms = pattern[n % k**m] + np.where(n >= k**d0 * h, n + 10, 0)
+        for horizons in self.horizons(h, data):
+            self.assert_separate(terms, k, depth, horizons)
+        large, small = rank_profile(lambda count: terms[:count], k, max_depth=depth, horizon=(2 * h, h))
+        assert column(small, "class_count")[d0] < column(large, "class_count")[d0]
+
+    def test_width_rule_needs_no_second_echelon(self):
+        # a's 511 rows hold full row rank on their leading 511 columns: every
+        # rank at 512 is a row count, with no echelon after the first prime's
+        prefix = catalog.sequence("a").prefix
+        with recorded("_echelon_ranks", lambda args, _: args[2], leading=True) as leading:
+            reports, drawn = primes_drawn(lambda: rank_profile(prefix, 2, max_depth=8, horizon=(1024, 512)))
+        assert drawn == 1 and leading == [511]
+        assert column(reports[1], "rank") == [2**d - 1 for d in range(1, 10)] == column(reports[1], "class_count")
+
+    @pytest.mark.parametrize("name", ["z", "o"])
+    def test_fallback_on_the_chosen_rows(self, name):
+        # z's and o's 20 chosen rows at 1024 do not hold rank 20 on their
+        # first 512 columns: their rank there runs on those 20 rows alone
+        prefix = catalog.sequence(name).prefix
+        with recorded("_echelon_ranks", lambda args, _: (sum(map(len, args[0])), args[2])) as passes:
+            large, small = rank_profile(prefix, 2, max_depth=8, horizon=(1024, 512))
+        assert passes == [(511, 1024), (20, 512)]
+        assert column(large, "rank")[-1] == 20 and column(small, "rank")[-1] == 18
 
 
 class TestPositionsOfZeros:
