@@ -10,6 +10,9 @@ the id -> description map.
 from __future__ import annotations
 
 import inspect
+import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass
 
@@ -367,13 +370,98 @@ CHECKS = {
 }
 
 
+RANK_CHECK = "non-regularity-rank-evidence"
+
+
+def _run_check(check_id, horizons):
+    """The CheckResult of one check; a MemoryError propagates."""
+    _, fn = CHECKS[check_id]
+    start = time.perf_counter()
+    try:
+        if check_id in horizons:
+            ok, detail, horizon = fn(horizons[check_id])
+        else:
+            ok, detail, horizon = fn()
+        status = "pass" if ok else "fail"
+    except MemoryError:  # a refusal, not a failed check
+        raise
+    except Exception as exc:  # a crash is a failure with the reason recorded
+        status, detail, horizon = "fail", f"exception: {exc!r}", "n/a"
+    return CheckResult(check_id, status, horizon, time.perf_counter() - start, detail)
+
+
+def _fork_rank_check(ids, horizons):
+    """(pid, read end of its pipe) of a child running the rank check, or None to run it here.
+
+    The rank check is the slowest check and no other reads its result, so
+    on two or more CPUs it runs beside the others.  It forks only from a
+    single-threaded process: a fork copies no thread but the caller.
+    """
+    if not (
+        RANK_CHECK in ids
+        and len(ids) > 1
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    ):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    # the child: its CheckResult, or the MemoryError it raised, goes up the pipe
+    # and nothing else leaves it; os._exit flushes none of the parent's buffers
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = _run_check(RANK_CHECK, horizons)
+        except MemoryError as exc:
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, pipe, kill):
+    """Close the pipe and wait for the child, killing it first if kill; its wait status."""
+    pipe.close()
+    if kill:
+        import signal  # here, on the one path that kills: at the top it adds to every start-up
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
+
+
+def _child_result(data, status, elapsed):
+    """The rank check's CheckResult from what the child wrote and how it ended; re-raises its MemoryError."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:  # the child exits 0 only once its whole outcome is written
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return CheckResult(RANK_CHECK, "fail", "n/a", elapsed, f"the rank check's process {how} before it reported")
+    outcome = pickle.loads(data)
+    if isinstance(outcome, MemoryError):
+        raise outcome
+    return outcome
+
+
 def run_paper_checks(selection=None, horizons=None):
     """Run the suite (or the selected ids) and return CheckResult records.
 
     horizons maps a check id to an override for its main horizon knob.
     An unknown id, and an override below 1, for a check not selected or for
     one without a horizon, raise ValueError before anything runs; a check
-    that would exhaust memory raises MemoryError.
+    that would exhaust memory raises MemoryError.  With another check
+    selected, the rank check runs in a forked child where that can pay
+    (see _fork_rank_check); the child is reaped on every path.
     """
     horizons = dict(horizons or {})
     selected = list(CHECKS if selection is None else selection)
@@ -389,22 +477,21 @@ def run_paper_checks(selection=None, horizons=None):
             raise ValueError(f"horizon override for {key!r}, a check without a horizon")
         if value < 1:
             raise ValueError(f"horizon override {key}={value}: a horizon must be at least 1")
-    # the rank check runs first: its prefixes of a, z, o and p are the longest
-    # the suite reads, so the checks after it find them cached
-    ids = sorted((c for c in CHECKS if c in selected), key=lambda c: c != "non-regularity-rank-evidence")
+    ids = [c for c in CHECKS if c in selected]
+    start = time.perf_counter()
+    child = _fork_rank_check(ids, horizons)
+    if child is not None:
+        ids.remove(RANK_CHECK)
     results = {}
-    for check_id in ids:
-        _, fn = CHECKS[check_id]
-        start = time.perf_counter()
-        try:
-            if check_id in horizons:
-                ok, detail, horizon = fn(horizons[check_id])
-            else:
-                ok, detail, horizon = fn()
-            status = "pass" if ok else "fail"
-        except MemoryError:  # a refusal, not a failed check
-            raise
-        except Exception as exc:  # a crash is a failure with the reason recorded
-            status, detail, horizon = "fail", f"exception: {exc!r}", "n/a"
-        results[check_id] = CheckResult(check_id, status, horizon, time.perf_counter() - start, detail)
+    try:
+        for check_id in ids:
+            results[check_id] = _run_check(check_id, horizons)
+        if child is not None:
+            data = child[1].read()
+    except BaseException:
+        if child is not None:
+            _reap(*child, kill=True)
+        raise
+    if child is not None:
+        results[RANK_CHECK] = _child_result(data, _reap(*child, kill=False), time.perf_counter() - start)
     return [results[c] for c in CHECKS if c in results]

@@ -5,7 +5,9 @@ and comprehensions aside) is named "<module>.<qualname>".  A sys.setprofile
 hook, installed before pdseq is imported, records each one that runs while
 the package is imported and these are run:
 
-- `pdseq check` (text, --format json and --list);
+- `pdseq check` (text, --format json and --list), and the rank check
+  alone: in a full run it may run in a forked child, which the hook does
+  not see;
 - `seq`, `kernel` and `dfao` on every catalog name, at small sizes;
 - `complexity` on every language, `ore` on u and on a generalized
   Thue-Morse inverse, and `invert` on a series, on the shortest one and on
@@ -51,6 +53,7 @@ def run_product(tmp_dir):
     large_p.write_text(json.dumps({"p": 1000003, "coeffs": [0] + [1000002] * 199}))
     runs = [
         ["check"],
+        ["check", "non-regularity-rank-evidence"],
         ["check", "--format", "json", "ans-numeration"],
         ["check", "--list"],
         ["ore", "u"],

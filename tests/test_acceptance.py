@@ -16,6 +16,7 @@ suite, the short version being:
 """
 
 import json
+import os
 import pathlib
 import tracemalloc
 from unittest import mock
@@ -125,18 +126,29 @@ def test_mod3_structure_memory_budget():
     assert ok and peak < 32 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_one_run_builds_each_rank_prefix_once():
-    # the rank check runs first and fetches its longest prefixes first, so
-    # its profiles and checks 7 and 10 read a, z, o and p from the cache:
-    # one build each, in a fresh registry
+def _count_builds(run):
+    """How often run() builds a, z, o and p in this process, from a fresh registry."""
     with mock.patch.dict(catalog._REGISTRY, clear=True):
         catalog._build_registry()
         builders = {name: mock.Mock(wraps=catalog.sequence(name).build) for name in "azop"}
         for name, builder in builders.items():
             catalog.sequence(name).build = builder
-        reported = [r.check_id for r in checks.run_paper_checks()]
-    assert {name: builder.call_count for name, builder in builders.items()} == dict.fromkeys("azop", 1)
+        run()
+    return {name: builder.call_count for name, builder in builders.items()}
+
+
+def test_one_run_builds_each_rank_prefix_once(monkeypatch):
+    # with the rank check in a forked child, checks 7 and 10 build their own
+    # a, z, o and p here, once each; the child's builds are its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
+    reported = []
+    assert _count_builds(lambda: reported.extend(r.check_id for r in checks.run_paper_checks())) == dict.fromkeys("azop", 1)
     assert reported == list(checks.CHECKS)
+
+
+def test_rank_check_builds_each_prefix_once():
+    # each 2H profile is fetched before the H one, so the prefix is built at its longest
+    assert _count_builds(checks.check_rank_profiles) == dict.fromkeys("azop", 1)
 
 
 def test_rank_check_profiles_each_sequence_once():

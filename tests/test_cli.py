@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -501,6 +502,139 @@ class TestRunPaperChecks:
         assert result.status == "pass"
         assert result.elapsed >= 0
         assert result.to_json_dict()["id"] == "lemma-3.2"
+
+
+RANK = checks.RANK_CHECK
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child os.fork starts in this process; two CPUs, whatever the host has."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
+    yield pids
+    for pid in pids:  # every child is reaped before run_paper_checks returns or raises
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _fake_rank_check(fn):
+    """Replace the rank check, in this process and in any child forked from it."""
+    return mock.patch.dict(checks.CHECKS, {RANK: ("a stand-in", fn)})
+
+
+def _in_child(body):
+    """A stand-in rank check that runs body in a forked child, and fails the test if it runs here."""
+    parent = os.getpid()
+
+    def fn():
+        if os.getpid() == parent:
+            raise AssertionError("the rank check ran in-process")
+        body()
+
+    return fn
+
+
+class TestForkedRankCheck:
+    def test_forked_run_equals_the_in_process_runs(self, forks):
+        forked = checks.run_paper_checks()
+        assert len(forks) == 1
+        in_process = checks.run_paper_checks([RANK]) + checks.run_paper_checks([c for c in checks.CHECKS if c != RANK])
+        assert len(forks) == 1
+        by_id = {r.check_id: r for r in in_process}
+        # every field but elapsed
+        assert [r.to_json_dict() for r in forked] == [by_id[c].to_json_dict() for c in checks.CHECKS]
+        assert all(r.elapsed > 0 for r in forked)
+
+    def test_memory_error_in_the_child_is_raised_here(self, forks, capsys):
+        def refuse():
+            raise MemoryError("the rank check needs about 2^40 bytes")
+
+        with _fake_rank_check(_in_child(refuse)):
+            with pytest.raises(MemoryError, match=r"^the rank check needs about 2\^40 bytes$"):
+                checks.run_paper_checks([RANK, "prop-5.13-eigenvalues"])
+            code, out, err = run_cli(capsys, "check", RANK, "prop-5.13-eigenvalues")
+        assert len(forks) == 2
+        assert (code, out, err) == (2, "", "error: the rank check needs about 2^40 bytes\n")
+
+    @pytest.mark.parametrize(
+        "die, how",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+        ],
+    )
+    def test_child_without_a_result_is_a_failed_rank_check(self, forks, die, how):
+        with _fake_rank_check(_in_child(die)):
+            rank, other = checks.run_paper_checks([RANK, "prop-5.13-eigenvalues"])[::-1]
+        assert len(forks) == 1
+        assert (rank.check_id, rank.status, rank.horizon) == (RANK, "fail", "n/a")
+        assert rank.detail == f"the rank check's process {how} before it reported"
+        assert other.check_id == "prop-5.13-eigenvalues"
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_parent_side_raise_kills_and_reaps_the_child(self, forks, exc):
+        def raise_here():
+            raise exc("parent side")
+
+        start = time.perf_counter()
+        with _fake_rank_check(_in_child(lambda: time.sleep(60))):
+            with mock.patch.dict(checks.CHECKS, {"lemma-3.2": ("a stand-in", raise_here)}):
+                with pytest.raises(exc, match="parent side"):
+                    checks.run_paper_checks(["lemma-3.2", RANK])
+        assert time.perf_counter() - start < 30  # killed, not waited for
+        assert len(forks) == 1
+
+    def _ran_here(self, selection):
+        """Whether the stand-in rank check ran in this process, and the ids reported."""
+        ran = []
+        with _fake_rank_check(lambda: ran.append(os.getpid()) or (True, None, "stand-in")):
+            reported = [r.check_id for r in checks.run_paper_checks(selection)]
+        return ran == [os.getpid()], reported
+
+    def test_forks_with_two_cpus(self, forks):
+        assert self._ran_here([RANK, "prop-5.13-eigenvalues"]) == (False, ["prop-5.13-eigenvalues", RANK])
+        assert len(forks) == 1
+
+    def test_one_cpu_runs_in_process(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})
+        assert self._ran_here([RANK, "prop-5.13-eigenvalues"]) == (True, ["prop-5.13-eigenvalues", RANK])
+        assert forks == []
+
+    def test_one_check_runs_in_process(self, forks):
+        assert self._ran_here([RANK]) == (True, [RANK])
+        assert forks == []
+
+    def test_another_thread_runs_in_process(self, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert self._ran_here([RANK, "prop-5.13-eigenvalues"])[0]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_failed_fork_runs_in_process(self, monkeypatch):
+        def refuse():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
+        fds = len(os.listdir("/proc/self/fd"))
+        assert self._ran_here([RANK, "prop-5.13-eigenvalues"])[0]
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
 
 
 # functions of src/pdseq that no command or cross-check calls, each with why it stays
